@@ -15,7 +15,7 @@
 //! on the cold paths (violation reporting, replay).
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use fa_memory::{Action, ProcId, Process, StepInput, Wiring};
@@ -144,6 +144,54 @@ pub(crate) enum SlotKind {
     Outputs,
 }
 
+/// A transition-memo key: `[proc id, pending id, aux]`, where `aux` is the
+/// id of the register a `Read` observes, `0` for a `Write`, and the
+/// current output-log id for an `Output`. Hashed as two words through
+/// [`StepHasher`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct StepKey(pub(crate) [u32; 3]);
+
+impl Hash for StepKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c] = self.0;
+        state.write_u64(u64::from(a) | u64::from(b) << 32);
+        state.write_u32(c);
+    }
+}
+
+/// Multiplicative (Fx-style) hasher for [`StepKey`]s: a rotate, xor and
+/// multiply per word — a fraction of SipHash's cost on three small ids.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct StepHasher(u64);
+
+impl Hasher for StepHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits at the top; bucket
+        // indices come from the bottom.
+        self.0.rotate_left(26)
+    }
+}
+
+/// The transition memo: [`StepKey`] → `[proc' id, pending' id, extra]`,
+/// where `extra` is the id the step leaves in the one other slot it
+/// touches (the written register, the grown output log, or — for a read —
+/// the unchanged register id).
+pub(crate) type StepMemo = HashMap<StepKey, [u32; 3], BuildHasherDefault<StepHasher>>;
+
 /// Table access the arena steppers need: resolve slot ids to values and
 /// intern freshly produced values. [`ArenaTables`] implements it directly
 /// (the serial path); [`OverlayTables`] implements it over a frozen base
@@ -168,6 +216,11 @@ where
         value: Action<P::Value, P::Output>,
     ) -> Result<u32, IdSpaceExhausted>;
     fn intern_outputs(&mut self, value: Vec<P::Output>) -> Result<u32, IdSpaceExhausted>;
+    /// Probes the transition memo, tallying the hit or miss.
+    fn memo_get(&mut self, key: StepKey) -> Option<[u32; 3]>;
+    /// Records a fully stepped transition; `third` names the table that
+    /// `aux` and `extra` index.
+    fn memo_put(&mut self, key: StepKey, value: [u32; 3], third: SlotKind);
 }
 
 /// Whether process `p`'s pending slot in `row` is a read — the scan
@@ -187,6 +240,12 @@ where
 /// Applies process `p`'s poised action to `row` in place against any
 /// [`StepTables`] — the one arena step both the serial and the overlay
 /// paths run. See [`ArenaTables::step_row`] for the contract.
+///
+/// A transition already seen in this exploration is patched straight from
+/// the memo: `Process::step` is deterministic and every slot table is
+/// injective, so the ids a full step would return are exactly the memoized
+/// ones, and a full step would intern nothing new. Only misses run the
+/// step and its interning, and record the result.
 pub(crate) fn step_row_in<P, T>(
     tables: &mut T,
     row: &mut [u32],
@@ -204,42 +263,59 @@ where
     let pend_ix = m + n + p.0;
     let pending_id = row[pend_ix];
     assert_ne!(pending_id, HALTED, "live process steps");
-    let action = Arc::clone(tables.pending_value(pending_id));
-    match &*action {
-        Action::Read { local } => {
-            let g = wirings[p.0].global(*local);
-            // Hand the process a shared handle to the register cell; the
-            // version is always 0 — the model checker must never let
-            // processes observe write multiplicity.
-            let value =
-                fa_memory::Versioned::from_shared(Arc::clone(tables.memory_value(row[g.0])), 0);
-            let mut proc = (**tables.proc_value(row[proc_ix])).clone();
-            let next_action = proc.step(StepInput::ReadValue(value));
-            row[proc_ix] = tables.intern_proc(proc)?;
-            row[pend_ix] = tables.intern_pending(next_action)?;
-        }
-        Action::Write { local, value } => {
-            let g = wirings[p.0].global(*local);
-            row[g.0] = tables.intern_memory(value.clone())?;
-            let mut proc = (**tables.proc_value(row[proc_ix])).clone();
-            let next_action = proc.step(StepInput::Wrote);
-            row[proc_ix] = tables.intern_proc(proc)?;
-            row[pend_ix] = tables.intern_pending(next_action)?;
-        }
-        Action::Output(o) => {
-            let out_ix = m + 2 * n + p.0;
-            let mut outs = (**tables.outputs_value(row[out_ix])).clone();
-            outs.push(o.clone());
-            row[out_ix] = tables.intern_outputs(outs)?;
-            let mut proc = (**tables.proc_value(row[proc_ix])).clone();
-            let next_action = proc.step(StepInput::OutputRecorded);
-            row[proc_ix] = tables.intern_proc(proc)?;
-            row[pend_ix] = tables.intern_pending(next_action)?;
-        }
+    // The one slot besides `p`'s process and pending ids that the step
+    // reads or writes, the table it indexes, and the key's third word.
+    let (col, third, aux) = match &**tables.pending_value(pending_id) {
         Action::Halt => {
             row[pend_ix] = HALTED;
+            return Ok(());
         }
+        Action::Read { local } => {
+            let g = wirings[p.0].global(*local).0;
+            (g, SlotKind::Memory, row[g])
+        }
+        Action::Write { local, .. } => (wirings[p.0].global(*local).0, SlotKind::Memory, 0),
+        Action::Output(_) => {
+            let out_ix = m + 2 * n + p.0;
+            (out_ix, SlotKind::Outputs, row[out_ix])
+        }
+    };
+    let key = StepKey([row[proc_ix], pending_id, aux]);
+    if let Some([proc_id, next_id, extra]) = tables.memo_get(key) {
+        row[proc_ix] = proc_id;
+        row[pend_ix] = next_id;
+        row[col] = extra;
+        return Ok(());
     }
+    // A miss: the full step. The one-slot write (if any) is interned
+    // before the process and its next action — the order overlay log
+    // replay relies on.
+    let action = Arc::clone(tables.pending_value(pending_id));
+    let input = match &*action {
+        // Hand the process a shared handle to the register cell; the
+        // version is always 0 — the model checker must never let
+        // processes observe write multiplicity.
+        Action::Read { .. } => StepInput::ReadValue(fa_memory::Versioned::from_shared(
+            Arc::clone(tables.memory_value(row[col])),
+            0,
+        )),
+        Action::Write { value, .. } => {
+            row[col] = tables.intern_memory(value.clone())?;
+            StepInput::Wrote
+        }
+        Action::Output(o) => {
+            let mut outs = (**tables.outputs_value(row[col])).clone();
+            outs.push(o.clone());
+            row[col] = tables.intern_outputs(outs)?;
+            StepInput::OutputRecorded
+        }
+        Action::Halt => unreachable!("halt returned above"),
+    };
+    let mut proc = (**tables.proc_value(row[proc_ix])).clone();
+    let next_action = proc.step(input);
+    row[proc_ix] = tables.intern_proc(proc)?;
+    row[pend_ix] = tables.intern_pending(next_action)?;
+    tables.memo_put(key, [row[proc_ix], row[pend_ix], row[col]], third);
     Ok(())
 }
 
@@ -283,6 +359,9 @@ where
     pub(crate) procs: SlotInterner<P>,
     pub(crate) pending: SlotInterner<Action<P::Value, P::Output>>,
     pub(crate) outputs: SlotInterner<Vec<P::Output>>,
+    memo: StepMemo,
+    memo_hits: u64,
+    memo_misses: u64,
     m: usize,
     n: usize,
 }
@@ -303,9 +382,31 @@ where
             procs: SlotInterner::new("procs", id_cap),
             pending: SlotInterner::new("pending", id_cap),
             outputs: SlotInterner::new("outputs", id_cap),
+            memo: StepMemo::default(),
+            memo_hits: 0,
+            memo_misses: 0,
             m,
             n,
         }
+    }
+
+    /// Transition-memo `(hits, misses)` tallied so far, including those of
+    /// absorbed overlays.
+    #[must_use]
+    pub fn memo_tallies(&self) -> (u64, u64) {
+        (self.memo_hits, self.memo_misses)
+    }
+
+    /// Folds a committed epoch's overlay into the transition memo: merges
+    /// the entries it logged (all ids committed, so they hold here for the
+    /// rest of the exploration) and adds its hit/miss tallies.
+    pub(crate) fn absorb(&mut self, log: &OverlayLog<P>) {
+        for &(key, value) in &log.memo {
+            let prior = self.memo.insert(key, value);
+            debug_assert!(prior.map_or(true, |v| v == value), "memo is a function");
+        }
+        self.memo_hits += log.memo_hits;
+        self.memo_misses += log.memo_misses;
     }
 
     /// Ids per state row: `m + 3n`.
@@ -384,7 +485,7 @@ where
     /// # Panics
     ///
     /// Panics if `p` has halted in `row`.
-    pub(crate) fn step_row(
+    pub fn step_row(
         &mut self,
         row: &mut [u32],
         p: ProcId,
@@ -506,6 +607,20 @@ where
     fn intern_outputs(&mut self, value: Vec<P::Output>) -> Result<u32, IdSpaceExhausted> {
         self.outputs.intern_owned(value)
     }
+
+    fn memo_get(&mut self, key: StepKey) -> Option<[u32; 3]> {
+        let hit = self.memo.get(&key).copied();
+        if hit.is_some() {
+            self.memo_hits += 1;
+        } else {
+            self.memo_misses += 1;
+        }
+        hit
+    }
+
+    fn memo_put(&mut self, key: StepKey, value: [u32; 3], _third: SlotKind) {
+        self.memo.insert(key, value);
+    }
 }
 
 /// One table's provisional overlay: values this worker produced that the
@@ -584,6 +699,11 @@ where
     pending: OverlaySlot<Action<P::Value, P::Output>>,
     outputs: OverlaySlot<Vec<P::Output>>,
     kinds: Vec<SlotKind>,
+    /// Transitions this worker stepped whose ids are all committed — the
+    /// ones the base memo may absorb at the table commit.
+    memo: Vec<(StepKey, [u32; 3])>,
+    memo_hits: u64,
+    memo_misses: u64,
 }
 
 impl<'a, P> OverlayTables<'a, P>
@@ -600,6 +720,9 @@ where
             pending: OverlaySlot::new(base.pending.len()),
             outputs: OverlaySlot::new(base.outputs.len()),
             kinds: Vec::new(),
+            memo: Vec::new(),
+            memo_hits: 0,
+            memo_misses: 0,
         }
     }
 
@@ -623,6 +746,9 @@ where
             procs: self.procs.values,
             pending: self.pending.values,
             outputs: self.outputs.values,
+            memo: self.memo,
+            memo_hits: self.memo_hits,
+            memo_misses: self.memo_misses,
         }
     }
 }
@@ -687,6 +813,38 @@ where
         }
         Ok(id)
     }
+
+    /// Reads the frozen base memo only, so hits and misses depend on the
+    /// committed epoch alone — never on which worker claimed which chunk.
+    fn memo_get(&mut self, key: StepKey) -> Option<[u32; 3]> {
+        let hit = self.base.memo.get(&key).copied();
+        if hit.is_some() {
+            self.memo_hits += 1;
+        } else {
+            self.memo_misses += 1;
+        }
+        hit
+    }
+
+    /// Logs the transition only if every id in it is committed (below the
+    /// frozen lengths). One with a provisional id is dropped; a later level
+    /// re-derives it with committed ids.
+    fn memo_put(&mut self, key: StepKey, value: [u32; 3], third: SlotKind) {
+        let frozen = |kind| match kind {
+            SlotKind::Memory => self.memory.frozen_len,
+            SlotKind::Procs => self.procs.frozen_len,
+            SlotKind::Pending => self.pending.frozen_len,
+            SlotKind::Outputs => self.outputs.frozen_len,
+        };
+        let [proc_id, pending_id, aux] = key.0;
+        let [next_proc, next_pending, extra] = value;
+        let committed = proc_id.max(next_proc) < frozen(SlotKind::Procs)
+            && pending_id.max(next_pending) < frozen(SlotKind::Pending)
+            && aux.max(extra) < frozen(third);
+        if committed {
+            self.memo.push((key, value));
+        }
+    }
 }
 
 /// The replayable remains of one worker's [`OverlayTables`]: the ordered
@@ -705,6 +863,9 @@ where
     procs: Vec<Arc<P>>,
     pending: Vec<Arc<Action<P::Value, P::Output>>>,
     outputs: Vec<Arc<Vec<P::Output>>>,
+    memo: Vec<(StepKey, [u32; 3])>,
+    memo_hits: u64,
+    memo_misses: u64,
 }
 
 impl<P> OverlayLog<P>
@@ -1055,6 +1216,102 @@ mod tests {
             .replay_slice(&log, range, &mut cursors, &mut maps)
             .unwrap_err();
         assert_eq!(err.table, "pending");
+    }
+
+    /// A base memo warmed by serial stepping answers the overlay's step:
+    /// it hits, interns nothing, and logs nothing.
+    #[test]
+    fn arena_overlay_warm_memo_step_logs_nothing() {
+        let (initial, wirings) = two_writers();
+        let mut committed = ArenaTables::<OneWrite>::new(1, 2, HALTED);
+        let root = committed.encode(&initial).unwrap();
+        let mut serial_row = root.clone();
+        committed
+            .step_row(&mut serial_row, ProcId(0), &wirings)
+            .unwrap();
+        assert_eq!(committed.memo_tallies(), (0, 1));
+
+        let mut overlay = OverlayTables::new(&committed);
+        let mut row = root.clone();
+        step_row_in(&mut overlay, &mut row, ProcId(0), &wirings).unwrap();
+        assert_eq!(row, serial_row);
+        assert_eq!(overlay.log_len(), 0, "nothing interned");
+        let log = overlay.into_log();
+        assert!(log.memo.is_empty(), "a hit records nothing");
+        assert_eq!((log.memo_hits, log.memo_misses), (1, 0));
+    }
+
+    /// A step whose result holds a provisional id is never logged for the
+    /// base memo: the id means nothing outside this overlay.
+    #[test]
+    fn arena_overlay_never_logs_provisional_transitions() {
+        let (initial, wirings) = two_writers();
+        let mut committed = ArenaTables::<OneWrite>::new(1, 2, HALTED);
+        let root = committed.encode(&initial).unwrap();
+        let mut overlay = OverlayTables::new(&committed);
+        let mut row = root.clone();
+        step_row_in(&mut overlay, &mut row, ProcId(0), &wirings).unwrap();
+        assert!(overlay.log_len() > 0, "the step produced fresh values");
+        let log = overlay.into_log();
+        assert!(log.memo.is_empty(), "provisional ids stay out of the memo");
+        assert_eq!((log.memo_hits, log.memo_misses), (0, 1));
+    }
+
+    /// Three epochs over the same parents: the first commits fresh values
+    /// (its transitions are dropped), the second re-derives them with
+    /// committed ids (and logs them), and after `absorb` the third is
+    /// answered entirely by the memo — rows bit-identical to serial
+    /// stepping throughout.
+    #[test]
+    fn arena_overlay_absorb_then_replay_matches_serial_rows() {
+        let (initial, wirings) = two_writers();
+        let mut serial = ArenaTables::<OneWrite>::new(1, 2, HALTED);
+        let root_s = serial.encode(&initial).unwrap();
+        let serial_rows: Vec<Box<[u32]>> = (0..2)
+            .map(|p| {
+                let mut row = root_s.clone();
+                serial.step_row(&mut row, ProcId(p), &wirings).unwrap();
+                row
+            })
+            .collect();
+
+        let mut committed = ArenaTables::<OneWrite>::new(1, 2, HALTED);
+        let root = committed.encode(&initial).unwrap();
+        let mut logged = Vec::new();
+        for epoch in 0..3 {
+            let mut rows = Vec::new();
+            let mut ranges = Vec::new();
+            let log = {
+                let mut overlay = OverlayTables::new(&committed);
+                for p in 0..2 {
+                    let start = overlay.log_len();
+                    let mut row = root.clone();
+                    step_row_in(&mut overlay, &mut row, ProcId(p), &wirings).unwrap();
+                    ranges.push(start..overlay.log_len());
+                    rows.push(row);
+                }
+                overlay.into_log()
+            };
+            let mut cursors = [0usize; 4];
+            let mut maps: [Vec<u32>; 4] = Default::default();
+            for (row, range) in rows.iter_mut().zip(ranges) {
+                committed
+                    .replay_slice(&log, range, &mut cursors, &mut maps)
+                    .unwrap();
+                log.patch_row(1, 2, &maps, row);
+            }
+            committed.absorb(&log);
+            assert_eq!(rows, serial_rows, "epoch {epoch}");
+            assert_eq!(committed.len_total(), serial.len_total(), "epoch {epoch}");
+            logged.push(log.memo.len());
+        }
+        assert_eq!(
+            logged,
+            vec![0, 2, 0],
+            "only the committed re-derivation logs"
+        );
+        // Epochs 1 and 2 missed then hit both steps; epoch 0 missed both.
+        assert_eq!(committed.memo_tallies(), (2, 4));
     }
 
     #[test]

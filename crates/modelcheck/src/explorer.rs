@@ -396,6 +396,14 @@ where
     progress: Option<ProgressHook>,
 }
 
+/// Totals an exploration has already published as telemetry counter deltas.
+#[derive(Clone, Copy, Debug, Default)]
+struct Flushed {
+    states: usize,
+    memo_hits: u64,
+    memo_misses: u64,
+}
+
 /// How many state expansions pass between polls of the external stop signal
 /// in [`Explorer::run_until`]: frequent enough to abort promptly, rare
 /// enough to keep the check off the hot path. Telemetry gauges are flushed
@@ -652,6 +660,41 @@ where
         }
     }
 
+    /// Publishes live telemetry: states and transition-memo tallies as
+    /// counter deltas since the last flush (so shared counters stay
+    /// globally monotone across combos and workers), gauges as the current
+    /// readings. Runs on the stop-poll or level boundary and at every exit,
+    /// so the per-step path touches no atomics.
+    fn flush_telemetry(
+        &self,
+        flushed: &mut Flushed,
+        visited: usize,
+        depth: usize,
+        tables: &ArenaTables<P>,
+        store_bytes: usize,
+        spilled: usize,
+    ) {
+        let Some(tel) = &self.telemetry else {
+            return;
+        };
+        let (hits, misses) = tables.memo_tallies();
+        tel.states.add((visited - flushed.states) as u64);
+        tel.step_memo_hits.add(hits - flushed.memo_hits);
+        tel.step_memo_misses.add(misses - flushed.memo_misses);
+        *flushed = Flushed {
+            states: visited,
+            memo_hits: hits,
+            memo_misses: misses,
+        };
+        tel.frontier_depth.set(depth as u64);
+        tel.visited_entries.set(visited as u64);
+        // Estimate, not an allocator measurement: resident row payload plus
+        // parent/depth/index bookkeeping per state.
+        tel.visited_bytes.set(store_bytes as u64);
+        tel.visited_spilled.set(spilled as u64);
+        tel.interner_entries.set(tables.len_total() as u64);
+    }
+
     /// The flat-arena BFS, generic over visited-set storage and optionally
     /// quotienting by the system's symmetry group. `run_until` monomorphizes
     /// this twice (in-memory and tiered); the store only decides where rows
@@ -691,29 +734,8 @@ where
         // Σ orbit sizes of visited canonical states — the full-space total
         // reported as `full_states_estimate` (exact on complete runs).
         let mut estimate = 0u64;
-        // Live-telemetry bookkeeping: states are published as deltas (so the
-        // shared counter stays globally monotone across combos and workers),
-        // gauges on the stop-poll boundary and at every exit.
         let mut expansions = 0usize;
-        let mut flushed_states = 0usize;
-        let flush_telemetry = |flushed: &mut usize,
-                               visited: usize,
-                               depth: usize,
-                               interner_entries: usize,
-                               store_bytes: usize,
-                               spilled: usize| {
-            if let Some(tel) = &self.telemetry {
-                tel.states.add((visited - *flushed) as u64);
-                *flushed = visited;
-                tel.frontier_depth.set(depth as u64);
-                tel.visited_entries.set(visited as u64);
-                // Estimate, not an allocator measurement: resident row
-                // payload plus parent/depth/index bookkeeping per state.
-                tel.visited_bytes.set(store_bytes as u64);
-                tel.visited_spilled.set(spilled as u64);
-                tel.interner_entries.set(interner_entries as u64);
-            }
-        };
+        let mut flushed = Flushed::default();
 
         let make_violation = |tables: &ArenaTables<P>,
                               parents: &[Option<(usize, ProcId)>],
@@ -771,11 +793,11 @@ where
         gelems.push(0);
         queue.push_back(0);
         if let Err(message) = invariant(&StateView::new(&tables, &root_row)) {
-            flush_telemetry(
-                &mut flushed_states,
+            self.flush_telemetry(
+                &mut flushed,
                 1,
                 0,
-                tables.len_total(),
+                &tables,
                 store.approx_bytes(),
                 store.spilled_shards(),
             );
@@ -811,11 +833,11 @@ where
         while let Some(cur) = queue.pop_front() {
             let depth = depths[cur] as usize;
             if store.read_row(cur, &mut cur_row).is_err() {
-                flush_telemetry(
-                    &mut flushed_states,
+                self.flush_telemetry(
+                    &mut flushed,
                     store.len(),
                     depth,
-                    tables.len_total(),
+                    &tables,
                     store.approx_bytes(),
                     store.spilled_shards(),
                 );
@@ -846,11 +868,11 @@ where
                 since_poll += 1;
                 if since_poll >= STOP_POLL_INTERVAL {
                     since_poll = 0;
-                    flush_telemetry(
-                        &mut flushed_states,
+                    self.flush_telemetry(
+                        &mut flushed,
                         store.len(),
                         depth,
-                        tables.len_total(),
+                        &tables,
                         store.approx_bytes(),
                         store.spilled_shards(),
                     );
@@ -879,11 +901,11 @@ where
                     // Id-space exhaustion: abort gracefully, like hitting the
                     // state cap — the report stays honest (`complete: false`)
                     // and the sweep worker never panics.
-                    flush_telemetry(
-                        &mut flushed_states,
+                    self.flush_telemetry(
+                        &mut flushed,
                         store.len(),
                         depth,
-                        tables.len_total(),
+                        &tables,
                         store.approx_bytes(),
                         store.spilled_shards(),
                     );
@@ -922,11 +944,11 @@ where
                 let duplicate = match seen {
                     Ok(hit) => hit.is_some(),
                     Err(_) => {
-                        flush_telemetry(
-                            &mut flushed_states,
+                        self.flush_telemetry(
+                            &mut flushed,
                             store.len(),
                             depth,
-                            tables.len_total(),
+                            &tables,
                             store.approx_bytes(),
                             store.spilled_shards(),
                         );
@@ -948,11 +970,11 @@ where
                     continue;
                 }
                 let Ok(id) = store.insert(&scratch) else {
-                    flush_telemetry(
-                        &mut flushed_states,
+                    self.flush_telemetry(
+                        &mut flushed,
                         store.len(),
                         depth,
-                        tables.len_total(),
+                        &tables,
                         store.approx_bytes(),
                         store.spilled_shards(),
                     );
@@ -970,11 +992,11 @@ where
                 depths.push(depths[cur] + 1);
                 gelems.push(gidx);
                 if let Err(message) = invariant(&StateView::new(&tables, &scratch)) {
-                    flush_telemetry(
-                        &mut flushed_states,
+                    self.flush_telemetry(
+                        &mut flushed,
                         store.len(),
                         depth,
-                        tables.len_total(),
+                        &tables,
                         store.approx_bytes(),
                         store.spilled_shards(),
                     );
@@ -993,11 +1015,11 @@ where
             }
         }
 
-        flush_telemetry(
-            &mut flushed_states,
+        self.flush_telemetry(
+            &mut flushed,
             store.len(),
             0,
-            tables.len_total(),
+            &tables,
             store.approx_bytes(),
             store.spilled_shards(),
         );
@@ -1188,23 +1210,7 @@ where
         let mut terminal = 0usize;
         let mut complete = true;
         let mut estimate = 0u64;
-        let mut flushed_states = 0usize;
-        let flush_telemetry = |flushed: &mut usize,
-                               visited: usize,
-                               depth: usize,
-                               interner_entries: usize,
-                               store_bytes: usize,
-                               spilled: usize| {
-            if let Some(tel) = &self.telemetry {
-                tel.states.add((visited - *flushed) as u64);
-                *flushed = visited;
-                tel.frontier_depth.set(depth as u64);
-                tel.visited_entries.set(visited as u64);
-                tel.visited_bytes.set(store_bytes as u64);
-                tel.visited_spilled.set(spilled as u64);
-                tel.interner_entries.set(interner_entries as u64);
-            }
-        };
+        let mut flushed = Flushed::default();
 
         let Ok(k0) = tables.encode(&self.initial) else {
             return ExploreReport {
@@ -1238,11 +1244,11 @@ where
         depths.push(0);
         gelems.push(0);
         if let Err(message) = invariant(&StateView::new(&tables, &root_row)) {
-            flush_telemetry(
-                &mut flushed_states,
+            self.flush_telemetry(
+                &mut flushed,
                 1,
                 0,
-                tables.len_total(),
+                &tables,
                 store.approx_bytes(),
                 store.spilled_shards(),
             );
@@ -1452,11 +1458,11 @@ where
                 {
                     let store = store_lk.read().expect("store lock");
                     let tables = tables_lk.read().expect("tables lock");
-                    flush_telemetry(
-                        &mut flushed_states,
+                    self.flush_telemetry(
+                        &mut flushed,
                         store.len(),
                         level_depth,
-                        tables.len_total(),
+                        &tables,
                         store.approx_bytes(),
                         store.spilled_shards(),
                     );
@@ -1552,6 +1558,12 @@ where
                     if let Some(k) = failed {
                         abort_parent = Some(records[k].parent_pos);
                         records.truncate(k);
+                    }
+                    // Every memo entry a worker logged holds committed ids
+                    // only, so merging them in any order leaves the memo a
+                    // function of the committed tables.
+                    for log in &logs {
+                        tables.absorb(log);
                     }
                 }
 
@@ -1661,11 +1673,11 @@ where
                     abort = Some(incomplete_report(&store, terminal, estimate));
                 }
                 if let Some(report) = abort {
-                    flush_telemetry(
-                        &mut flushed_states,
+                    self.flush_telemetry(
+                        &mut flushed,
                         store.len(),
                         level_depth,
-                        tables.len_total(),
+                        &tables,
                         store.approx_bytes(),
                         store.spilled_shards(),
                     );
@@ -1687,11 +1699,11 @@ where
             let report = {
                 let store = store_lk.read().expect("store lock");
                 let tables = tables_lk.read().expect("tables lock");
-                flush_telemetry(
-                    &mut flushed_states,
+                self.flush_telemetry(
+                    &mut flushed,
                     store.len(),
                     0,
-                    tables.len_total(),
+                    &tables,
                     store.approx_bytes(),
                     store.spilled_shards(),
                 );
@@ -2297,11 +2309,17 @@ mod tests {
         assert!(tel.visited_bytes.get() > 0);
         assert!(tel.interner_entries.get() > 0);
 
-        // A second probed run accumulates onto the same counter (monotone
-        // across combos), rather than resetting it.
+        // The exploration both discovers and repeats transitions.
+        let (hits, misses) = (tel.step_memo_hits.get(), tel.step_memo_misses.get());
+        assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
+
+        // A second probed run accumulates onto the same counters (monotone
+        // across combos), rather than resetting them, and repeats exactly.
         let again = mk().with_telemetry(tel.clone()).run(|_| Ok(()));
-        assert_eq!(again.states, plain.states);
+        assert_eq!(format!("{again:?}"), format!("{plain:?}"));
         assert_eq!(tel.states.get(), 2 * plain.states as u64);
+        assert_eq!(tel.step_memo_hits.get(), 2 * hits);
+        assert_eq!(tel.step_memo_misses.get(), 2 * misses);
     }
 
     #[test]
@@ -2509,6 +2527,16 @@ mod tests {
         assert!(tel.interner_entries.get() > 0);
         // The expand span records once per committed BFS level.
         assert!(registry.span("mc.expand_parallel").calls() > 0);
+
+        // Overlays probe only the frozen base memo, so the tallies do not
+        // depend on which worker claimed which chunk: a second run repeats
+        // them exactly, and the report is unchanged.
+        let (hits, misses) = (tel.step_memo_hits.get(), tel.step_memo_misses.get());
+        assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
+        let again = mk().with_telemetry(tel.clone()).run_intra(|_| Ok(()), 4);
+        assert_eq!(format!("{again:?}"), format!("{plain:?}"));
+        assert_eq!(tel.step_memo_hits.get(), 2 * hits);
+        assert_eq!(tel.step_memo_misses.get(), 2 * misses);
     }
 
     #[test]

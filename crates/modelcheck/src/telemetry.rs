@@ -11,6 +11,8 @@
 //! | `mc.jobs`              | gauge     | sweep worker threads                       |
 //! | `mc.frontier_depth`    | gauge     | BFS depth currently being expanded         |
 //! | `mc.steal_count`       | counter   | frontier chunks claimed beyond a worker's first (intra strategy) |
+//! | `mc.step_memo_hits`    | counter   | arena steps patched from the transition memo |
+//! | `mc.step_memo_misses`  | counter   | arena steps that ran `Process::step`       |
 //! | `mc.visited_entries`   | gauge     | arena size of the sampled combo            |
 //! | `mc.visited_bytes_est` | gauge     | estimated bytes of keys + arena + index    |
 //! | `mc.visited_spilled`   | gauge     | visited shards spilled to the disk tier    |
@@ -58,6 +60,12 @@ pub struct ExplorerTelemetry {
     /// `mc.expand_parallel` — wall time of each parallel expand phase
     /// (one record per BFS level under the intra-combo strategy).
     pub expand_parallel: Span,
+    /// `mc.step_memo_hits` — arena steps answered by the transition memo
+    /// (published as deltas on the telemetry flush boundary).
+    pub step_memo_hits: Counter,
+    /// `mc.step_memo_misses` — arena steps that ran `Process::step` and
+    /// recorded their transition.
+    pub step_memo_misses: Counter,
 }
 
 impl ExplorerTelemetry {
@@ -74,6 +82,8 @@ impl ExplorerTelemetry {
             dedup: registry.span("mc.dedup"),
             steals: registry.counter("mc.steal_count"),
             expand_parallel: registry.span("mc.expand_parallel"),
+            step_memo_hits: registry.counter("mc.step_memo_hits"),
+            step_memo_misses: registry.counter("mc.step_memo_misses"),
         }
     }
 }

@@ -254,7 +254,10 @@ proptest! {
 }
 
 /// Drives the snapshot system down a random schedule, encoding every state
-/// reached; each row must decode back to exactly the state it encoded.
+/// reached; each row must decode back to exactly the state it encoded, and
+/// the arena step must produce the same row. The schedule is then replayed
+/// over the same, now warm, tables: every non-halting step must be answered
+/// by the transition memo, with identical rows and no new table entries.
 fn roundtrip_along_schedule(inputs: (u32, u32), schedule: Vec<u8>) {
     let n = 2;
     let procs: Vec<SnapshotProcess<u32>> = [inputs.0, inputs.1]
@@ -269,6 +272,7 @@ fn roundtrip_along_schedule(inputs: (u32, u32), schedule: Vec<u8>) {
     let mut tables = ArenaTables::<SnapshotProcess<u32>>::new(n, n, u32::MAX);
     type RowAndState = (Box<[u32]>, McState<SnapshotProcess<u32>>);
     let mut rows: Vec<RowAndState> = Vec::new();
+    let mut picks: Vec<ProcId> = Vec::new();
     let row = tables.encode(&state).unwrap();
     rows.push((row, state.clone()));
     for pick in schedule {
@@ -277,15 +281,42 @@ fn roundtrip_along_schedule(inputs: (u32, u32), schedule: Vec<u8>) {
             break;
         }
         let p = live[pick as usize % live.len()];
+        let mut stepped = rows.last().unwrap().0.clone();
+        tables.step_row(&mut stepped, p, &wirings).unwrap();
         state = state.step(p, &wirings).unwrap();
         let row = tables.encode(&state).unwrap();
+        assert_eq!(stepped, row, "arena step diverges from McState::step");
         rows.push((row, state.clone()));
+        picks.push(p);
     }
     // Decode *after* all interning: later interns must never disturb the
     // meaning of earlier rows (ids are append-only).
     for (row, expect) in &rows {
         assert_eq!(&tables.decode(row), expect);
     }
+
+    let len_before = tables.len_total();
+    let (hits_before, misses_before) = tables.memo_tallies();
+    let mut row = rows[0].0.clone();
+    let mut memo_steps = 0u64;
+    for (p, (expect, _)) in picks.iter().zip(&rows[1..]) {
+        tables.step_row(&mut row, *p, &wirings).unwrap();
+        assert_eq!(&row, expect, "warm replay diverges");
+        // A halting step writes the sentinel without consulting the memo.
+        if row[n + n + p.0] != u32::MAX {
+            memo_steps += 1;
+        }
+    }
+    assert_eq!(
+        tables.len_total(),
+        len_before,
+        "warm replay interned a value"
+    );
+    assert_eq!(
+        tables.memo_tallies(),
+        (hits_before + memo_steps, misses_before),
+        "every warm step hits"
+    );
 }
 
 proptest! {
