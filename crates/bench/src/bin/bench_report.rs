@@ -20,24 +20,19 @@
 //!    identical between representations (the refactor must not change
 //!    exploration), and two runs of the new representation must serialize
 //!    byte-identically.
-//! 4. **E23 (arena engine)** — the same sweep driven through the legacy
-//!    Arc-based BFS (`Explorer::run_arc`) as the baseline for the flat
-//!    state-arena engine: per-combo counts must match exactly, and the
-//!    headline `sweep_states_per_sec_arena` / `sweep_states_per_sec_arc`
-//!    pair records the engine speedup.
-//! 5. **E24 (symmetry quotient)** — the E18-class fully-symmetric coarse
+//! 4. **E24 (symmetry quotient)** — the E18-class fully-symmetric coarse
 //!    sweep run under `--quotient` semantics: records the measured orbit
 //!    factor (estimated full-space states over canonical states explored),
 //!    checks quotiented reruns render byte-identically, and *attempts* the
 //!    n = 5 scope — far past any full sweep at (5!)⁴ ≈ 2·10⁸ combos — as a
 //!    capped single-combo exploration pushed through the tiered visited
 //!    store with a deliberately tiny memory budget.
-//! 6. **E26 (intra-combo parallelism)** — the E23 sweep driven through the
-//!    shared-frontier parallel BFS (`--strategy intra`) with one worker per
-//!    core: per-combo counts must match the serial arena engine exactly
-//!    (the level-commit determinism argument, DESIGN §15), and on a ≥4-core
-//!    box the best-of-N states/s must reach ≥1.5× the E23 serial-per-combo
-//!    rate (on smaller hosts the ratio is recorded but not gated).
+//! 5. **E26 (intra-combo parallelism)** — the sweep driven through the
+//!    worker crew (`--strategy intra`) with one worker per core: per-combo
+//!    counts must match the serial run exactly (the level-commit
+//!    determinism argument, DESIGN §15), and on a ≥4-core box the
+//!    best-of-N states/s must reach ≥1.5× the serial-per-combo rate (on
+//!    smaller hosts the ratio is recorded but not gated).
 //!
 //! Exits nonzero if any determinism check fails.
 //!
@@ -159,13 +154,11 @@ where
     (steps, per_sec)
 }
 
-/// Which BFS engine a [`sweep`] drives per combo: the flat-arena serial
-/// engine, the pre-arena Arc-based one (the E23 baseline), or the
-/// shared-frontier parallel engine with N workers (the E26 arm).
+/// How a [`sweep`] runs each combo: serially, or with N intra-combo
+/// workers (the E26 arm).
 #[derive(Clone, Copy)]
 enum Engine {
-    Arena,
-    LegacyArc,
+    Serial,
     Intra(usize),
 }
 
@@ -189,8 +182,7 @@ where
             .with_coarse_scans()
             .with_max_states(max_states);
         let report = match engine {
-            Engine::Arena => explorer.run(|_| Ok(())),
-            Engine::LegacyArc => explorer.run_arc(|_| Ok(())),
+            Engine::Serial => explorer.run(|_| Ok(())),
             Engine::Intra(workers) => explorer.run_intra(|_| Ok(()), workers),
         };
         per_combo.push(report.states);
@@ -294,14 +286,14 @@ fn main() {
     eprintln!("[bench_report] E18-style sweep ({sweep_combos} combos, cap {sweep_cap})...");
     let n = 4usize;
     let (per_combo_new, elapsed_new, rate_new) =
-        sweep_best_of(sweep_reps, sweep_combos, sweep_cap, Engine::Arena, |x| {
+        sweep_best_of(sweep_reps, sweep_combos, sweep_cap, Engine::Serial, |x| {
             SnapshotProcess::new(x, n)
         });
     let (per_combo_old, elapsed_old, rate_old) =
-        sweep_best_of(sweep_reps, sweep_combos, sweep_cap, Engine::Arena, |x| {
+        sweep_best_of(sweep_reps, sweep_combos, sweep_cap, Engine::Serial, |x| {
             SnapshotProcess::new(Opaque(x), n)
         });
-    let (per_combo_again, _, _) = sweep(sweep_combos, sweep_cap, Engine::Arena, |x| {
+    let (per_combo_again, _, _) = sweep(sweep_combos, sweep_cap, Engine::Serial, |x| {
         SnapshotProcess::new(x, n)
     });
     eprintln!(
@@ -309,24 +301,9 @@ fn main() {
         rate_new / rate_old
     );
 
-    // 4. E23: the same sweep through the legacy Arc-based BFS — the
-    // baseline the flat-arena engine replaced.
-    eprintln!("[bench_report] E23 arena-vs-arc sweep ({sweep_combos} combos, cap {sweep_cap})...");
-    let (per_combo_arc, elapsed_arc, rate_arc) = sweep_best_of(
-        sweep_reps,
-        sweep_combos,
-        sweep_cap,
-        Engine::LegacyArc,
-        |x| SnapshotProcess::new(x, n),
-    );
-    eprintln!(
-        "  arena {rate_new:.0} states/s ({elapsed_new:.2}s), arc {rate_arc:.0} states/s ({elapsed_arc:.2}s) ({:.2}x)",
-        rate_new / rate_arc
-    );
-
-    // 6. E26: the same sweep through the shared-frontier parallel BFS, one
-    // intra worker per core. The serial arena rate above (the committed E23
-    // baseline's quantity) is the denominator of the headline speedup.
+    // 5. E26: the same sweep through the worker crew, one intra worker per
+    // core. The serial rate above is the denominator of the headline
+    // speedup.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     eprintln!(
         "[bench_report] E26 intra-combo sweep ({sweep_combos} combos, cap {sweep_cap}, {cores} workers)..."
@@ -343,7 +320,7 @@ fn main() {
         "  intra {rate_intra:.0} states/s ({elapsed_intra:.2}s), serial {rate_new:.0} states/s ({intra_speedup:.2}x on {cores} cores)"
     );
 
-    // 5. E24: the symmetry quotient over the E18-class sweep — fully
+    // 4. E24: the symmetry quotient over the E18-class sweep — fully
     // symmetric inputs make the whole wiring group collapse, so the orbit
     // factor here is the headline compression number. Smoke keeps n = 3
     // (36 combos); the full run takes the real E18 scope at n = 4
@@ -412,10 +389,7 @@ fn main() {
     let ser_a = serde_json::to_string(&per_combo_new).expect("serialize");
     let ser_b = serde_json::to_string(&per_combo_again).expect("serialize");
     let rerun_identical = ser_a == ser_b;
-    // Determinism check 3: the arena engine visits exactly the states the
-    // legacy Arc engine visits, combo by combo.
-    let engine_equivalent = per_combo_new == per_combo_arc;
-    // Determinism check 4: the shared-frontier parallel engine visits
+    // Determinism check 3: the worker crew visits
     // exactly the serial engine's states, combo by combo.
     let intra_equivalent = per_combo_intra == per_combo_new;
     // Perf gate: the whole point of the intra engine is scaling, so on a
@@ -429,9 +403,6 @@ fn main() {
     }
     if !rerun_identical {
         eprintln!("[bench_report] FAIL: re-run sweep report is not byte-identical");
-    }
-    if !engine_equivalent {
-        eprintln!("[bench_report] FAIL: arena and arc engines explored different state spaces");
     }
     if !quotient_rerun_identical {
         eprintln!("[bench_report] FAIL: quotiented sweep re-run is not byte-identical");
@@ -447,7 +418,6 @@ fn main() {
 
     let determinism_ok = repr_equivalent
         && rerun_identical
-        && engine_equivalent
         && quotient_rerun_identical
         && intra_equivalent
         && intra_gate_ok;
@@ -461,8 +431,6 @@ fn main() {
         "fallback_states_per_sec": rate_old,
         "speedup": rate_new / rate_old,
         "arena_states_per_sec": rate_new,
-        "arc_states_per_sec": rate_arc,
-        "arena_speedup": rate_new / rate_arc,
         "intra_states_per_sec": rate_intra,
         "intra_workers": cores,
         "intra_speedup": intra_speedup,
@@ -472,7 +440,6 @@ fn main() {
     let determinism_doc = json!({
         "representations_equivalent": repr_equivalent,
         "rerun_byte_identical": rerun_identical,
-        "arena_matches_arc_engine": engine_equivalent,
         "quotient_rerun_byte_identical": quotient_rerun_identical,
         "intra_matches_serial_engine": intra_equivalent,
         "intra_speedup_gate_ok": intra_gate_ok,
@@ -500,7 +467,7 @@ fn main() {
         }),
     });
     let doc = json!({
-        "experiment": "E21+E23+E24+E26",
+        "experiment": "E21+E24+E26",
         "smoke": smoke,
         "micro": micros.iter().map(Micro::to_json).collect::<Vec<_>>(),
         "scan": scans,
@@ -525,7 +492,7 @@ fn main() {
         })
         .unwrap_or_default();
     let prefix = if smoke { "smoke_" } else { "" };
-    root.insert("experiment".into(), json!("E21+E23+E24+E26"));
+    root.insert("experiment".into(), json!("E21+E24+E26"));
     for (key, value) in [
         (
             "min_micro_speedup",
@@ -539,8 +506,6 @@ fn main() {
         ("sweep_states_per_sec_fallback", json!(rate_old)),
         ("sweep_speedup", json!(rate_new / rate_old)),
         ("sweep_states_per_sec_arena", json!(rate_new)),
-        ("sweep_states_per_sec_arc", json!(rate_arc)),
-        ("arena_sweep_speedup", json!(rate_new / rate_arc)),
         ("sweep_states_per_sec_intra", json!(rate_intra)),
         ("intra_workers", json!(cores)),
         ("intra_sweep_speedup", json!(intra_speedup)),

@@ -194,8 +194,9 @@ pub(crate) type StepMemo = HashMap<StepKey, [u32; 3], BuildHasherDefault<StepHas
 
 /// Table access the arena steppers need: resolve slot ids to values and
 /// intern freshly produced values. [`ArenaTables`] implements it directly
-/// (the serial path); [`OverlayTables`] implements it over a frozen base
-/// with per-worker provisional ids (the intra-combo parallel path). Both
+/// (the commit loop's inline step); [`OverlayTables`] implements it over a
+/// frozen base with per-worker provisional ids (the intra-combo worker
+/// crew). Both
 /// paths share [`step_row_in`]/[`step_block_row_in`] verbatim, so the intern
 /// call order per action — load-bearing for log replay — cannot drift.
 pub(crate) trait StepTables<P>
@@ -319,8 +320,10 @@ where
     Ok(())
 }
 
-/// One PlusCal-label-granularity block against any [`StepTables`] — see
-/// [`ArenaTables::step_block_row`].
+/// One PlusCal-label-granularity block of `p` applied to `row` in place,
+/// against any [`StepTables`]: a single write or output, or a complete scan
+/// (maximal run of consecutive reads) — the arena counterpart of
+/// [`crate::explorer::step_block`].
 pub(crate) fn step_block_row_in<P, T>(
     tables: &mut T,
     row: &mut [u32],
@@ -492,27 +495,6 @@ where
         wirings: &[Arc<Wiring>],
     ) -> Result<(), IdSpaceExhausted> {
         step_row_in(self, row, p, wirings)
-    }
-
-    /// One PlusCal-label-granularity block of `p` applied to `row` in place:
-    /// a single write or output, or a complete scan (maximal run of
-    /// consecutive reads) — the arena counterpart of
-    /// [`crate::explorer::step_block`].
-    ///
-    /// # Errors
-    ///
-    /// Fails when a fresh slot value would not fit some table's id space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` has halted in `row`.
-    pub(crate) fn step_block_row(
-        &mut self,
-        row: &mut [u32],
-        p: ProcId,
-        wirings: &[Arc<Wiring>],
-    ) -> Result<(), IdSpaceExhausted> {
-        step_block_row_in(self, row, p, wirings)
     }
 
     /// Replays one record's slice of a worker's overlay intern log into the

@@ -480,9 +480,9 @@ where
             }
             s
         };
-        // `--strategy intra` swaps the per-combo BFS for the shared-frontier
-        // parallel one; its report is byte-identical (DESIGN §15), so
-        // everything downstream — journaling included — is oblivious.
+        // `--strategy intra` runs the same BFS with intra-combo workers;
+        // its report is byte-identical (DESIGN §15), so everything
+        // downstream — journaling included — is oblivious.
         let result = match config.strategy.intra_workers() {
             Some(w) => explorer.run_until_intra(&invariant, probe, w),
             None => explorer.run_until(&invariant, probe),

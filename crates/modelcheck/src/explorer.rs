@@ -1,18 +1,22 @@
 //! Breadth-first exhaustive exploration of a fixed system.
 //!
-//! Since the flat-arena migration the hot path works entirely in interned id
-//! space (see [`crate::arena`]): a visited state is one row of `u32` slot
-//! ids, a BFS step copies the parent row and rewrites at most three words,
-//! and invariants observe states through the zero-materialization
-//! [`StateView`]. The `Arc`-walking representation ([`McState`]) remains the
-//! *semantic* definition of a state — violations, replays, and the
-//! simulation/atomicity layers still use it — and the pre-arena BFS is kept
-//! verbatim as [`Explorer::run_until_arc`], the differential baseline the
-//! tests and benches compare against.
+//! The hot path works entirely in interned id space (see [`crate::arena`]):
+//! a visited state is one row of `u32` slot ids, a BFS step copies the
+//! parent row and rewrites at most three words, and invariants observe
+//! states through the zero-materialization [`StateView`]. The `Arc`-walking
+//! representation ([`McState`]) remains the *semantic* definition of a state
+//! — violations, replays, and the simulation/atomicity layers still use it.
+//!
+//! There is one BFS: a level-by-level loop that commits every (parent, live
+//! process) expansion in serial pop order (DESIGN §12). With one worker it
+//! steps each expansion straight into the committed tables; with more
+//! (`--strategy intra`, DESIGN §15) a worker crew expands, interns and
+//! canonicalizes each level in parallel ahead of that loop, which only
+//! consumes the results — so every worker count reports identically.
 
 use std::borrow::Borrow;
-use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, RwLock};
 use std::time::Instant;
@@ -20,20 +24,17 @@ use std::time::Instant;
 use fa_memory::{Action, ProcId, Process, StepInput, Wiring};
 
 use crate::arena::{
-    step_block_row_in, step_row_in, ArenaTables, OverlayLog, OverlayTables, SlotInterner,
-    StateView, HALTED,
+    step_block_row_in, step_row_in, ArenaTables, OverlayLog, OverlayTables, StateView, HALTED,
 };
 use crate::canon::{compose, invert, Canonicalizer};
 use crate::checkpoint::{crash_point, ProgressHook};
-use crate::store::{hash_row, InMemoryVisited, ShardedVisited, TieredVisited, VisitedStore};
+use crate::store::{
+    hash_row, HashedStore, InMemoryVisited, ShardedVisited, TieredVisited, VisitedStore,
+};
 use crate::telemetry::ExplorerTelemetry;
 
 /// A process's poised-action slot: `None` once the process has halted.
 pub type PendingAction<P> = Option<Arc<Action<<P as Process>::Value, <P as Process>::Output>>>;
-
-/// Legacy BFS arena entry: the state, its parent link (arena index plus the
-/// process scheduled to reach it), and its depth.
-type ArcArenaEntry<P> = (McState<P>, Option<(usize, ProcId)>, usize);
 
 /// A global state of the model: register contents, process states, each
 /// process's poised action, and the outputs produced so far.
@@ -44,7 +45,7 @@ type ArcArenaEntry<P> = (McState<P>, Option<(usize, ProcId)>, usize);
 /// Every slot is individually reference-counted: stepping a state
 /// shallow-clones the slot vectors (pointer copies) and deep-clones only the
 /// one register/process/output slot the step mutates. The breadth-first hot
-/// path no longer stores these at all (it stores id rows, see
+/// path does not store these at all (it stores id rows, see
 /// [`crate::arena`]); `McState` is the materialized form used by violations,
 /// replays, random walks, and the atomicity checker.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -181,93 +182,6 @@ where
     next
 }
 
-/// The per-slot interning tables of the *legacy* (`Arc`-walking) BFS and its
-/// key codec. A state's key is one `u32` per slot in slot order
-/// (`memory ++ procs ++ pending ++ outputs`) — the exact row layout the
-/// arena path stores directly; the legacy path derives it per state from the
-/// `Arc` graph. Retained for [`Explorer::run_until_arc`].
-#[derive(Debug)]
-struct StateInterners<P: Process>
-where
-    P: Clone + Eq + Hash + std::fmt::Debug,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug,
-{
-    memory: SlotInterner<P::Value>,
-    procs: SlotInterner<P>,
-    pending: SlotInterner<Action<P::Value, P::Output>>,
-    outputs: SlotInterner<Vec<P::Output>>,
-}
-
-impl<P> StateInterners<P>
-where
-    P: Process + Clone + Eq + Hash + std::fmt::Debug,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug,
-{
-    fn new(id_cap: u32) -> Self {
-        StateInterners {
-            memory: SlotInterner::new("memory", id_cap),
-            procs: SlotInterner::new("procs", id_cap),
-            pending: SlotInterner::new("pending", id_cap),
-            outputs: SlotInterner::new("outputs", id_cap),
-        }
-    }
-
-    /// Entries across all four slot tables — the live size of the interned
-    /// value universe this exploration has touched.
-    fn len_total(&self) -> usize {
-        self.memory.len() + self.procs.len() + self.pending.len() + self.outputs.len()
-    }
-
-    /// The interned key of `state`. Given the `parent` state and its key,
-    /// slots sharing the parent's allocation (`Arc::ptr_eq`) reuse the
-    /// parent's id without rehashing — a BFS step rewrites at most three
-    /// slots, so keying a successor costs one memcpy of the key plus deep
-    /// hashes of only the slots the step actually changed.
-    fn key(
-        &mut self,
-        state: &McState<P>,
-        parent: Option<(&McState<P>, &[u32])>,
-    ) -> Result<Box<[u32]>, crate::arena::IdSpaceExhausted> {
-        let m = state.memory.len();
-        let n = state.procs.len();
-        let mut key = match parent {
-            Some((_, pk)) => pk.to_vec(),
-            None => vec![0u32; m + 3 * n],
-        };
-        for (i, cell) in state.memory.iter().enumerate() {
-            if parent.map_or(true, |(ps, _)| !Arc::ptr_eq(cell, &ps.memory[i])) {
-                key[i] = self.memory.intern_arc(cell)?;
-            }
-        }
-        for (i, proc) in state.procs.iter().enumerate() {
-            if parent.map_or(true, |(ps, _)| !Arc::ptr_eq(proc, &ps.procs[i])) {
-                key[m + i] = self.procs.intern_arc(proc)?;
-            }
-        }
-        for (i, slot) in state.pending.iter().enumerate() {
-            let changed = parent.map_or(true, |(ps, _)| match (slot, &ps.pending[i]) {
-                (Some(a), Some(b)) => !Arc::ptr_eq(a, b),
-                (None, None) => false,
-                _ => true,
-            });
-            if changed {
-                key[m + n + i] = match slot.as_ref() {
-                    Some(a) => self.pending.intern_arc(a)?,
-                    None => HALTED,
-                };
-            }
-        }
-        for (i, outs) in state.outputs.iter().enumerate() {
-            if parent.map_or(true, |(ps, _)| !Arc::ptr_eq(outs, &ps.outputs[i])) {
-                key[m + 2 * n + i] = self.outputs.intern_arc(outs)?;
-            }
-        }
-        Ok(key.into_boxed_slice())
-    }
-}
-
 /// A property violation: the offending state and a schedule reaching it from
 /// the initial state.
 #[derive(Clone, Debug)]
@@ -313,65 +227,6 @@ where
     pub spilled_shards: usize,
 }
 
-/// One speculative expansion produced by an intra-combo worker during the
-/// parallel expand phase: the successor row in the worker's *provisional*
-/// id space, plus enough provenance to commit it in exact serial order.
-struct ExpRecord {
-    /// Position of the parent within the current frontier.
-    parent_pos: u32,
-    /// Process stepped to produce this successor.
-    proc: u16,
-    /// Worker whose overlay log (and provisional id space) the row uses.
-    worker: u16,
-    /// Range of that worker's overlay intern log this step appended.
-    log_start: u32,
-    /// Exclusive end of the log range.
-    log_end: u32,
-    /// The successor row; fresh slots carry provisional ids until patched.
-    row: Box<[u32]>,
-}
-
-/// Per-record results of the parallel derive phase: the committed-id,
-/// canonicalized successor row and everything speculated from it against
-/// the level-frozen tables and store.
-struct Derived {
-    /// The patched, canonical row — byte-identical to what the serial BFS
-    /// would have produced for this expansion.
-    row: Box<[u32]>,
-    /// `hash_row` of the canonical row, precomputed for the store.
-    hash: u64,
-    /// Canonicalizing group element (0 without quotienting).
-    gidx: u32,
-    /// Orbit size of the canonical state (1 without quotienting).
-    orbit: u64,
-    /// Row was already present in the pre-level (frozen) store — the
-    /// serial lookup could only agree, so the commit skips it outright.
-    spec_dup: bool,
-    /// Invariant verdict, pre-checked speculatively for rows that may be
-    /// inserted; only applied if the commit actually inserts the row.
-    inv_err: Option<String>,
-}
-
-/// Phase outputs of one intra-combo worker for one BFS level.
-struct WorkerOut<P: Process>
-where
-    P: Clone + Eq + Hash + std::fmt::Debug,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug,
-{
-    /// Claimed frontier chunks (by start position) and their records.
-    chunks: Vec<(usize, Vec<ExpRecord>)>,
-    /// The worker's overlay intern log for the level.
-    log: Option<OverlayLog<P>>,
-    /// `(parent_pos, proc)` of a step that overran the hard id bound; the
-    /// worker stopped claiming there.
-    err_at: Option<(u32, u16)>,
-    /// Chunks claimed beyond the worker's first this level.
-    steals: u64,
-    /// Derive-phase output: `(record index, derived data)`.
-    derived: Vec<(usize, Derived)>,
-}
-
 /// Breadth-first explorer of one system (fixed processes, wirings, initial
 /// register value).
 #[derive(Debug)]
@@ -404,10 +259,11 @@ struct Flushed {
     memo_misses: u64,
 }
 
-/// How many state expansions pass between polls of the external stop signal
-/// in [`Explorer::run_until`]: frequent enough to abort promptly, rare
-/// enough to keep the check off the hot path. Telemetry gauges are flushed
-/// on the same boundary, so live sampling shares the existing slow path.
+/// How many state expansions, counted in commit order, pass between polls
+/// of the external stop signal: frequent enough to abort promptly, rare
+/// enough to keep the check off the hot path. Telemetry, the progress hook
+/// and the `explorer.poll` crash point share the same boundary, so it is the
+/// same for every worker count.
 const STOP_POLL_INTERVAL: usize = 1024;
 
 /// One in this many expansions is wall-clock timed for the `mc.dedup` span
@@ -416,14 +272,14 @@ const STOP_POLL_INTERVAL: usize = 1024;
 /// overhead budget of EXPERIMENTS E22.
 const DEDUP_SAMPLE_INTERVAL: usize = 64;
 
-/// Frontier positions handed out per work-stealing claim in the intra-combo
+/// Frontier positions handed out per work-stealing claim in the crew's
 /// expand phase: big enough to amortize the claim `fetch_add`, small enough
 /// to balance the skewed out-degrees of real frontiers.
 const EXPAND_CHUNK: usize = 32;
 
-/// Record indices handed out per claim in the intra-combo derive phase
-/// (patch + canonicalize + hash + probe): cheaper per item than expansion,
-/// so chunks are larger.
+/// Record indices handed out per claim in the crew's derive phase (patch +
+/// canonicalize + hash + probe): cheaper per item than expansion, so chunks
+/// are larger.
 const DERIVE_CHUNK: usize = 128;
 
 impl<P> Explorer<P>
@@ -625,25 +481,33 @@ where
         self.run_until(invariant, || false)
     }
 
-    /// Like [`Explorer::run`], but polls `stop` periodically (every
-    /// [`STOP_POLL_INTERVAL`] expansions); when it returns `true` the
+    /// Like [`Explorer::run`], but polls `stop` on entry and then every
+    /// [`STOP_POLL_INTERVAL`] expansions; when it returns `true` the
     /// exploration aborts with `complete: false` and no violation. Parallel
     /// sweeps use this to cancel workers made redundant by an
     /// earlier-indexed violation.
     ///
-    /// This is the flat-arena BFS: states are id rows in one contiguous
-    /// `Vec<u32>` (see [`crate::arena`]), stepping patches a copied row in
-    /// place, and the visited set hashes rows directly — no per-state `Arc`
-    /// traffic. Explored states, order, and the report are identical to the
-    /// legacy [`Explorer::run_until_arc`] path.
+    /// States are id rows (see [`crate::arena`]), stepping patches a copied
+    /// row in place, and the visited set — in memory, or tiered under
+    /// [`Explorer::with_visited_budget`] — hashes rows directly. This is the
+    /// one-worker run of the single BFS engine, so it explores the same
+    /// states in the same order as [`Explorer::run_until_intra`].
     pub fn run_until<F, S>(&self, invariant: F, stop: S) -> ExploreReport<P>
     where
         F: Fn(&StateView<'_, P>) -> Result<(), String>,
         S: Fn() -> bool,
     {
-        let w = self.initial.memory.len() + 3 * self.initial.procs.len();
+        let (m, n) = self.dims();
+        let w = m + 3 * n;
+        let canon = self.canonicalizer();
         match self.visited_budget {
-            None => self.bfs(&invariant, &stop, InMemoryVisited::new(w)),
+            None => self.explore(
+                &invariant,
+                &stop,
+                InMemoryVisited::new(w),
+                canon.as_ref(),
+                Inline,
+            ),
             Some(budget) => {
                 let mut store = TieredVisited::new(w, budget);
                 if let Some(dir) = &self.spill_dir {
@@ -655,28 +519,100 @@ where
                 if self.corrupt_spill {
                     store.corrupt_next_spill_for_tests();
                 }
-                self.bfs(&invariant, &stop, store)
+                self.explore(&invariant, &stop, store, canon.as_ref(), Inline)
             }
         }
+    }
+
+    /// [`Explorer::run_until_intra`] without an external stop signal.
+    pub fn run_intra<F>(&self, invariant: F, workers: usize) -> ExploreReport<P>
+    where
+        F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
+        P: Send + Sync,
+        P::Value: Send + Sync,
+        P::Output: Send + Sync,
+    {
+        self.run_until_intra(invariant, || false, workers)
+    }
+
+    /// Like [`Explorer::run_until`] over a [`ShardedVisited`] store, with
+    /// `workers` threads sharing each BFS level (`--strategy intra`).
+    ///
+    /// One worker runs exactly [`Explorer::run_until`]'s code. With more,
+    /// a worker crew speculatively expands each level against per-worker
+    /// overlay tables, replays the overlay intern logs in serial order and
+    /// derives the committed, canonical successor rows in parallel (DESIGN
+    /// §15); the serial commit loop then consumes them where it would
+    /// otherwise step. Slot ids, dedup decisions, state numbering, stop
+    /// polls and therefore the entire [`ExploreReport`] (including which
+    /// violation is found and its schedule) are byte-identical for any
+    /// worker count.
+    pub fn run_until_intra<F, S>(&self, invariant: F, stop: S, workers: usize) -> ExploreReport<P>
+    where
+        F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
+        S: Fn() -> bool,
+        P: Send + Sync,
+        P::Value: Send + Sync,
+        P::Output: Send + Sync,
+    {
+        let (m, n) = self.dims();
+        let mut store = ShardedVisited::new(m + 3 * n, self.visited_budget);
+        if let Some(dir) = &self.spill_dir {
+            store = store.with_spill_dir(dir.clone());
+        }
+        if let Some(flag) = &self.pressure {
+            store.set_pressure(Arc::clone(flag));
+        }
+        if self.corrupt_spill {
+            store.corrupt_next_spill_for_tests();
+        }
+        let canon = self.canonicalizer();
+        if workers <= 1 {
+            return self.explore(&invariant, &stop, store, canon.as_ref(), Inline);
+        }
+        let crew = Crew::new(self, &invariant, canon.as_ref(), workers);
+        std::thread::scope(|s| {
+            for idx in 1..workers {
+                let crew = &crew;
+                s.spawn(move || crew.work(idx));
+            }
+            let _dismissal = crew.dismissal();
+            self.explore(&invariant, &stop, store, canon.as_ref(), &crew)
+        })
+    }
+
+    /// `(registers, processes)` of the system.
+    fn dims(&self) -> (usize, usize) {
+        (self.initial.memory.len(), self.initial.procs.len())
+    }
+
+    /// The quotient group's canonicalizer, or `None` without quotienting or
+    /// when the group is trivial: canonicalization is then the identity
+    /// map, and skipping it keeps the exploration instruction-for-
+    /// instruction the plain one (reports then agree exactly, which the
+    /// differential suite asserts).
+    fn canonicalizer(&self) -> Option<Canonicalizer> {
+        self.quotient
+            .then(|| Canonicalizer::for_system(&self.initial_symmetry_classes(), &self.wirings))
+            .filter(|c| !c.is_trivial())
     }
 
     /// Publishes live telemetry: states and transition-memo tallies as
     /// counter deltas since the last flush (so shared counters stay
     /// globally monotone across combos and workers), gauges as the current
-    /// readings. Runs on the stop-poll or level boundary and at every exit,
-    /// so the per-step path touches no atomics.
-    fn flush_telemetry(
+    /// readings. Runs on the stop-poll boundary and at the exit, so the
+    /// per-step path touches no atomics.
+    fn flush_telemetry<V: VisitedStore>(
         &self,
         flushed: &mut Flushed,
-        visited: usize,
+        store: &V,
         depth: usize,
         tables: &ArenaTables<P>,
-        store_bytes: usize,
-        spilled: usize,
     ) {
         let Some(tel) = &self.telemetry else {
             return;
         };
+        let visited = store.len();
         let (hits, misses) = tables.memo_tallies();
         tel.states.add((visited - flushed.states) as u64);
         tel.step_memo_hits.add(hits - flushed.memo_hits);
@@ -690,344 +626,238 @@ where
         tel.visited_entries.set(visited as u64);
         // Estimate, not an allocator measurement: resident row payload plus
         // parent/depth/index bookkeeping per state.
-        tel.visited_bytes.set(store_bytes as u64);
-        tel.visited_spilled.set(spilled as u64);
+        tel.visited_bytes.set(store.approx_bytes() as u64);
+        tel.visited_spilled.set(store.spilled_shards() as u64);
         tel.interner_entries.set(tables.len_total() as u64);
     }
 
-    /// The flat-arena BFS, generic over visited-set storage and optionally
-    /// quotienting by the system's symmetry group. `run_until` monomorphizes
-    /// this twice (in-memory and tiered); the store only decides where rows
-    /// live, never which ids exist, so both instantiations produce identical
-    /// reports. Store failures (spill-tier I/O errors or corruption) abort
-    /// the exploration with `complete: false` — exactly like id-space
-    /// exhaustion — and are never treated as "row not seen".
+    /// The BFS engine, generic over visited-set storage and over who steps
+    /// a level's expansions: the commit loop itself ([`Inline`]) or a
+    /// worker [`Crew`] ahead of it. The store only decides where rows live,
+    /// never which ids exist, so every instantiation reports identically.
+    ///
+    /// Level `d` is the id range the store held when level `d - 1` was
+    /// done — the FIFO queue of a serial BFS, cut at depth boundaries. The
+    /// commit loop pops each parent in that order, reading its row back
+    /// from the store (so a corrupted spill tier is caught at the same
+    /// parent for every worker count), and commits each live process's
+    /// successor: canonicalize, look up, cap, insert, check the invariant.
+    /// Store failures (spill-tier I/O errors or corruption) and id-space
+    /// exhaustion abort with `complete: false`, never as "row not seen".
     #[allow(clippy::too_many_lines)]
-    fn bfs<V, F, S>(&self, invariant: &F, stop: &S, mut store: V) -> ExploreReport<P>
+    fn explore<V, F, S, X>(
+        &self,
+        invariant: &F,
+        stop: &S,
+        mut store: V,
+        canon: Option<&Canonicalizer>,
+        mut prefetch: X,
+    ) -> ExploreReport<P>
     where
-        V: VisitedStore,
+        V: HashedStore,
         F: Fn(&StateView<'_, P>) -> Result<(), String>,
         S: Fn() -> bool,
+        X: Prefetch<P, V>,
     {
-        let m = self.initial.memory.len();
-        let n = self.initial.procs.len();
+        let (m, n) = self.dims();
         let w = m + 3 * n;
         let mut tables = ArenaTables::<P>::new(m, n, self.id_cap);
-        let canon = self
-            .quotient
-            .then(|| Canonicalizer::for_system(&self.initial_symmetry_classes(), &self.wirings));
-        // With only the identity in the group, canonicalization is the
-        // identity map: skip it entirely so the exploration is instruction-
-        // for-instruction the non-quotient one (reports then agree exactly,
-        // which the differential suite asserts).
-        let nontrivial = canon.as_ref().is_some_and(|c| !c.is_trivial());
-        // Parent links, depths, and the group element mapping each stepped
-        // row onto the canonical row actually stored (identity when not
-        // quotienting) ride in parallel vectors indexed by state id.
+        // Parent links and the group element mapping each stepped row onto
+        // the canonical row actually stored (identity when not quotienting)
+        // ride in parallel vectors indexed by state id.
         let mut parents: Vec<Option<(usize, ProcId)>> = Vec::new();
-        let mut depths: Vec<u32> = Vec::new();
         let mut gelems: Vec<u32> = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
         let mut terminal = 0usize;
         let mut complete = true;
-        let mut since_poll = 0usize;
         // Σ orbit sizes of visited canonical states — the full-space total
         // reported as `full_states_estimate` (exact on complete runs).
         let mut estimate = 0u64;
+        let mut depth = 0usize;
+        let mut since_poll = 0usize;
         let mut expansions = 0usize;
         let mut flushed = Flushed::default();
 
-        let make_violation = |tables: &ArenaTables<P>,
-                              parents: &[Option<(usize, ProcId)>],
-                              gelems: &[u32],
-                              at: usize,
-                              vrow: &[u32],
-                              message: String| {
-            self.assemble_violation(
-                tables,
-                canon.as_ref().filter(|_| nontrivial),
-                invariant,
-                parents,
-                gelems,
-                at,
-                vrow,
-                message,
-            )
-        };
-
-        let Ok(k0) = tables.encode(&self.initial) else {
-            // Not even the initial state fits the injected id space.
-            return ExploreReport {
-                states: 0,
-                terminal_states: 0,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(0),
-                spilled_shards: 0,
+        let (complete, violation) = 'run: {
+            let Ok(k0) = tables.encode(&self.initial) else {
+                // Not even the initial state fits the injected id space.
+                break 'run (false, None);
             };
-        };
-        // The initial state is a fixed point of the group (uniform memory,
-        // class-preserving σ, empty outputs), so canonicalizing it is a
-        // no-op with orbit 1 — run it anyway for uniform accounting.
-        let (root_row, root_orbit) = if nontrivial {
-            let c = canon.as_ref().expect("nontrivial implies quotienting");
-            let mut out = vec![0u32; w];
-            let (_, orbit) = c.canonicalize(&k0, &mut out);
-            (out, orbit)
-        } else {
-            (k0.into_vec(), 1)
-        };
-        estimate += root_orbit;
-        if store.insert(&root_row).is_err() {
-            return ExploreReport {
-                states: store.len(),
-                terminal_states: 0,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
+            // The initial state is a fixed point of the group (uniform
+            // memory, class-preserving σ, empty outputs), so canonicalizing
+            // it is a no-op with orbit 1 — run it anyway for uniform
+            // accounting.
+            let (root_row, root_orbit) = match canon {
+                Some(c) => {
+                    let mut out = vec![0u32; w];
+                    let (_, orbit) = c.canonicalize(&k0, &mut out);
+                    (out, orbit)
+                }
+                None => (k0.into_vec(), 1),
             };
-        }
-        parents.push(None);
-        depths.push(0);
-        gelems.push(0);
-        queue.push_back(0);
-        if let Err(message) = invariant(&StateView::new(&tables, &root_row)) {
-            self.flush_telemetry(
-                &mut flushed,
-                1,
-                0,
-                &tables,
-                store.approx_bytes(),
-                store.spilled_shards(),
-            );
-            return ExploreReport {
-                states: 1,
-                terminal_states: usize::from(self.initial.all_halted()),
-                complete: true,
-                violation: Some(make_violation(
-                    &tables, &parents, &gelems, 0, &root_row, message,
-                )),
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
-            };
-        }
-
-        // Combos smaller than the poll interval would otherwise never
-        // observe the probe at all — one entry check keeps graceful aborts
-        // (signals, memory watchdog) responsive on any combo size.
-        if stop() {
-            return ExploreReport {
-                states: store.len(),
-                terminal_states: terminal,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
-            };
-        }
-
-        let mut cur_row = vec![0u32; w];
-        let mut scratch = vec![0u32; w];
-        let mut canon_buf = vec![0u32; w];
-        while let Some(cur) = queue.pop_front() {
-            let depth = depths[cur] as usize;
-            if store.read_row(cur, &mut cur_row).is_err() {
-                self.flush_telemetry(
-                    &mut flushed,
-                    store.len(),
-                    depth,
-                    &tables,
-                    store.approx_bytes(),
-                    store.spilled_shards(),
+            estimate += root_orbit;
+            if store.insert(&root_row).is_err() {
+                break 'run (false, None);
+            }
+            parents.push(None);
+            gelems.push(0);
+            if let Err(message) = invariant(&StateView::new(&tables, &root_row)) {
+                // A violating root is reported complete, with the root
+                // counted terminal if it already is.
+                terminal = usize::from(self.initial.all_halted());
+                let v = self.assemble_violation(
+                    &tables, canon, invariant, &parents, &gelems, 0, &root_row, message,
                 );
-                return ExploreReport {
-                    states: store.len(),
-                    terminal_states: terminal,
-                    complete: false,
-                    violation: None,
-                    full_states_estimate: self.quotient.then_some(estimate),
-                    spilled_shards: store.spilled_shards(),
-                };
+                break 'run (true, Some(v));
             }
-            if cur_row[m + n..m + 2 * n].iter().all(|&id| id == HALTED) {
-                terminal += 1;
-                continue;
+            // Combos smaller than the poll interval would otherwise never
+            // observe the probe at all — one entry check keeps graceful
+            // aborts (signals, memory watchdog) responsive on any combo size.
+            if stop() {
+                break 'run (false, None);
             }
-            if let Some(maxd) = self.max_depth {
-                if depth >= maxd {
-                    complete = false;
-                    continue;
-                }
-            }
-            for pi in 0..n {
-                if cur_row[m + n + pi] == HALTED {
-                    continue;
-                }
-                let p = ProcId(pi);
-                since_poll += 1;
-                if since_poll >= STOP_POLL_INTERVAL {
-                    since_poll = 0;
-                    self.flush_telemetry(
-                        &mut flushed,
-                        store.len(),
-                        depth,
-                        &tables,
-                        store.approx_bytes(),
-                        store.spilled_shards(),
-                    );
-                    if let Some(hook) = &self.progress {
-                        hook.fire(store.len() as u64, depth as u64);
-                    }
-                    crash_point("explorer.poll");
-                    if stop() {
-                        return ExploreReport {
-                            states: store.len(),
-                            terminal_states: terminal,
-                            complete: false,
-                            violation: None,
-                            full_states_estimate: self.quotient.then_some(estimate),
-                            spilled_shards: store.spilled_shards(),
-                        };
-                    }
-                }
-                scratch.copy_from_slice(&cur_row);
-                let stepped = if self.coarse_scans {
-                    tables.step_block_row(&mut scratch, p, &self.wirings)
-                } else {
-                    tables.step_row(&mut scratch, p, &self.wirings)
-                };
-                if stepped.is_err() {
-                    // Id-space exhaustion: abort gracefully, like hitting the
-                    // state cap — the report stays honest (`complete: false`)
-                    // and the sweep worker never panics.
-                    self.flush_telemetry(
-                        &mut flushed,
-                        store.len(),
-                        depth,
-                        &tables,
-                        store.approx_bytes(),
-                        store.spilled_shards(),
-                    );
-                    return ExploreReport {
-                        states: store.len(),
-                        terminal_states: terminal,
-                        complete: false,
-                        violation: None,
-                        full_states_estimate: self.quotient.then_some(estimate),
-                        spilled_shards: store.spilled_shards(),
-                    };
-                }
-                // One expansion in DEDUP_SAMPLE_INTERVAL is wall-clock timed
-                // through canonicalization + hashing + visited lookup;
-                // recorded scaled so the span total stays unbiased.
-                expansions += 1;
-                let dedup_start = (self.telemetry.is_some()
-                    && expansions % DEDUP_SAMPLE_INTERVAL == 0)
-                    .then(Instant::now);
-                let (gidx, orbit) = if nontrivial {
-                    let c = canon.as_ref().expect("nontrivial implies quotienting");
-                    let (g, orb) = c.canonicalize(&scratch, &mut canon_buf);
-                    // Keep the canonical row in `scratch`: dedup, insertion,
-                    // and the invariant all see the representative.
-                    std::mem::swap(&mut scratch, &mut canon_buf);
-                    (g, orb)
-                } else {
-                    (0u32, 1u64)
-                };
-                let seen = store.lookup(&scratch);
-                if let (Some(started), Some(tel)) = (dedup_start, &self.telemetry) {
-                    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    tel.dedup
-                        .record_sampled_ns(ns, DEDUP_SAMPLE_INTERVAL as u64);
-                }
-                let duplicate = match seen {
-                    Ok(hit) => hit.is_some(),
-                    Err(_) => {
-                        self.flush_telemetry(
-                            &mut flushed,
-                            store.len(),
-                            depth,
-                            &tables,
-                            store.approx_bytes(),
-                            store.spilled_shards(),
-                        );
-                        return ExploreReport {
-                            states: store.len(),
-                            terminal_states: terminal,
-                            complete: false,
-                            violation: None,
-                            full_states_estimate: self.quotient.then_some(estimate),
-                            spilled_shards: store.spilled_shards(),
-                        };
-                    }
-                };
-                if duplicate {
-                    continue;
-                }
-                if store.len() >= self.max_states {
-                    complete = false;
-                    continue;
-                }
-                let Ok(id) = store.insert(&scratch) else {
-                    self.flush_telemetry(
-                        &mut flushed,
-                        store.len(),
-                        depth,
-                        &tables,
-                        store.approx_bytes(),
-                        store.spilled_shards(),
-                    );
-                    return ExploreReport {
-                        states: store.len(),
-                        terminal_states: terminal,
-                        complete: false,
-                        violation: None,
-                        full_states_estimate: self.quotient.then_some(estimate),
-                        spilled_shards: store.spilled_shards(),
-                    };
-                };
-                estimate += orbit;
-                parents.push(Some((cur, p)));
-                depths.push(depths[cur] + 1);
-                gelems.push(gidx);
-                if let Err(message) = invariant(&StateView::new(&tables, &scratch)) {
-                    self.flush_telemetry(
-                        &mut flushed,
-                        store.len(),
-                        depth,
-                        &tables,
-                        store.approx_bytes(),
-                        store.spilled_shards(),
-                    );
-                    return ExploreReport {
-                        states: store.len(),
-                        terminal_states: terminal,
-                        complete: false,
-                        violation: Some(make_violation(
-                            &tables, &parents, &gelems, id, &scratch, message,
-                        )),
-                        full_states_estimate: self.quotient.then_some(estimate),
-                        spilled_shards: store.spilled_shards(),
-                    };
-                }
-                queue.push_back(id);
-            }
-        }
 
-        self.flush_telemetry(
-            &mut flushed,
-            store.len(),
-            0,
-            &tables,
-            store.approx_bytes(),
-            store.spilled_shards(),
-        );
+            let mut cur_row = vec![0u32; w];
+            let mut row = vec![0u32; w];
+            let mut canon_buf = vec![0u32; w];
+            let mut level_start = 0usize;
+            while level_start < store.len() {
+                let level = level_start..store.len();
+                let capped = self.max_depth.is_some_and(|maxd| depth >= maxd);
+                let mut ahead = if capped {
+                    None
+                } else {
+                    prefetch.level(&mut tables, &mut store, level.clone())
+                };
+                for cur in level.clone() {
+                    if store.read_row(cur, &mut cur_row).is_err() {
+                        break 'run (false, None);
+                    }
+                    if cur_row[m + n..m + 2 * n].iter().all(|&id| id == HALTED) {
+                        terminal += 1;
+                        continue;
+                    }
+                    if capped {
+                        complete = false;
+                        continue;
+                    }
+                    let pos = (cur - level.start) as u32;
+                    for pi in 0..n {
+                        if cur_row[m + n + pi] == HALTED {
+                            continue;
+                        }
+                        let p = ProcId(pi);
+                        since_poll += 1;
+                        if since_poll >= STOP_POLL_INTERVAL {
+                            since_poll = 0;
+                            self.flush_telemetry(&mut flushed, &store, depth, &tables);
+                            if let Some(hook) = &self.progress {
+                                hook.fire(store.len() as u64, depth as u64);
+                            }
+                            crash_point("explorer.poll");
+                            if stop() {
+                                break 'run (false, None);
+                            }
+                        }
+                        // One expansion in DEDUP_SAMPLE_INTERVAL is
+                        // wall-clock timed through canonicalization,
+                        // hashing and the visited lookup; recorded scaled
+                        // so the span total stays unbiased.
+                        expansions += 1;
+                        let dedup_start = (self.telemetry.is_some()
+                            && expansions % DEDUP_SAMPLE_INTERVAL == 0)
+                            .then(Instant::now);
+                        // The successor lands in `row`, canonical, with its
+                        // hash, group element, orbit size and — when the
+                        // crew pre-checked it — its invariant verdict.
+                        let (hash, gidx, orbit, checked) = if let Some(ahead) = &mut ahead {
+                            if ahead.stop_at.is_some_and(|at| (pos, pi as u16) >= at) {
+                                // Stepping inline would exhaust the id space
+                                // (or fail to read the parent) right here.
+                                break 'run (false, None);
+                            }
+                            let d = ahead
+                                .derived
+                                .next()
+                                .flatten()
+                                .expect("the crew derives every step before its stop point");
+                            if d.spec_dup {
+                                // Present in the store before this level
+                                // began — the lookup could only agree.
+                                continue;
+                            }
+                            row.copy_from_slice(&d.row);
+                            (d.hash, d.gidx, d.orbit, Some(d.inv_err))
+                        } else {
+                            row.copy_from_slice(&cur_row);
+                            let stepped = if self.coarse_scans {
+                                step_block_row_in(&mut tables, &mut row, p, &self.wirings)
+                            } else {
+                                step_row_in(&mut tables, &mut row, p, &self.wirings)
+                            };
+                            if stepped.is_err() {
+                                // Id-space exhaustion: abort gracefully, like
+                                // hitting the state cap — the report stays
+                                // honest and the sweep worker never panics.
+                                break 'run (false, None);
+                            }
+                            let (g, orbit) = match canon {
+                                Some(c) => {
+                                    let (g, orbit) = c.canonicalize(&row, &mut canon_buf);
+                                    // Dedup, insertion and the invariant all
+                                    // see the representative.
+                                    std::mem::swap(&mut row, &mut canon_buf);
+                                    (g, orbit)
+                                }
+                                None => (0, 1),
+                            };
+                            (hash_row(&row), g, orbit, None)
+                        };
+                        let seen = store.lookup_hashed(&row, hash);
+                        if let (Some(started), Some(tel)) = (dedup_start, &self.telemetry) {
+                            let ns =
+                                u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                            tel.dedup
+                                .record_sampled_ns(ns, DEDUP_SAMPLE_INTERVAL as u64);
+                        }
+                        match seen {
+                            Ok(None) => {}
+                            Ok(Some(_)) => continue,
+                            Err(_) => break 'run (false, None),
+                        }
+                        if store.len() >= self.max_states {
+                            complete = false;
+                            continue;
+                        }
+                        let Ok(id) = store.insert_hashed(&row, hash) else {
+                            break 'run (false, None);
+                        };
+                        estimate += orbit;
+                        parents.push(Some((cur, p)));
+                        gelems.push(gidx);
+                        let verdict = match checked {
+                            Some(verdict) => verdict,
+                            None => invariant(&StateView::new(&tables, &row)).err(),
+                        };
+                        if let Some(message) = verdict {
+                            let v = self.assemble_violation(
+                                &tables, canon, invariant, &parents, &gelems, id, &row, message,
+                            );
+                            break 'run (false, Some(v));
+                        }
+                    }
+                }
+                level_start = level.end;
+                depth += 1;
+            }
+            (complete, None)
+        };
+
+        self.flush_telemetry(&mut flushed, &store, depth, &tables);
         ExploreReport {
             states: store.len(),
             terminal_states: terminal,
             complete,
-            violation: None,
+            violation,
             full_states_estimate: self.quotient.then_some(estimate),
             spilled_shards: store.spilled_shards(),
         }
@@ -1037,8 +867,6 @@ where
     /// the parent-edge arrays: walks the edges back to the root, and — when
     /// `canon` carries a nontrivial quotient group — untranslates the
     /// canonical run into a concrete schedule and state of the real system.
-    /// Shared by the serial and intra-combo BFS paths, so both report the
-    /// same violation for the same state id.
     #[allow(clippy::too_many_arguments)]
     fn assemble_violation<F>(
         &self,
@@ -1054,8 +882,7 @@ where
     where
         F: Fn(&StateView<'_, P>) -> Result<(), String>,
     {
-        let m = self.initial.memory.len();
-        let n = self.initial.procs.len();
+        let (m, n) = self.dims();
         let w = m + 3 * n;
         let mut edges: Vec<(ProcId, u32)> = Vec::new();
         let mut cur = at;
@@ -1112,813 +939,499 @@ where
             schedule,
         }
     }
+}
 
-    /// [`Explorer::run_until_intra`] without an external stop signal.
-    pub fn run_intra<F>(&self, invariant: F, workers: usize) -> ExploreReport<P>
-    where
-        F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
-        P: Send + Sync,
-        P::Value: Send + Sync,
-        P::Output: Send + Sync,
-    {
-        self.run_until_intra(invariant, || false, workers)
+/// Who steps a BFS level's expansions before the engine's commit loop
+/// consumes them.
+trait Prefetch<P: Process, V>
+where
+    P: Clone + Eq + Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug,
+{
+    /// The derived successors of the parents with ids `level`, or `None`
+    /// to let the commit loop step them itself.
+    fn level(
+        &mut self,
+        tables: &mut ArenaTables<P>,
+        store: &mut V,
+        level: Range<usize>,
+    ) -> Option<Prefetched>;
+}
+
+/// One worker: the commit loop steps every expansion straight into the
+/// committed tables — no overlay, log, replay, threads or locks.
+struct Inline;
+
+impl<P, V> Prefetch<P, V> for Inline
+where
+    P: Process + Clone + Eq + Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug,
+{
+    fn level(&mut self, _: &mut ArenaTables<P>, _: &mut V, _: Range<usize>) -> Option<Prefetched> {
+        None
     }
+}
 
-    /// Like [`Explorer::run_until`], but explores each BFS level with
-    /// `workers` threads sharing one frontier (`--strategy intra`).
-    ///
-    /// The level-synchronized protocol (DESIGN §15) makes worker scheduling
-    /// unobservable: workers *speculatively* expand work-stolen frontier
-    /// chunks against per-worker overlay tables, then a serial commit
-    /// replays every overlay intern log in the exact order the serial BFS
-    /// would have performed the expansions — so slot-id assignment, dedup
-    /// decisions, state numbering, and therefore the entire
-    /// [`ExploreReport`] (including which violation is found and its
-    /// schedule) are byte-identical to [`Explorer::run_until`]'s for any
-    /// worker count. The external `stop` signal is honored on level
-    /// boundaries; aborted reports are discarded by the strategy prefix
-    /// contract and need no parity.
-    pub fn run_until_intra<F, S>(&self, invariant: F, stop: S, workers: usize) -> ExploreReport<P>
-    where
-        F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
-        S: Fn() -> bool,
-        P: Send + Sync,
-        P::Value: Send + Sync,
-        P::Output: Send + Sync,
-    {
-        let w = self.initial.memory.len() + 3 * self.initial.procs.len();
-        let mut store = ShardedVisited::new(w, self.visited_budget);
-        if let Some(dir) = &self.spill_dir {
-            store = store.with_spill_dir(dir.clone());
-        }
-        if let Some(flag) = &self.pressure {
-            store.set_pressure(Arc::clone(flag));
-        }
-        if self.corrupt_spill {
-            store.corrupt_next_spill_for_tests();
-        }
-        self.bfs_intra(&invariant, &stop, store, workers.max(1))
-    }
+/// One level's successors as the crew hands them to the commit loop.
+struct Prefetched {
+    /// One entry per (parent, live process) step in serial order, up to
+    /// `stop_at`.
+    derived: std::vec::IntoIter<Option<Derived>>,
+    /// `(parent position, process)` of the first step the crew could not
+    /// take: stepping inline would exhaust the id space there (or fail to
+    /// read the parent back), so the commit loop aborts on reaching it.
+    stop_at: Option<(u32, u16)>,
+}
 
-    /// The level-synchronized parallel BFS behind
-    /// [`Explorer::run_until_intra`]. Each level runs four phases:
-    ///
-    /// 1. **Expand** (parallel): workers claim frontier chunks off an
-    ///    atomic cursor and step every live process of every parent through
-    ///    per-worker [`OverlayTables`], recording provisional-id rows and
-    ///    intern-log ranges.
-    /// 2. **Table commit** (serial): the per-worker chunks are merged back
-    ///    into serial `(parent, process)` order and their overlay logs
-    ///    replayed into the shared tables — which reproduces the serial id
-    ///    assignment bit-for-bit and surfaces id-space exhaustion at the
-    ///    exact step the serial BFS would abort on.
-    /// 3. **Derive** (parallel): provisional ids are patched to committed
-    ///    ones, rows canonicalized and hashed, the level-frozen store
-    ///    probed, and the invariant pre-checked.
-    /// 4. **Store commit** (serial): parent-pop accounting interleaves with
-    ///    insertions in serial order, so duplicates, the state cap, the
-    ///    reported counts, and the first violation all match the serial BFS
-    ///    exactly.
-    #[allow(clippy::too_many_lines)]
-    fn bfs_intra<F, S>(
-        &self,
-        invariant: &F,
-        stop: &S,
-        mut store: ShardedVisited,
+/// One speculative expansion produced by a crew worker during the parallel
+/// expand phase: the successor row in the worker's *provisional* id space,
+/// plus enough provenance to commit it in exact serial order.
+struct ExpRecord {
+    /// Position of the parent within the level.
+    parent_pos: u32,
+    /// Process stepped to produce this successor.
+    proc: u16,
+    /// Worker whose overlay log (and provisional id space) the row uses.
+    worker: u16,
+    /// Range of that worker's overlay intern log this step appended.
+    log_start: u32,
+    /// Exclusive end of the log range.
+    log_end: u32,
+    /// The successor row; fresh slots carry provisional ids until patched.
+    row: Box<[u32]>,
+}
+
+/// Per-record results of the parallel derive phase: the committed-id,
+/// canonicalized successor row and everything speculated from it against
+/// the level-frozen tables and store.
+struct Derived {
+    /// The patched, canonical row — byte-identical to what the commit loop
+    /// would have produced stepping inline.
+    row: Box<[u32]>,
+    /// `hash_row` of the row, for the commit loop's store.
+    hash: u64,
+    /// Canonicalizing group element (0 without quotienting).
+    gidx: u32,
+    /// Orbit size of the canonical state (1 without quotienting).
+    orbit: u64,
+    /// Row was already present in the pre-level (frozen) store — the
+    /// commit's lookup could only agree, so it skips the row outright.
+    spec_dup: bool,
+    /// Invariant verdict, pre-checked for rows that may be inserted; only
+    /// applied if the commit actually inserts the row.
+    inv_err: Option<String>,
+}
+
+/// Phase outputs of one crew worker for one BFS level.
+struct WorkerOut<P: Process>
+where
+    P: Clone + Eq + Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug,
+{
+    /// Claimed level chunks (by start position) and their records.
+    chunks: Vec<(usize, Vec<ExpRecord>)>,
+    /// The worker's overlay intern log for the level.
+    log: Option<OverlayLog<P>>,
+    /// `(parent_pos, proc)` of a step that overran the hard id bound; the
+    /// worker stopped claiming there.
+    err_at: Option<(u32, u16)>,
+    /// Chunks claimed beyond the worker's first this level.
+    steals: u64,
+    /// Derive-phase output: `(record index, derived data)`.
+    derived: Vec<(usize, Derived)>,
+}
+
+/// What the commit loop lends the crew while a level is prefetched: the
+/// committed tables and store, and the level's phase data.
+struct Lent<P: Process>
+where
+    P: Clone + Eq + Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug,
+{
+    tables: ArenaTables<P>,
+    store: ShardedVisited,
+    /// The level's parent rows, in pop order.
+    rows: Vec<u32>,
+    /// Table-committed expansions in serial order.
+    records: Vec<ExpRecord>,
+    /// Each worker's overlay intern log.
+    logs: Vec<OverlayLog<P>>,
+    /// Each worker's provisional → committed id maps, per slot table.
+    maps: Vec<[Vec<u32>; 4]>,
+}
+
+/// The worker crew behind `run_until_intra` with more than one worker.
+/// Each level runs four phases (DESIGN §15), the first and third on every
+/// worker, the others on the thread running the commit loop:
+///
+/// 1. **Expand**: workers claim level chunks off an atomic cursor and step
+///    every live process of every parent through per-worker
+///    [`OverlayTables`], recording provisional-id rows and intern-log
+///    ranges.
+/// 2. **Table commit**: the chunks are merged back into serial `(parent,
+///    process)` order and their overlay logs replayed into the committed
+///    tables — which reproduces the serial id assignment bit-for-bit and
+///    finds id-space exhaustion at the exact step the serial BFS would.
+/// 3. **Derive**: provisional ids are patched to committed ones, rows
+///    canonicalized, the level-frozen store probed, and the invariant
+///    pre-checked.
+/// 4. The derived rows go to the commit loop in serial order.
+///
+/// The locks are coarse — one acquisition per worker per phase, never on
+/// the per-state path — and never contended across phases by construction
+/// of the barrier protocol.
+struct Crew<'c, P: Process, F>
+where
+    P: Clone + Eq + Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug,
+{
+    explorer: &'c Explorer<P>,
+    invariant: &'c F,
+    canon: Option<&'c Canonicalizer>,
+    workers: usize,
+    lent: RwLock<Lent<P>>,
+    outs: Vec<Mutex<WorkerOut<P>>>,
+    cursor: AtomicUsize,
+    barrier: Barrier,
+    done: AtomicBool,
+}
+
+impl<'c, P, F> Crew<'c, P, F>
+where
+    P: Process + Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
+    F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
+{
+    fn new(
+        explorer: &'c Explorer<P>,
+        invariant: &'c F,
+        canon: Option<&'c Canonicalizer>,
         workers: usize,
-    ) -> ExploreReport<P>
-    where
-        F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
-        S: Fn() -> bool,
-        P: Send + Sync,
-        P::Value: Send + Sync,
-        P::Output: Send + Sync,
-    {
-        let m = self.initial.memory.len();
-        let n = self.initial.procs.len();
-        let w = m + 3 * n;
-        let coarse = self.coarse_scans;
-        let wirings: &[Arc<Wiring>] = &self.wirings;
-        let mut tables = ArenaTables::<P>::new(m, n, self.id_cap);
-        let canon = self
-            .quotient
-            .then(|| Canonicalizer::for_system(&self.initial_symmetry_classes(), &self.wirings));
-        let canon_ref = canon.as_ref().filter(|c| !c.is_trivial());
-        let mut parents: Vec<Option<(usize, ProcId)>> = Vec::new();
-        let mut depths: Vec<u32> = Vec::new();
-        let mut gelems: Vec<u32> = Vec::new();
-        let mut terminal = 0usize;
-        let mut complete = true;
-        let mut estimate = 0u64;
-        let mut flushed = Flushed::default();
-
-        let Ok(k0) = tables.encode(&self.initial) else {
-            return ExploreReport {
-                states: 0,
-                terminal_states: 0,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(0),
-                spilled_shards: 0,
-            };
-        };
-        let (root_row, root_orbit) = if let Some(c) = canon_ref {
-            let mut out = vec![0u32; w];
-            let (_, orbit) = c.canonicalize(&k0, &mut out);
-            (out, orbit)
-        } else {
-            (k0.into_vec(), 1)
-        };
-        estimate += root_orbit;
-        if store.insert(&root_row).is_err() {
-            return ExploreReport {
-                states: store.len(),
-                terminal_states: 0,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
-            };
-        }
-        parents.push(None);
-        depths.push(0);
-        gelems.push(0);
-        if let Err(message) = invariant(&StateView::new(&tables, &root_row)) {
-            self.flush_telemetry(
-                &mut flushed,
-                1,
-                0,
-                &tables,
-                store.approx_bytes(),
-                store.spilled_shards(),
-            );
-            return ExploreReport {
-                states: 1,
-                terminal_states: usize::from(self.initial.all_halted()),
-                complete: true,
-                violation: Some(self.assemble_violation(
-                    &tables, canon_ref, invariant, &parents, &gelems, 0, &root_row, message,
-                )),
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
-            };
-        }
-        if stop() {
-            return ExploreReport {
-                states: store.len(),
-                terminal_states: terminal,
-                complete: false,
-                violation: None,
-                full_states_estimate: self.quotient.then_some(estimate),
-                spilled_shards: store.spilled_shards(),
-            };
-        }
-
-        // Shared plumbing for the worker crew. The locks are coarse — one
-        // acquisition per worker per phase, never on the per-state path —
-        // and never contended across phases by construction of the barrier
-        // protocol.
-        let tables_lk = RwLock::new(tables);
-        let store_lk = RwLock::new(store);
-        let frontier_lk: RwLock<(Vec<usize>, Vec<u32>)> = RwLock::new((vec![0], root_row));
-        #[allow(clippy::type_complexity)]
-        let level_lk: RwLock<(Vec<ExpRecord>, Vec<OverlayLog<P>>, Vec<[Vec<u32>; 4]>)> =
-            RwLock::new((Vec::new(), Vec::new(), Vec::new()));
-        let cursor_a = AtomicUsize::new(0);
-        let cursor_c = AtomicUsize::new(0);
-        let done = AtomicBool::new(false);
-        let barrier = Barrier::new(workers);
-        let outs: Vec<Mutex<WorkerOut<P>>> = (0..workers)
-            .map(|_| {
-                Mutex::new(WorkerOut {
-                    chunks: Vec::new(),
-                    log: None,
-                    err_at: None,
-                    steals: 0,
-                    derived: Vec::new(),
+    ) -> Self {
+        let (m, n) = explorer.dims();
+        Crew {
+            explorer,
+            invariant,
+            canon,
+            workers,
+            // Placeholders until the commit loop lends the real ones.
+            lent: RwLock::new(Lent {
+                tables: ArenaTables::new(m, n, explorer.id_cap),
+                store: ShardedVisited::new(m + 3 * n, None),
+                rows: Vec::new(),
+                records: Vec::new(),
+                logs: Vec::new(),
+                maps: Vec::new(),
+            }),
+            outs: (0..workers)
+                .map(|_| {
+                    Mutex::new(WorkerOut {
+                        chunks: Vec::new(),
+                        log: None,
+                        err_at: None,
+                        steals: 0,
+                        derived: Vec::new(),
+                    })
                 })
-            })
+                .collect(),
+            cursor: AtomicUsize::new(0),
+            barrier: Barrier::new(workers),
+            done: AtomicBool::new(false),
+        }
+    }
+
+    /// A spawned worker's life: one expand and one derive per level until
+    /// the [`Crew::dismissal`] drops. The commit loop only runs between
+    /// levels, while every worker is parked at the first barrier.
+    fn work(&self, idx: usize) {
+        loop {
+            self.barrier.wait();
+            if self.done.load(Ordering::Acquire) {
+                break;
+            }
+            self.expand(idx);
+            self.barrier.wait();
+            self.barrier.wait();
+            self.derive(idx);
+            self.barrier.wait();
+        }
+    }
+
+    /// A guard that lets the parked workers exit when it drops: after the
+    /// commit loop returns, or while a panic unwinds it.
+    fn dismissal(&self) -> Dismissal<'_> {
+        Dismissal {
+            done: &self.done,
+            barrier: &self.barrier,
+        }
+    }
+
+    /// Phase 1 on worker `idx`.
+    fn expand(&self, idx: usize) {
+        let (m, n) = self.explorer.dims();
+        let w = m + 3 * n;
+        let lent = self.lent.read().expect("crew lock");
+        let parents = lent.rows.len() / w;
+        let mut overlay = OverlayTables::new(&lent.tables);
+        let mut chunks: Vec<(usize, Vec<ExpRecord>)> = Vec::new();
+        let mut err_at: Option<(u32, u16)> = None;
+        let mut steals = 0u64;
+        let mut first = true;
+        let mut scratch = vec![0u32; w];
+        'claim: loop {
+            let start = self.cursor.fetch_add(EXPAND_CHUNK, Ordering::Relaxed);
+            if start >= parents {
+                break;
+            }
+            if first {
+                first = false;
+            } else {
+                steals += 1;
+            }
+            let end = (start + EXPAND_CHUNK).min(parents);
+            let mut recs: Vec<ExpRecord> = Vec::new();
+            for pos in start..end {
+                let row = &lent.rows[pos * w..(pos + 1) * w];
+                if row[m + n..m + 2 * n].iter().all(|&id| id == HALTED) {
+                    continue;
+                }
+                for pi in 0..n {
+                    if row[m + n + pi] == HALTED {
+                        continue;
+                    }
+                    scratch.copy_from_slice(row);
+                    let log_start = overlay.log_len() as u32;
+                    let wirings = &self.explorer.wirings;
+                    let stepped = if self.explorer.coarse_scans {
+                        step_block_row_in(&mut overlay, &mut scratch, ProcId(pi), wirings)
+                    } else {
+                        step_row_in(&mut overlay, &mut scratch, ProcId(pi), wirings)
+                    };
+                    if stepped.is_err() {
+                        // Provisional id overran the hard bound: the serial
+                        // BFS aborts at or before this very step. Stop
+                        // claiming; the table commit truncates to the
+                        // serial abort point.
+                        err_at = Some((pos as u32, pi as u16));
+                        chunks.push((start, recs));
+                        break 'claim;
+                    }
+                    recs.push(ExpRecord {
+                        parent_pos: pos as u32,
+                        proc: pi as u16,
+                        worker: idx as u16,
+                        log_start,
+                        log_end: overlay.log_len() as u32,
+                        row: scratch.clone().into_boxed_slice(),
+                    });
+                }
+            }
+            chunks.push((start, recs));
+        }
+        let log = overlay.into_log();
+        let mut out = self.outs[idx].lock().expect("worker slot");
+        out.chunks = chunks;
+        out.log = Some(log);
+        out.err_at = err_at;
+        out.steals = steals;
+    }
+
+    /// Phase 3 on worker `idx`.
+    fn derive(&self, idx: usize) {
+        let (m, n) = self.explorer.dims();
+        let lent = self.lent.read().expect("crew lock");
+        let mut derived: Vec<(usize, Derived)> = Vec::new();
+        let mut buf = vec![0u32; m + 3 * n];
+        loop {
+            let start = self.cursor.fetch_add(DERIVE_CHUNK, Ordering::Relaxed);
+            if start >= lent.records.len() {
+                break;
+            }
+            let end = (start + DERIVE_CHUNK).min(lent.records.len());
+            for (i, r) in lent.records.iter().enumerate().take(end).skip(start) {
+                let wk = r.worker as usize;
+                let mut row = r.row.to_vec();
+                lent.logs[wk].patch_row(m, n, &lent.maps[wk], &mut row);
+                let (gidx, orbit) = if let Some(c) = self.canon {
+                    let (g, orb) = c.canonicalize(&row, &mut buf);
+                    std::mem::swap(&mut row, &mut buf);
+                    (g, orb)
+                } else {
+                    (0u32, 1u64)
+                };
+                // A store error here is *not* authoritative — the commit
+                // loop re-probes and aborts at the exact serial point if
+                // the tier really is broken.
+                let hash = hash_row(&row);
+                let spec_dup = matches!(lent.store.lookup_shared(&row, hash), Ok(Some(_)));
+                let inv_err = if spec_dup {
+                    None
+                } else {
+                    (self.invariant)(&StateView::new(&lent.tables, &row)).err()
+                };
+                derived.push((
+                    i,
+                    Derived {
+                        row: row.into_boxed_slice(),
+                        hash,
+                        gidx,
+                        orbit,
+                        spec_dup,
+                        inv_err,
+                    },
+                ));
+            }
+        }
+        self.outs[idx].lock().expect("worker slot").derived = derived;
+    }
+
+    /// Phase 2: merges the workers' chunks into serial order, truncates at
+    /// the first step that cannot be taken (narrowing `stop_at` to it), and
+    /// replays the overlay logs into the committed tables.
+    fn commit_tables(&self, lent: &mut Lent<P>, stop_at: &mut Option<(u32, u16)>) {
+        let mut logs: Vec<OverlayLog<P>> = Vec::with_capacity(self.workers);
+        let mut chunks: Vec<(usize, Vec<ExpRecord>)> = Vec::new();
+        for out in &self.outs {
+            let mut o = out.lock().expect("worker slot");
+            chunks.append(&mut o.chunks);
+            logs.push(o.log.take().expect("the expand phase left a log"));
+            if let Some(e) = o.err_at.take() {
+                *stop_at = Some(stop_at.map_or(e, |cur| cur.min(e)));
+            }
+            if let Some(tel) = &self.explorer.telemetry {
+                tel.steals.add(o.steals);
+            }
+        }
+        chunks.sort_unstable_by_key(|&(start, _)| start);
+        let mut records: Vec<ExpRecord> = chunks.into_iter().flat_map(|(_, recs)| recs).collect();
+        // A worker that hit the hard id bound stopped claiming, but chunks
+        // are handed out in increasing order, so every expansion serially
+        // before the failed step is present — and the serial BFS would
+        // have aborted at or before that step. Drop everything at or after
+        // it.
+        if let Some(e) = *stop_at {
+            records.truncate(records.partition_point(|r| (r.parent_pos, r.proc) < e));
+        }
+        let mut maps: Vec<[Vec<u32>; 4]> = (0..self.workers)
+            .map(|_| std::array::from_fn(|_| Vec::new()))
             .collect();
-
-        let phase_a = |idx: usize| {
-            let tables = tables_lk.read().expect("tables lock");
-            let frontier = frontier_lk.read().expect("frontier lock");
-            let (_, rows) = &*frontier;
-            let frontier_len = rows.len() / w;
-            let mut overlay = OverlayTables::new(&tables);
-            let mut chunks: Vec<(usize, Vec<ExpRecord>)> = Vec::new();
-            let mut err_at: Option<(u32, u16)> = None;
-            let mut steals = 0u64;
-            let mut first = true;
-            let mut scratch = vec![0u32; w];
-            'claim: loop {
-                let start = cursor_a.fetch_add(EXPAND_CHUNK, Ordering::Relaxed);
-                if start >= frontier_len {
-                    break;
-                }
-                if first {
-                    first = false;
-                } else {
-                    steals += 1;
-                }
-                let end = (start + EXPAND_CHUNK).min(frontier_len);
-                let mut recs: Vec<ExpRecord> = Vec::new();
-                for pos in start..end {
-                    let row = &rows[pos * w..(pos + 1) * w];
-                    if row[m + n..m + 2 * n].iter().all(|&id| id == HALTED) {
-                        continue;
-                    }
-                    for pi in 0..n {
-                        if row[m + n + pi] == HALTED {
-                            continue;
-                        }
-                        scratch.copy_from_slice(row);
-                        let log_start = overlay.log_len() as u32;
-                        let stepped = if coarse {
-                            step_block_row_in(&mut overlay, &mut scratch, ProcId(pi), wirings)
-                        } else {
-                            step_row_in(&mut overlay, &mut scratch, ProcId(pi), wirings)
-                        };
-                        if stepped.is_err() {
-                            // Provisional id overran the hard bound: the
-                            // serial BFS aborts at or before this very
-                            // step. Stop claiming; the table commit
-                            // truncates to the serial abort point.
-                            err_at = Some((pos as u32, pi as u16));
-                            chunks.push((start, recs));
-                            break 'claim;
-                        }
-                        recs.push(ExpRecord {
-                            parent_pos: pos as u32,
-                            proc: pi as u16,
-                            worker: idx as u16,
-                            log_start,
-                            log_end: overlay.log_len() as u32,
-                            row: scratch.clone().into_boxed_slice(),
-                        });
-                    }
-                }
-                chunks.push((start, recs));
+        let mut cursors: Vec<[usize; 4]> = vec![[0; 4]; self.workers];
+        for (i, r) in records.iter().enumerate() {
+            let wk = r.worker as usize;
+            let range = r.log_start as usize..r.log_end as usize;
+            if lent
+                .tables
+                .replay_slice(&logs[wk], range, &mut cursors[wk], &mut maps[wk])
+                .is_err()
+            {
+                // The replay interns exactly the values the serial BFS
+                // would intern, in the same order: this is the serial
+                // abort step.
+                *stop_at = Some((r.parent_pos, r.proc));
+                records.truncate(i);
+                break;
             }
-            let log = overlay.into_log();
-            let mut out = outs[idx].lock().expect("worker slot");
-            out.chunks = chunks;
-            out.log = Some(log);
-            out.err_at = err_at;
-            out.steals = steals;
-        };
+        }
+        // Every memo entry a worker logged holds committed ids only, so
+        // merging them in any order leaves the memo a function of the
+        // committed tables.
+        for log in &logs {
+            lent.tables.absorb(log);
+        }
+        lent.records = records;
+        lent.logs = logs;
+        lent.maps = maps;
+    }
+}
 
-        let phase_c = |idx: usize| {
-            let tables = tables_lk.read().expect("tables lock");
-            let store = store_lk.read().expect("store lock");
-            let data = level_lk.read().expect("level lock");
-            let (records, logs, maps) = &*data;
-            let mut derived: Vec<(usize, Derived)> = Vec::new();
-            let mut buf = vec![0u32; w];
-            loop {
-                let start = cursor_c.fetch_add(DERIVE_CHUNK, Ordering::Relaxed);
-                if start >= records.len() {
-                    break;
-                }
-                let end = (start + DERIVE_CHUNK).min(records.len());
-                for (i, r) in records.iter().enumerate().take(end).skip(start) {
-                    let wk = r.worker as usize;
-                    let mut row = r.row.to_vec();
-                    logs[wk].patch_row(m, n, &maps[wk], &mut row);
-                    let (gidx, orbit) = if let Some(c) = canon_ref {
-                        let (g, orb) = c.canonicalize(&row, &mut buf);
-                        std::mem::swap(&mut row, &mut buf);
-                        (g, orb)
-                    } else {
-                        (0u32, 1u64)
-                    };
-                    let hash = hash_row(&row);
-                    // A store error here is *not* authoritative — the
-                    // serial commit re-probes and aborts at the exact
-                    // serial point if the tier really is broken.
-                    let spec_dup = matches!(store.lookup_shared(&row, hash), Ok(Some(_)));
-                    let inv_err = if spec_dup {
-                        None
-                    } else {
-                        invariant(&StateView::new(&tables, &row)).err()
-                    };
-                    derived.push((
-                        i,
-                        Derived {
-                            row: row.into_boxed_slice(),
-                            hash,
-                            gidx,
-                            orbit,
-                            spec_dup,
-                            inv_err,
-                        },
-                    ));
-                }
+/// See [`Crew::dismissal`].
+struct Dismissal<'a> {
+    done: &'a AtomicBool,
+    barrier: &'a Barrier,
+}
+
+impl Drop for Dismissal<'_> {
+    fn drop(&mut self) {
+        self.done.store(true, Ordering::Release);
+        self.barrier.wait();
+    }
+}
+
+impl<P, F> Prefetch<P, ShardedVisited> for &Crew<'_, P, F>
+where
+    P: Process + Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
+    F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
+{
+    fn level(
+        &mut self,
+        tables: &mut ArenaTables<P>,
+        store: &mut ShardedVisited,
+        level: Range<usize>,
+    ) -> Option<Prefetched> {
+        if level.len() <= EXPAND_CHUNK {
+            // One claim covers the whole level, so there is nothing to
+            // share: the commit loop steps it inline, skipping the barriers.
+            return None;
+        }
+        let w = store.row_words();
+        // The parents in pop order; one that cannot be read back stops the
+        // level there, and the commit loop's own read of it aborts.
+        let mut stop_at = None;
+        let mut rows = vec![0u32; level.len() * w];
+        for (pos, id) in level.enumerate() {
+            if store
+                .read_row(id, &mut rows[pos * w..(pos + 1) * w])
+                .is_err()
+            {
+                rows.truncate(pos * w);
+                stop_at = Some((pos as u32, 0));
+                break;
             }
-            outs[idx].lock().expect("worker slot").derived = derived;
-        };
+        }
+        {
+            let mut lent = self.lent.write().expect("crew lock");
+            std::mem::swap(tables, &mut lent.tables);
+            std::mem::swap(store, &mut lent.store);
+            lent.rows = rows;
+        }
 
-        std::thread::scope(|s| {
-            for idx in 1..workers {
-                let phase_a = &phase_a;
-                let phase_c = &phase_c;
-                let barrier = &barrier;
-                let done = &done;
-                s.spawn(move || loop {
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    phase_a(idx);
-                    barrier.wait();
-                    barrier.wait();
-                    if done.load(Ordering::Acquire) {
-                        break;
-                    }
-                    phase_c(idx);
-                    barrier.wait();
-                });
+        self.cursor.store(0, Ordering::Relaxed);
+        self.barrier.wait(); // expand starts
+        let expand_started = Instant::now();
+        self.expand(0);
+        self.barrier.wait(); // expand ends
+        if let Some(tel) = &self.explorer.telemetry {
+            let ns = u64::try_from(expand_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            tel.expand_parallel.record_ns(ns);
+        }
+        self.commit_tables(&mut self.lent.write().expect("crew lock"), &mut stop_at);
+
+        self.cursor.store(0, Ordering::Relaxed);
+        self.barrier.wait(); // derive starts
+        self.derive(0);
+        self.barrier.wait(); // derive ends
+
+        let mut lent = self.lent.write().expect("crew lock");
+        let mut derived: Vec<Option<Derived>> = lent.records.iter().map(|_| None).collect();
+        for out in &self.outs {
+            for (i, d) in out.lock().expect("worker slot").derived.drain(..) {
+                derived[i] = Some(d);
             }
-
-            // Exits happen only on level boundaries, where every worker is
-            // parked at the phase-A barrier: release them into the `done`
-            // check and hand the report out.
-            let finish = |report: ExploreReport<P>| {
-                done.store(true, Ordering::Release);
-                barrier.wait();
-                report
-            };
-
-            let mut level_depth = 0usize;
-            loop {
-                // Level boundary: the serial path fires its telemetry /
-                // checkpoint-progress / crash / stop probes every
-                // STOP_POLL_INTERVAL expansions; here the level commit is
-                // the natural — and deterministic — boundary.
-                {
-                    let store = store_lk.read().expect("store lock");
-                    let tables = tables_lk.read().expect("tables lock");
-                    self.flush_telemetry(
-                        &mut flushed,
-                        store.len(),
-                        level_depth,
-                        &tables,
-                        store.approx_bytes(),
-                        store.spilled_shards(),
-                    );
-                    if let Some(hook) = &self.progress {
-                        hook.fire(store.len() as u64, level_depth as u64);
-                    }
-                }
-                crash_point("explorer.poll");
-                if stop() {
-                    let report = {
-                        let store = store_lk.read().expect("store lock");
-                        ExploreReport {
-                            states: store.len(),
-                            terminal_states: terminal,
-                            complete: false,
-                            violation: None,
-                            full_states_estimate: self.quotient.then_some(estimate),
-                            spilled_shards: store.spilled_shards(),
-                        }
-                    };
-                    return finish(report);
-                }
-
-                let frontier_len = frontier_lk.read().expect("frontier lock").0.len();
-                if frontier_len == 0 {
-                    break;
-                }
-                let capped = self.max_depth.is_some_and(|maxd| level_depth >= maxd);
-                // A depth-capped level expands nothing: parking the claim
-                // cursor past the frontier makes phase A a no-op while the
-                // commit still does the per-parent accounting.
-                cursor_a.store(if capped { frontier_len } else { 0 }, Ordering::Relaxed);
-                barrier.wait(); // phase A starts
-                let expand_started = Instant::now();
-                phase_a(0);
-                barrier.wait(); // phase A ends
-                if let Some(tel) = &self.telemetry {
-                    let ns = u64::try_from(expand_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    tel.expand_parallel.record_ns(ns);
-                }
-
-                // Phase 2 — serial table commit: merge the chunks back into
-                // serial (parent, process) order, replay the intern logs.
-                let mut logs: Vec<OverlayLog<P>> = Vec::with_capacity(workers);
-                let mut all_chunks: Vec<(usize, Vec<ExpRecord>)> = Vec::new();
-                let mut err_pos: Option<(u32, u16)> = None;
-                for out in &outs {
-                    let mut o = out.lock().expect("worker slot");
-                    all_chunks.append(&mut o.chunks);
-                    logs.push(o.log.take().expect("phase A left a log"));
-                    if let Some(e) = o.err_at.take() {
-                        err_pos = Some(err_pos.map_or(e, |cur| cur.min(e)));
-                    }
-                    if let Some(tel) = &self.telemetry {
-                        tel.steals.add(o.steals);
-                    }
-                    o.steals = 0;
-                }
-                all_chunks.sort_unstable_by_key(|&(start, _)| start);
-                let mut records: Vec<ExpRecord> =
-                    all_chunks.into_iter().flat_map(|(_, recs)| recs).collect();
-                // A worker that hit the hard id bound stopped claiming, but
-                // chunks are handed out in increasing order, so every
-                // expansion serially before the failed step is present —
-                // and the serial BFS would have aborted at or before that
-                // step. Drop everything at or after it.
-                let mut abort_parent: Option<u32> = None;
-                if let Some(e) = err_pos {
-                    records.truncate(records.partition_point(|r| (r.parent_pos, r.proc) < e));
-                    abort_parent = Some(e.0);
-                }
-                let mut maps: Vec<[Vec<u32>; 4]> = (0..workers)
-                    .map(|_| std::array::from_fn(|_| Vec::new()))
-                    .collect();
-                let mut cursors: Vec<[usize; 4]> = vec![[0; 4]; workers];
-                {
-                    let mut tables = tables_lk.write().expect("tables lock");
-                    let mut failed = None;
-                    for (i, r) in records.iter().enumerate() {
-                        let wk = r.worker as usize;
-                        let range = r.log_start as usize..r.log_end as usize;
-                        if tables
-                            .replay_slice(&logs[wk], range, &mut cursors[wk], &mut maps[wk])
-                            .is_err()
-                        {
-                            // The replay interns exactly the values the
-                            // serial BFS would intern, in the same order:
-                            // this is the serial abort step.
-                            failed = Some(i);
-                            break;
-                        }
-                    }
-                    if let Some(k) = failed {
-                        abort_parent = Some(records[k].parent_pos);
-                        records.truncate(k);
-                    }
-                    // Every memo entry a worker logged holds committed ids
-                    // only, so merging them in any order leaves the memo a
-                    // function of the committed tables.
-                    for log in &logs {
-                        tables.absorb(log);
-                    }
-                }
-
-                // Phase 3 — parallel derive over the committed prefix.
-                cursor_c.store(0, Ordering::Relaxed);
-                {
-                    let mut data = level_lk.write().expect("level lock");
-                    *data = (records, logs, maps);
-                }
-                barrier.wait(); // phase C starts
-                phase_c(0);
-                barrier.wait(); // phase C ends
-
-                // Phase 4 — serial store commit in exact serial pop order:
-                // each parent's accounting (terminal / depth cap) happens
-                // before its successors, so mid-level aborts report the
-                // same counts the serial BFS would.
-                let data = level_lk.read().expect("level lock");
-                let (records, _, _) = &*data;
-                let mut derived: Vec<Option<Derived>> = records.iter().map(|_| None).collect();
-                for out in &outs {
-                    for (i, d) in out.lock().expect("worker slot").derived.drain(..) {
-                        derived[i] = Some(d);
-                    }
-                }
-                let mut store = store_lk.write().expect("store lock");
-                let tables = tables_lk.read().expect("tables lock");
-                let frontier = frontier_lk.read().expect("frontier lock");
-                let (frontier_ids, frontier_rows) = &*frontier;
-                let parent_limit = abort_parent.map_or(frontier_ids.len(), |q| q as usize + 1);
-                let mut next_ids: Vec<usize> = Vec::new();
-                let mut next_rows: Vec<u32> = Vec::new();
-                let mut rec_i = 0usize;
-                let mut abort: Option<ExploreReport<P>> = None;
-                let incomplete_report =
-                    |store: &ShardedVisited, terminal: usize, estimate: u64| ExploreReport {
-                        states: store.len(),
-                        terminal_states: terminal,
-                        complete: false,
-                        violation: None,
-                        full_states_estimate: self.quotient.then_some(estimate),
-                        spilled_shards: store.spilled_shards(),
-                    };
-                'commit: for pos in 0..parent_limit {
-                    let prow = &frontier_rows[pos * w..(pos + 1) * w];
-                    if prow[m + n..m + 2 * n].iter().all(|&id| id == HALTED) {
-                        terminal += 1;
-                        continue;
-                    }
-                    if capped {
-                        complete = false;
-                        continue;
-                    }
-                    while rec_i < records.len() && records[rec_i].parent_pos as usize == pos {
-                        let r = &records[rec_i];
-                        let d = derived[rec_i].take().expect("phase C derived every record");
-                        rec_i += 1;
-                        if d.spec_dup {
-                            // Present in the frozen store before this level
-                            // began — the serial lookup could only agree.
-                            continue;
-                        }
-                        let seen = match store.lookup_shared(&d.row, d.hash) {
-                            Ok(seen) => seen,
-                            Err(_) => {
-                                abort = Some(incomplete_report(&store, terminal, estimate));
-                                break 'commit;
-                            }
-                        };
-                        if seen.is_some() {
-                            continue;
-                        }
-                        if store.len() >= self.max_states {
-                            complete = false;
-                            continue;
-                        }
-                        let Ok(id) = store.insert_hashed(&d.row, d.hash) else {
-                            abort = Some(incomplete_report(&store, terminal, estimate));
-                            break 'commit;
-                        };
-                        estimate += d.orbit;
-                        parents.push(Some((frontier_ids[pos], ProcId(r.proc as usize))));
-                        depths.push(level_depth as u32 + 1);
-                        gelems.push(d.gidx);
-                        if let Some(message) = d.inv_err {
-                            let violation = self.assemble_violation(
-                                &tables, canon_ref, invariant, &parents, &gelems, id, &d.row,
-                                message,
-                            );
-                            abort = Some(ExploreReport {
-                                states: store.len(),
-                                terminal_states: terminal,
-                                complete: false,
-                                violation: Some(violation),
-                                full_states_estimate: self.quotient.then_some(estimate),
-                                spilled_shards: store.spilled_shards(),
-                            });
-                            break 'commit;
-                        }
-                        next_ids.push(id);
-                        next_rows.extend_from_slice(&d.row);
-                    }
-                }
-                if abort.is_none() && abort_parent.is_some() {
-                    // Id-space exhaustion: the same graceful abort as the
-                    // serial path, after committing the serial prefix.
-                    abort = Some(incomplete_report(&store, terminal, estimate));
-                }
-                if let Some(report) = abort {
-                    self.flush_telemetry(
-                        &mut flushed,
-                        store.len(),
-                        level_depth,
-                        &tables,
-                        store.approx_bytes(),
-                        store.spilled_shards(),
-                    );
-                    drop(frontier);
-                    drop(tables);
-                    drop(store);
-                    drop(data);
-                    return finish(report);
-                }
-                drop(frontier);
-                drop(tables);
-                drop(store);
-                drop(data);
-                *frontier_lk.write().expect("frontier lock") = (next_ids, next_rows);
-                level_depth += 1;
-            }
-
-            // Frontier drained: the reachable space is explored.
-            let report = {
-                let store = store_lk.read().expect("store lock");
-                let tables = tables_lk.read().expect("tables lock");
-                self.flush_telemetry(
-                    &mut flushed,
-                    store.len(),
-                    0,
-                    &tables,
-                    store.approx_bytes(),
-                    store.spilled_shards(),
-                );
-                ExploreReport {
-                    states: store.len(),
-                    terminal_states: terminal,
-                    complete,
-                    violation: None,
-                    full_states_estimate: self.quotient.then_some(estimate),
-                    spilled_shards: store.spilled_shards(),
-                }
-            };
-            finish(report)
+        }
+        std::mem::swap(tables, &mut lent.tables);
+        std::mem::swap(store, &mut lent.store);
+        Some(Prefetched {
+            derived: derived.into_iter(),
+            stop_at,
         })
-    }
-
-    /// The pre-arena BFS over `Arc`-shared [`McState`]s, kept verbatim as
-    /// the differential baseline: tests assert its reports are identical to
-    /// [`Explorer::run_until`]'s, and the E23 bench measures the arena
-    /// speedup against it. Not part of the supported API surface.
-    #[doc(hidden)]
-    pub fn run_arc<F>(&self, invariant: F) -> ExploreReport<P>
-    where
-        F: Fn(&McState<P>) -> Result<(), String>,
-    {
-        self.run_until_arc(invariant, || false)
-    }
-
-    /// See [`Explorer::run_arc`].
-    #[doc(hidden)]
-    #[allow(clippy::too_many_lines)]
-    pub fn run_until_arc<F, S>(&self, invariant: F, stop: S) -> ExploreReport<P>
-    where
-        F: Fn(&McState<P>) -> Result<(), String>,
-        S: Fn() -> bool,
-    {
-        fn hash_key(k: &[u32]) -> u64 {
-            use std::hash::Hasher;
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            k.hash(&mut h);
-            h.finish()
-        }
-        let mut interners = StateInterners::<P>::new(self.id_cap);
-        let mut arena: Vec<ArcArenaEntry<P>> = Vec::new();
-        let mut keys: Vec<Box<[u32]>> = Vec::new();
-        let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut terminal = 0usize;
-        let mut complete = true;
-        let mut since_poll = 0usize;
-        let mut expansions = 0usize;
-        let mut flushed_states = 0usize;
-        let key_words = self.initial.memory.len() + 3 * self.initial.procs.len();
-        let flush_telemetry =
-            |flushed: &mut usize, visited: usize, depth: usize, interner_entries: usize| {
-                if let Some(tel) = &self.telemetry {
-                    tel.states.add((visited - *flushed) as u64);
-                    *flushed = visited;
-                    tel.frontier_depth.set(depth as u64);
-                    tel.visited_entries.set(visited as u64);
-                    tel.visited_bytes
-                        .set((visited * (key_words * 12 + 170)) as u64);
-                    tel.interner_entries.set(interner_entries as u64);
-                }
-            };
-
-        let make_violation = |arena: &[ArcArenaEntry<P>], at: usize, message: String| {
-            let mut schedule = Vec::new();
-            let mut cur = at;
-            while let Some((parent, p)) = arena[cur].1 {
-                schedule.push(p);
-                cur = parent;
-            }
-            schedule.reverse();
-            Violation {
-                message,
-                state: arena[at].0.clone(),
-                schedule,
-            }
-        };
-
-        arena.push((self.initial.clone(), None, 0));
-        let Ok(k0) = interners.key(&self.initial, None) else {
-            return ExploreReport {
-                states: 0,
-                terminal_states: 0,
-                complete: false,
-                violation: None,
-                full_states_estimate: None,
-                spilled_shards: 0,
-            };
-        };
-        index.entry(hash_key(&k0)).or_default().push(0);
-        keys.push(k0);
-        queue.push_back(0);
-        if let Err(message) = invariant(&self.initial) {
-            flush_telemetry(&mut flushed_states, 1, 0, interners.len_total());
-            return ExploreReport {
-                states: 1,
-                terminal_states: usize::from(self.initial.all_halted()),
-                complete: true,
-                violation: Some(make_violation(&arena, 0, message)),
-                full_states_estimate: None,
-                spilled_shards: 0,
-            };
-        }
-
-        while let Some(cur) = queue.pop_front() {
-            // Cheap clone: McState slots are Arc-shared with the arena copy.
-            let (state, _, depth) = arena[cur].clone();
-            if state.all_halted() {
-                terminal += 1;
-                continue;
-            }
-            if let Some(maxd) = self.max_depth {
-                if depth >= maxd {
-                    complete = false;
-                    continue;
-                }
-            }
-            for p in state.live() {
-                since_poll += 1;
-                if since_poll >= STOP_POLL_INTERVAL {
-                    since_poll = 0;
-                    flush_telemetry(
-                        &mut flushed_states,
-                        arena.len(),
-                        depth,
-                        interners.len_total(),
-                    );
-                    if stop() {
-                        return ExploreReport {
-                            states: arena.len(),
-                            terminal_states: terminal,
-                            complete: false,
-                            violation: None,
-                            full_states_estimate: None,
-                            spilled_shards: 0,
-                        };
-                    }
-                }
-                let next = if self.coarse_scans {
-                    step_block(&state, p, &self.wirings)
-                } else {
-                    state.step(p, &self.wirings).expect("live process steps")
-                };
-                expansions += 1;
-                let dedup_start = (self.telemetry.is_some()
-                    && expansions % DEDUP_SAMPLE_INTERVAL == 0)
-                    .then(Instant::now);
-                let Ok(nk) = interners.key(&next, Some((&state, &keys[cur]))) else {
-                    // Graceful id-space-exhaustion abort, as on the arena
-                    // path.
-                    flush_telemetry(
-                        &mut flushed_states,
-                        arena.len(),
-                        depth,
-                        interners.len_total(),
-                    );
-                    return ExploreReport {
-                        states: arena.len(),
-                        terminal_states: terminal,
-                        complete: false,
-                        violation: None,
-                        full_states_estimate: None,
-                        spilled_shards: 0,
-                    };
-                };
-                let slot = index.entry(hash_key(&nk)).or_default();
-                let duplicate = slot.iter().any(|&i| keys[i] == nk);
-                if let (Some(started), Some(tel)) = (dedup_start, &self.telemetry) {
-                    let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    tel.dedup
-                        .record_sampled_ns(ns, DEDUP_SAMPLE_INTERVAL as u64);
-                }
-                if duplicate {
-                    continue;
-                }
-                if arena.len() >= self.max_states {
-                    complete = false;
-                    continue;
-                }
-                let id = arena.len();
-                slot.push(id);
-                keys.push(nk);
-                arena.push((next, Some((cur, p)), depth + 1));
-                if let Err(message) = invariant(&arena[id].0) {
-                    flush_telemetry(
-                        &mut flushed_states,
-                        arena.len(),
-                        depth,
-                        interners.len_total(),
-                    );
-                    return ExploreReport {
-                        states: arena.len(),
-                        terminal_states: terminal,
-                        complete: false,
-                        violation: Some(make_violation(&arena, id, message)),
-                        full_states_estimate: None,
-                        spilled_shards: 0,
-                    };
-                }
-                queue.push_back(id);
-            }
-        }
-
-        flush_telemetry(&mut flushed_states, arena.len(), 0, interners.len_total());
-        ExploreReport {
-            states: arena.len(),
-            terminal_states: terminal,
-            complete,
-            violation: None,
-            full_states_estimate: None,
-            spilled_shards: 0,
-        }
     }
 }
 
@@ -2055,7 +1568,7 @@ mod tests {
     fn tiny_id_cap_aborts_gracefully_instead_of_panicking() {
         // The two-writer space needs more than two distinct process values
         // per table; a cap of 2 must surface as an honest incomplete report
-        // — the legacy codepath used to panic here
+        // — an earlier codepath used to panic here
         // ("distinct slot values exceed the u32 id space").
         let mk = || {
             Explorer::new(
@@ -2078,10 +1591,6 @@ mod tests {
         let report = mk().run(|_| Ok(()));
         assert!(!report.complete, "exhaustion must mark incompleteness");
         assert!(report.violation.is_none());
-        // The legacy differential path takes the same graceful abort.
-        let legacy = mk().run_arc(|_| Ok(()));
-        assert!(!legacy.complete);
-        assert!(legacy.violation.is_none());
     }
 
     #[test]
@@ -2323,11 +1832,11 @@ mod tests {
     }
 
     #[test]
-    fn arena_and_arc_paths_report_identically() {
+    fn one_engine_reports_identically_over_every_store() {
         use fa_core::SnapshotProcess;
-        // The whole point of keeping `run_until_arc`: same states, same
-        // order, same verdicts. (The dedicated differential suite covers the
-        // harness level; this is the explorer-level smoke.)
+        // `run` (in-memory), `run` under a spilling budget (tiered) and
+        // `run_intra(_, 1)` (sharded) are the same engine over different
+        // stores: same states, same order, same verdicts, byte for byte.
         let mk = || {
             let procs: Vec<SnapshotProcess<u8>> =
                 vec![SnapshotProcess::new(1, 2), SnapshotProcess::new(2, 2)];
@@ -2338,32 +1847,36 @@ mod tests {
                 vec![Wiring::identity(2), Wiring::cyclic_shift(2, 1)],
             )
         };
-        let arena = mk().run(|_| Ok(()));
-        let arc = mk().run_arc(|_| Ok(()));
-        assert_eq!(arena.states, arc.states);
-        assert_eq!(arena.terminal_states, arc.terminal_states);
-        assert_eq!(arena.complete, arc.complete);
-
-        // And with a violating invariant: same state, same schedule.
-        let arena = mk().run(|s| {
+        let violating = |s: &StateView<'_, SnapshotProcess<u8>>| {
             if s.first_outputs().iter().any(Option::is_some) {
-                Err("output".into())
+                Err("output".to_string())
             } else {
                 Ok(())
             }
-        });
-        let arc = mk().run_arc(|s| {
-            if s.first_outputs().iter().any(Option::is_some) {
-                Err("output".into())
-            } else {
-                Ok(())
-            }
-        });
-        let (va, vb) = (arena.violation.unwrap(), arc.violation.unwrap());
-        assert_eq!(arena.states, arc.states);
-        assert_eq!(va.state, vb.state);
-        assert_eq!(va.schedule, vb.schedule);
-        assert_eq!(va.message, vb.message);
+        };
+        for check_outputs in [false, true] {
+            let invariant = |s: &StateView<'_, SnapshotProcess<u8>>| {
+                if check_outputs {
+                    violating(s)
+                } else {
+                    Ok(())
+                }
+            };
+            let plain = mk().run(invariant);
+            assert_eq!(plain.violation.is_some(), check_outputs);
+            let tiered = mk().with_visited_budget(0).run(invariant);
+            assert!(
+                check_outputs || tiered.spilled_shards > 0,
+                "budget 0 must spill"
+            );
+            let tiered = ExploreReport {
+                spilled_shards: 0,
+                ..tiered
+            };
+            let sharded = mk().run_intra(invariant, 1);
+            assert_eq!(format!("{tiered:?}"), format!("{plain:?}"));
+            assert_eq!(format!("{sharded:?}"), format!("{plain:?}"));
+        }
     }
 
     #[test]
@@ -2473,8 +1986,9 @@ mod tests {
             )
         };
         // Hard id-space exhaustion: the commit replay must abort at the
-        // exact serial step, so states/terminals agree byte-for-byte.
-        for cap in [1, 2, 4, 8] {
+        // exact serial step, so states/terminals agree byte-for-byte. The
+        // larger caps run out on levels wide enough for the crew.
+        for cap in [1, 2, 4, 8, 16, 32, 48] {
             let serial = base().with_id_cap(cap).run(|_| Ok(()));
             assert!(!serial.complete);
             for workers in [1, 3] {

@@ -122,6 +122,14 @@ pub trait VisitedStore: std::fmt::Debug {
     fn approx_bytes(&self) -> usize;
 }
 
+/// [`VisitedStore::lookup`] and [`VisitedStore::insert`] with the row's
+/// [`hash_row`] supplied, so the explorer hashes each successor once — and
+/// not at all where a worker already did.
+pub(crate) trait HashedStore: VisitedStore {
+    fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError>;
+    fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError>;
+}
+
 /// Estimated per-state bookkeeping bytes (parents, depths, hash-index
 /// entries) — the constant the explorer's byte gauge has always used.
 const STATE_OVERHEAD_BYTES: usize = 72;
@@ -147,6 +155,25 @@ impl InMemoryVisited {
     }
 }
 
+impl HashedStore for InMemoryVisited {
+    fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError> {
+        let Some(ids) = self.index.get(&hash) else {
+            return Ok(None);
+        };
+        Ok(ids
+            .iter()
+            .copied()
+            .find(|&i| self.rows[i * self.w..(i + 1) * self.w] == *row))
+    }
+
+    fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
+        let id = self.len();
+        self.index.entry(hash).or_default().push(id);
+        self.rows.extend_from_slice(row);
+        Ok(id)
+    }
+}
+
 impl VisitedStore for InMemoryVisited {
     fn row_words(&self) -> usize {
         self.w
@@ -157,20 +184,11 @@ impl VisitedStore for InMemoryVisited {
     }
 
     fn lookup(&mut self, row: &[u32]) -> Result<Option<usize>, StoreError> {
-        let Some(ids) = self.index.get(&hash_row(row)) else {
-            return Ok(None);
-        };
-        Ok(ids
-            .iter()
-            .copied()
-            .find(|&i| self.rows[i * self.w..(i + 1) * self.w] == *row))
+        self.lookup_hashed(row, hash_row(row))
     }
 
     fn insert(&mut self, row: &[u32]) -> Result<usize, StoreError> {
-        let id = self.len();
-        self.index.entry(hash_row(row)).or_default().push(id);
-        self.rows.extend_from_slice(row);
-        Ok(id)
+        self.insert_hashed(row, hash_row(row))
     }
 
     fn read_row(&mut self, id: usize, out: &mut [u32]) -> Result<(), StoreError> {
@@ -548,17 +566,9 @@ impl TieredVisited {
     }
 }
 
-impl VisitedStore for TieredVisited {
-    fn row_words(&self) -> usize {
-        self.core.w
-    }
-
-    fn len(&self) -> usize {
-        self.core.len()
-    }
-
-    fn lookup(&mut self, row: &[u32]) -> Result<Option<usize>, StoreError> {
-        let Some(ids) = self.index.get(&hash_row(row)) else {
+impl HashedStore for TieredVisited {
+    fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError> {
+        let Some(ids) = self.index.get(&hash) else {
             return Ok(None);
         };
         for &id in ids {
@@ -569,11 +579,29 @@ impl VisitedStore for TieredVisited {
         Ok(None)
     }
 
-    fn insert(&mut self, row: &[u32]) -> Result<usize, StoreError> {
+    fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
         let id = self.core.len();
-        self.index.entry(hash_row(row)).or_default().push(id);
+        self.index.entry(hash).or_default().push(id);
         self.core.push_row(row)?;
         Ok(id)
+    }
+}
+
+impl VisitedStore for TieredVisited {
+    fn row_words(&self) -> usize {
+        self.core.w
+    }
+
+    fn len(&self) -> usize {
+        self.core.len()
+    }
+
+    fn lookup(&mut self, row: &[u32]) -> Result<Option<usize>, StoreError> {
+        self.lookup_hashed(row, hash_row(row))
+    }
+
+    fn insert(&mut self, row: &[u32]) -> Result<usize, StoreError> {
+        self.insert_hashed(row, hash_row(row))
     }
 
     fn read_row(&mut self, id: usize, out: &mut [u32]) -> Result<(), StoreError> {
@@ -664,9 +692,14 @@ impl ShardedVisited {
         }
         Ok(None)
     }
+}
 
-    /// [`VisitedStore::insert`] with the row hash already computed.
-    pub(crate) fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
+impl HashedStore for ShardedVisited {
+    fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError> {
+        self.lookup_shared(row, hash)
+    }
+
+    fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
         let id = self.core.len();
         self.index[Self::shard_of(hash)]
             .entry(hash)

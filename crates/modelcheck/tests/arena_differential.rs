@@ -1,8 +1,12 @@
-//! Differential guarantees for the flat-arena hot path: the arena BFS must
-//! report **identically** to the legacy Arc-based BFS it replaced, and a
-//! sweep's `TaskCheckReport` must be byte-identical (`{:?}`) across every
-//! strategy and worker count. These are the invariants that make the arena a
-//! pure representation change — same states, same order, same verdicts.
+//! Differential guarantees for the exploration engine: it must report
+//! **identically** to a naive reference explorer that shares none of its
+//! code (see `support`), and a sweep's `TaskCheckReport` must be
+//! byte-identical (`{:?}`) across every strategy and worker count. These are
+//! the invariants that make the arena, the transition memo, the stores and
+//! the worker crew pure implementation choices — same states, same order,
+//! same verdicts.
+
+mod support;
 
 use std::sync::Arc;
 
@@ -13,109 +17,205 @@ use fa_modelcheck::checks::{
     CheckConfig,
 };
 use fa_modelcheck::{
-    ArenaTables, ExploreReport, Explorer, InMemoryVisited, McState, ShardedVisited, StrategyKind,
-    VisitedStore,
+    ArenaTables, ExploreReport, Explorer, InMemoryVisited, McState, ShardedVisited, StateView,
+    StrategyKind, VisitedStore,
 };
 use proptest::prelude::*;
+use support::{Bounds, Reference};
 
-/// Asserts two exploration reports are the same verdict: same state count,
+/// Asserts an engine report is the reference's verdict: same state count,
 /// terminal count, completeness, and (when violating) the same
 /// counterexample state, schedule, and message.
-fn assert_reports_identical<P>(arena: &ExploreReport<P>, arc: &ExploreReport<P>)
+fn assert_matches_reference<P>(engine: &ExploreReport<P>, reference: &Reference<P>)
 where
     P: fa_memory::Process + Clone + Eq + std::hash::Hash + std::fmt::Debug,
     P::Value: Clone + Eq + std::hash::Hash + std::fmt::Debug,
     P::Output: Clone + Eq + std::hash::Hash + std::fmt::Debug,
 {
-    assert_eq!(arena.states, arc.states, "state counts diverge");
+    assert_eq!(engine.states, reference.states, "state counts diverge");
     assert_eq!(
-        arena.terminal_states, arc.terminal_states,
+        engine.terminal_states, reference.terminal_states,
         "terminal counts diverge"
     );
-    assert_eq!(arena.complete, arc.complete, "completeness diverges");
-    match (&arena.violation, &arc.violation) {
+    assert_eq!(engine.complete, reference.complete, "completeness diverges");
+    match (&engine.violation, &reference.violation) {
         (None, None) => {}
-        (Some(a), Some(b)) => {
-            assert_eq!(a.state, b.state, "counterexample states diverge");
-            assert_eq!(a.schedule, b.schedule, "counterexample schedules diverge");
-            assert_eq!(a.message, b.message, "violation messages diverge");
+        (Some(v), Some((message, state, schedule))) => {
+            assert_eq!(&v.state, state, "counterexample states diverge");
+            assert_eq!(&v.schedule, schedule, "counterexample schedules diverge");
+            assert_eq!(&v.message, message, "violation messages diverge");
         }
-        (a, b) => panic!("violation presence diverges: arena={a:?} arc={b:?}"),
+        (e, r) => panic!("violation presence diverges: engine={e:?} reference={r:?}"),
     }
 }
 
-fn snapshot_explorer(coarse: bool) -> Explorer<SnapshotProcess<u32>> {
-    let n = 2;
-    let procs: Vec<SnapshotProcess<u32>> = [1u32, 2]
+/// Explores one system with the reference and with the engine — serial and
+/// with a two-worker crew — and asserts all three agree. Returns the
+/// serial engine report.
+fn check_against_reference<P, I>(
+    procs: Vec<P>,
+    wirings: Vec<Wiring>,
+    bounds: Bounds,
+    invariant: I,
+) -> ExploreReport<P>
+where
+    P: fa_memory::Process + Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + Sync,
+    P::Value: Clone + Eq + std::hash::Hash + std::fmt::Debug + Default + Send + Sync,
+    P::Output: Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + Sync,
+    I: Fn(&McState<P>) -> Result<(), String> + Sync,
+{
+    let m = wirings[0].len();
+    let initial = McState::initial(procs.clone(), m, Default::default());
+    let reference = support::explore(initial, &wirings, bounds, &invariant);
+    let mut explorer =
+        Explorer::new(procs, m, Default::default(), wirings).with_max_states(bounds.max_states);
+    if bounds.coarse {
+        explorer = explorer.with_coarse_scans();
+    }
+    if let Some(depth) = bounds.max_depth {
+        explorer = explorer.with_max_depth(depth);
+    }
+    let on_view = |s: &StateView<'_, P>| invariant(&s.to_state());
+    let serial = explorer.run(on_view);
+    assert_matches_reference(&serial, &reference);
+    assert_matches_reference(&explorer.run_intra(on_view, 2), &reference);
+    serial
+}
+
+fn snapshot_procs(inputs: &[u32]) -> Vec<SnapshotProcess<u32>> {
+    inputs
         .iter()
-        .map(|&x| SnapshotProcess::new(x, n))
-        .collect();
-    let wirings = vec![
-        Arc::new(Wiring::identity(n)),
-        Arc::new(Wiring::from_perm(vec![1, 0]).unwrap()),
-    ];
-    let e = Explorer::new(procs, n, Default::default(), wirings);
-    if coarse {
-        e.with_coarse_scans()
-    } else {
-        e
+        .map(|&x| SnapshotProcess::new(x, inputs.len()))
+        .collect()
+}
+
+/// Two processors, the second wired through the register swap.
+fn n2_wirings() -> Vec<Wiring> {
+    vec![Wiring::identity(2), Wiring::from_perm(vec![1, 0]).unwrap()]
+}
+
+/// Three processors with three distinct wirings.
+fn n3_wirings() -> Vec<Wiring> {
+    vec![
+        Wiring::identity(3),
+        Wiring::cyclic_shift(3, 1),
+        Wiring::from_perm(vec![1, 0, 2]).unwrap(),
+    ]
+}
+
+fn bounds(coarse: bool, max_states: usize) -> Bounds {
+    Bounds {
+        coarse,
+        max_states,
+        max_depth: None,
     }
 }
 
 #[test]
-fn arena_matches_arc_on_the_snapshot_system() {
+fn arena_matches_reference_on_the_snapshot_system() {
     for coarse in [false, true] {
-        let explorer = snapshot_explorer(coarse);
-        let arena = explorer.run(|_| Ok(()));
-        let arc = explorer.run_arc(|_| Ok(()));
-        assert_reports_identical(&arena, &arc);
-        assert!(arena.complete, "n=2 snapshot space is exhaustible");
-        assert!(arena.states > 100, "nontrivial space: {}", arena.states);
+        let report = check_against_reference(
+            snapshot_procs(&[1, 2]),
+            n2_wirings(),
+            bounds(coarse, 1_000_000),
+            |_| Ok(()),
+        );
+        assert!(report.complete, "n=2 snapshot space is exhaustible");
+        assert!(report.states > 100, "nontrivial space: {}", report.states);
+    }
+    // n = 3 at both granularities, capped: the cap cuts the same prefix.
+    for (coarse, cap) in [(false, 6_000), (true, 6_000)] {
+        let report = check_against_reference(
+            snapshot_procs(&[1, 2, 3]),
+            n3_wirings(),
+            bounds(coarse, cap),
+            |_| Ok(()),
+        );
+        assert_eq!(report.states, cap, "the n=3 space outgrows the cap");
+        assert!(!report.complete);
     }
 }
 
 #[test]
-fn arena_matches_arc_on_a_violating_invariant() {
+fn arena_matches_reference_on_a_violating_invariant() {
     // A deliberately failing invariant: the first counterexample (state,
-    // BFS schedule, message) must be the same object on both paths.
-    let explorer = snapshot_explorer(false);
-    let invariant_msg = |outputs: usize| format!("saw {outputs} outputs");
-    let arena = explorer.run(|s| {
-        let outs = s.first_outputs().iter().flatten().count();
-        if outs > 0 {
-            Err(invariant_msg(outs))
-        } else {
-            Ok(())
-        }
-    });
-    let arc = explorer.run_arc(|s: &McState<SnapshotProcess<u32>>| {
-        let outs = s.first_outputs().iter().flatten().count();
-        if outs > 0 {
-            Err(invariant_msg(outs))
-        } else {
-            Ok(())
-        }
-    });
-    assert_reports_identical(&arena, &arc);
-    assert!(arena.violation.is_some(), "the invariant must trip");
+    // BFS schedule, message) must be the same object on every path.
+    let report = check_against_reference(
+        snapshot_procs(&[1, 2]),
+        n2_wirings(),
+        bounds(false, 1_000_000),
+        |s| {
+            let outs = s.first_outputs().iter().flatten().count();
+            if outs > 0 {
+                Err(format!("saw {outs} outputs"))
+            } else {
+                Ok(())
+            }
+        },
+    );
+    assert!(report.violation.is_some(), "the invariant must trip");
+    // n = 3 at both granularities: outputs lie beyond the cap, but some
+    // process climbs to level 1 within it (thousands of states deep when
+    // stepping per read).
+    for coarse in [false, true] {
+        let report = check_against_reference(
+            snapshot_procs(&[1, 2, 3]),
+            n3_wirings(),
+            bounds(coarse, 20_000),
+            |s| match s.memory.iter().position(|r| r.level >= 1) {
+                Some(g) => Err(format!("register {g} written at level 1")),
+                None => Ok(()),
+            },
+        );
+        assert!(report.violation.is_some(), "coarse = {coarse}: must trip");
+    }
 }
 
 #[test]
-fn arena_matches_arc_on_the_consensus_system() {
-    // Unbounded timestamp space: both paths stop at the same caps with the
+fn arena_matches_reference_on_the_consensus_system() {
+    // Unbounded timestamp space: every path stops at the same caps with the
     // same visited prefix.
-    let n = 2;
     let procs: Vec<ConsensusProcess<u32>> = [7u32, 9]
         .iter()
-        .map(|&x| ConsensusProcess::new(x, n))
+        .map(|&x| ConsensusProcess::new(x, 2))
         .collect();
-    let wirings = vec![Wiring::identity(n), Wiring::identity(n)];
-    let explorer = Explorer::new(procs, n, Default::default(), wirings)
-        .with_max_states(20_000)
-        .with_max_depth(40);
-    let arena = explorer.run(|_| Ok(()));
-    let arc = explorer.run_arc(|_| Ok(()));
-    assert_reports_identical(&arena, &arc);
+    let wirings = vec![Wiring::identity(2), Wiring::identity(2)];
+    let bounds = Bounds {
+        coarse: false,
+        max_states: 20_000,
+        max_depth: Some(40),
+    };
+    let report = check_against_reference(procs, wirings, bounds, |_| Ok(()));
+    assert!(!report.complete);
+}
+
+#[test]
+fn quotient_estimate_is_the_reference_count() {
+    // Equal inputs and equal wirings: a nontrivial symmetry group. On a
+    // complete run the quotiented engine's Σ orbit sizes must be exactly
+    // the number of states the reference visits in the full space.
+    for coarse in [false, true] {
+        let wirings = vec![Wiring::identity(2), Wiring::identity(2)];
+        let initial = McState::initial(snapshot_procs(&[5, 5]), 2, Default::default());
+        let reference = support::explore(initial, &wirings, bounds(coarse, usize::MAX), |_| Ok(()));
+        assert!(reference.complete);
+        let mut explorer =
+            Explorer::new(snapshot_procs(&[5, 5]), 2, Default::default(), wirings).with_quotient();
+        if coarse {
+            explorer = explorer.with_coarse_scans();
+        }
+        let report = explorer.run(|_| Ok(()));
+        assert!(report.complete);
+        assert!(
+            report.states < reference.states,
+            "the quotient must shrink the space"
+        );
+        assert_eq!(
+            report.full_states_estimate,
+            Some(reference.states as u64),
+            "coarse = {coarse}"
+        );
+    }
 }
 
 #[test]
@@ -169,6 +269,49 @@ fn sweep_reports_are_byte_identical_across_jobs_and_strategies() {
             format!("{:?}", consensus.report),
             consensus_ref,
             "{config:?}"
+        );
+    }
+}
+
+#[test]
+fn stop_is_polled_on_the_same_cadence_for_every_worker_count() {
+    use std::cell::Cell;
+    let mk = || Explorer::new(snapshot_procs(&[1, 2]), 2, Default::default(), n2_wirings());
+    // Once on entry, then every 1,024 expansions counted in commit order —
+    // whoever computed the successors.
+    let polls = Cell::new(0usize);
+    let counting = || {
+        polls.set(polls.get() + 1);
+        false
+    };
+    let serial = mk().run_until(|_| Ok(()), counting);
+    let serial_polls = polls.replace(0);
+    assert!(
+        serial_polls > 2,
+        "the run must cross the poll interval: {serial_polls} polls"
+    );
+    for workers in [1, 2, 4] {
+        let intra = mk().run_until_intra(|_| Ok(()), counting, workers);
+        assert_eq!(format!("{intra:?}"), format!("{serial:?}"));
+        assert_eq!(polls.replace(0), serial_polls, "workers = {workers}");
+    }
+
+    // A stop raised at the second poll aborts every worker count at the
+    // same expansion, with the same partial counts.
+    let stop_at_second = || {
+        polls.set(polls.get() + 1);
+        polls.get() >= 2
+    };
+    let serial = mk().run_until(|_| Ok(()), stop_at_second);
+    polls.set(0);
+    assert!(!serial.complete);
+    for workers in [1, 2, 4] {
+        let intra = mk().run_until_intra(|_| Ok(()), stop_at_second, workers);
+        polls.set(0);
+        assert_eq!(
+            format!("{intra:?}"),
+            format!("{serial:?}"),
+            "workers = {workers}"
         );
     }
 }

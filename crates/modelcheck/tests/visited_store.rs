@@ -92,10 +92,12 @@ fn corrupted_spill_tier_fails_loudly() {
     assert!(clean.complete, "budget 0 alone must still finish");
     assert!(clean.spilled_shards > 0, "budget 0 must spill");
 
-    let corrupted = Explorer::new(procs, n, Default::default(), wirings)
-        .with_visited_budget(0)
-        .with_corrupted_spill_for_tests()
-        .run(|_| Ok(()));
+    let corrupted_explorer = || {
+        Explorer::new(procs.clone(), n, Default::default(), wirings.clone())
+            .with_visited_budget(0)
+            .with_corrupted_spill_for_tests()
+    };
+    let corrupted = corrupted_explorer().run(|_| Ok(()));
     assert!(
         !corrupted.complete,
         "corruption must not claim completeness"
@@ -110,4 +112,16 @@ fn corrupted_spill_tier_fails_loudly() {
         corrupted.states,
         clean.states
     );
+
+    // Every parent is read back from the store in pop order whatever the
+    // worker count, so `--strategy intra` hits the corrupted shard at the
+    // same parent and aborts with the same partial counts.
+    for workers in [1, 2, 4] {
+        let intra = corrupted_explorer().run_intra(|_| Ok(()), workers);
+        assert_eq!(
+            format!("{intra:?}"),
+            format!("{corrupted:?}"),
+            "workers = {workers}"
+        );
+    }
 }
