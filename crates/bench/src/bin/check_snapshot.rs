@@ -5,10 +5,11 @@
 //! Flags:
 //! * `--jobs N` — sweep worker threads (default: available parallelism);
 //!   the reports are identical for any `N`, only wall-clock changes.
-//! * `--strategy auto|serial|pool|intra[:N]` — sweep executor selection
-//!   (default: `auto`, serial for one job and the worker pool otherwise);
-//!   `intra` runs each combo's BFS on N shared-frontier workers (0 or
-//!   omitted: core count). Reports are identical across strategies.
+//! * `--strategy auto|intra[:N]` — how the `--jobs` budget is spent
+//!   (default: `auto`, a combo pool of `--jobs` threads; `--jobs 1` is the
+//!   serial sweep); `intra` runs each combo's BFS on N shared-frontier
+//!   workers (0 or omitted: core count). Reports are identical across
+//!   strategies.
 //! * `--smoke` — print only the deterministic report lines (no timing) for
 //!   a reduced 2-proc fine + 3-proc coarse sweep; CI diffs this output
 //!   across `--jobs` values to catch nondeterministic violation selection.

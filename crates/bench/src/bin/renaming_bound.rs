@@ -2,8 +2,8 @@
 //! of *participating groups*, names never collide across groups, and the
 //! bound is adaptive (depends on participation, not on N).
 //!
-//! Honors the shared sweep flags (`--jobs`, `--strategy auto|serial|pool|
-//! intra[:N]`, `--quotient`, `--visited-budget`,
+//! Honors the shared sweep flags (`--jobs`, `--strategy auto|intra[:N]`,
+//! `--quotient`, `--visited-budget`,
 //! `--checkpoint-dir`/`--checkpoint-every`/`--resume`, `--memory-limit`).
 //! Exit codes: 0 clean, 2 the model check finished incomplete (budget or
 //! SIGINT/SIGTERM abort; resumable when checkpointed), 3 violation found.

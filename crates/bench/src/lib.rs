@@ -84,11 +84,12 @@ pub fn cli_jobs() -> Option<usize> {
     })
 }
 
-/// The sweep executor requested via `--strategy auto|serial|pool|intra[:N]`
-/// (`None` when absent: [`fa_modelcheck::StrategyKind::Auto`]). `intra`
-/// parallelizes *within* each combo's BFS with N shared-frontier workers
-/// (N omitted or 0: the detected core count), splitting the `--jobs`
-/// budget between combo-level and intra-combo threads.
+/// The sweep strategy requested via `--strategy auto|intra[:N]` (`None`
+/// when absent: [`fa_modelcheck::StrategyKind::Auto`], a combo pool of
+/// `--jobs` threads; a serial sweep is `--jobs 1`). `intra` parallelizes
+/// *within* each combo's BFS with N shared-frontier workers (N omitted or
+/// 0: the detected core count), splitting the `--jobs` budget between
+/// combo-level and intra-combo threads.
 ///
 /// # Panics
 ///

@@ -17,15 +17,16 @@
 //! sweep size, and a fingerprint of the sweep configuration; resuming
 //! against a journal whose header does not match fails loudly rather than
 //! assembling a report from someone else's combos. Subsequent records log
-//! combo *claims* (exploration started), combo *completions* (the full
-//! [`ComboOutcome`], recorded only for runs whose stop probe never fired),
-//! and throttled per-combo *progress* markers for observability.
+//! combo *claims* (exploration started) and combo *completions* (the full
+//! [`ComboOutcome`], recorded only for runs whose stop probe never fired).
+//! Live progress is the telemetry plane's job (`mc.states_total`,
+//! `mc.frontier_depth`), not the journal's.
 //!
 //! # Why combo granularity is enough
 //!
 //! Per-combo BFS is deterministic: the same wiring combo with the same
 //! caps always yields the same `ComboOutcome` (this is the property the
-//! strategy contract in [`crate::strategy`] already leans on). A resumed
+//! combo pool in [`crate::strategy`] already leans on). A resumed
 //! sweep therefore replays recorded outcomes verbatim and re-explores only
 //! combos that were claimed but never completed — and the assembled
 //! `TaskCheckReport` is byte-identical to an uninterrupted run no matter
@@ -66,11 +67,6 @@ pub const DEFAULT_SYNC_EVERY_BYTES: u64 = 64 * 1024;
 /// Environment variable consulted by [`crash_point`]: `site@N` aborts the
 /// process on the `N`-th hit of `site` (`site` alone means `site@1`).
 pub const CRASH_ENV: &str = "FA_CRASH_AT";
-
-/// Minimum states a combo must advance before another progress record is
-/// journaled for it. Keeps long combos observable without bloating the
-/// journal on small ones.
-const PROGRESS_STRIDE_STATES: u64 = 65_536;
 
 /// How a sweep checkpoints itself. Carried on
 /// [`crate::CheckConfig::with_checkpoint`]; excluded from config equality.
@@ -171,23 +167,13 @@ pub enum JournalRecord {
         /// The deterministic outcome of the combo's exploration.
         outcome: ComboOutcome,
     },
-    /// Throttled partial-BFS marker for a long-running combo
-    /// (observability only — recovery re-explores in-flight combos from
-    /// scratch).
-    Progress {
-        /// Full combo index.
-        combo: u64,
-        /// States visited so far.
-        states: u64,
-        /// Current BFS depth.
-        depth: u64,
-    },
 }
 
 const TAG_HEADER: u8 = 1;
 const TAG_CLAIM: u8 = 2;
 const TAG_DONE: u8 = 3;
-const TAG_PROGRESS: u8 = 4;
+// Tag 4 was an older build's per-combo progress record. It is retired, not
+// free: decoding rejects it, so such a frame ends the valid prefix.
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -314,16 +300,6 @@ fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             put_u64(&mut out, outcome.spilled_shards as u64);
             put_opt_str(&mut out, outcome.violation.as_deref());
         }
-        JournalRecord::Progress {
-            combo,
-            states,
-            depth,
-        } => {
-            out.push(TAG_PROGRESS);
-            put_u64(&mut out, *combo);
-            put_u64(&mut out, *states);
-            put_u64(&mut out, *depth);
-        }
     }
     out
 }
@@ -363,11 +339,6 @@ fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
                 },
             }
         }
-        TAG_PROGRESS => JournalRecord::Progress {
-            combo: c.take_u64()?,
-            states: c.take_u64()?,
-            depth: c.take_u64()?,
-        },
         other => return Err(format!("unknown record tag {other}")),
     };
     c.finish()?;
@@ -378,13 +349,29 @@ fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
 const FRAME_HEADER_BYTES: usize = 4 + 8;
 
 fn encode_frame(rec: &JournalRecord) -> Vec<u8> {
-    let payload = encode_record(rec);
+    frame(&encode_record(rec))
+}
+
+/// Wraps a record payload in its length + checksum frame header.
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
     let len = u32::try_from(payload.len()).expect("record payload fits in u32");
     frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
     frame
+}
+
+/// A checksum-valid frame carrying an older build's progress record for
+/// `combo` (the retired tag 4), as a journal written before its retirement
+/// may hold.
+#[cfg(test)]
+pub(crate) fn retired_progress_frame(combo: u64) -> Vec<u8> {
+    let mut payload = vec![4u8];
+    for v in [combo, 65_536, 7] {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    frame(&payload)
 }
 
 /// Scans journal bytes, returning every intact record in order plus the
@@ -471,7 +458,6 @@ fn build_recovery(
                     .map_err(|_| JournalError::Corrupt("combo index overflow".into()))?;
                 completed.insert(combo, outcome);
             }
-            JournalRecord::Progress { .. } => {}
         }
     }
     let mut in_flight: Vec<usize> = claimed
@@ -826,52 +812,6 @@ impl Drop for MemoryWatchdog {
     }
 }
 
-/// Shared progress hook the explorer invokes at stop-poll boundaries with
-/// `(states, depth)`. Wrapped so `Explorer` keeps its `Debug` derive.
-#[derive(Clone)]
-pub struct ProgressHook(Arc<dyn Fn(u64, u64) + Send + Sync>);
-
-impl ProgressHook {
-    /// Wraps a callback.
-    pub fn new(hook: impl Fn(u64, u64) + Send + Sync + 'static) -> Self {
-        ProgressHook(Arc::new(hook))
-    }
-
-    /// Invokes the callback.
-    pub fn fire(&self, states: u64, depth: u64) {
-        (self.0)(states, depth);
-    }
-
-    /// A hook that journals throttled [`JournalRecord::Progress`] markers
-    /// for `combo`. Append errors are swallowed: progress records are
-    /// observability-only, and the loud failure path for a vanished
-    /// checkpoint directory is the claim/done appends.
-    #[must_use]
-    pub fn journaling(journal: Arc<std::sync::Mutex<SweepJournal>>, combo: u64) -> Self {
-        let last = AtomicU64::new(0);
-        ProgressHook::new(move |states, depth| {
-            let prev = last.load(Ordering::Relaxed);
-            if states >= prev + PROGRESS_STRIDE_STATES {
-                last.store(states, Ordering::Relaxed);
-                let _ = journal
-                    .lock()
-                    .expect("journal lock")
-                    .append(&JournalRecord::Progress {
-                        combo,
-                        states,
-                        depth,
-                    });
-            }
-        })
-    }
-}
-
-impl fmt::Debug for ProgressHook {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ProgressHook(..)")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -909,13 +849,6 @@ mod tests {
         let mut records = vec![JournalRecord::Header(sample_header())];
         for i in 0..20usize {
             records.push(JournalRecord::ComboClaim { combo: i as u64 });
-            if i % 4 == 0 {
-                records.push(JournalRecord::Progress {
-                    combo: i as u64,
-                    states: 65_536,
-                    depth: 7,
-                });
-            }
             if i < 15 {
                 records.push(JournalRecord::ComboDone {
                     combo: i as u64,
@@ -995,6 +928,30 @@ mod tests {
             for (got, want) in back.iter().zip(records.iter()) {
                 assert_eq!(got, want, "corrupt byte at {pos}");
             }
+        }
+    }
+
+    #[test]
+    fn checkpoint_scan_stops_at_a_retired_record_tag() {
+        // Version skew: a checksum-valid frame whose tag this build cannot
+        // decode (the retired progress tag 4) ends the valid prefix, and the
+        // scan returns exactly the records before it.
+        let records = sample_records();
+        let skewed = retired_progress_frame(3);
+        assert!(decode_record(&skewed[FRAME_HEADER_BYTES..]).is_err());
+        for keep in [1, 7, records.len()] {
+            let mut bytes = Vec::new();
+            for rec in &records[..keep] {
+                bytes.extend_from_slice(&encode_frame(rec));
+            }
+            let prefix_len = bytes.len() as u64;
+            bytes.extend_from_slice(&skewed);
+            for rec in &records[keep..] {
+                bytes.extend_from_slice(&encode_frame(rec));
+            }
+            let (back, valid_len) = scan_records(&bytes);
+            assert_eq!(back, records[..keep], "keep={keep}");
+            assert_eq!(valid_len, prefix_len, "keep={keep}");
         }
     }
 

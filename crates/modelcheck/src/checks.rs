@@ -33,11 +33,10 @@ use fa_tasks::{check_group_solution, AdaptiveRenaming, GroupAssignment, GroupId,
 use crate::arena::StateView;
 use crate::canon;
 use crate::checkpoint::{
-    self, CheckpointConfig, JournalHeader, JournalRecord, MemoryWatchdog, ProgressHook,
-    SweepJournal,
+    self, CheckpointConfig, JournalHeader, JournalRecord, MemoryWatchdog, SweepJournal,
 };
 use crate::explorer::Explorer;
-use crate::strategy::{ComboOutcome, StrategyKind};
+use crate::strategy::{run_pool, ComboOutcome, StrategyKind};
 use crate::telemetry::SweepTelemetry;
 use crate::wirings::ComboTable;
 
@@ -56,9 +55,9 @@ pub struct CheckConfig {
     /// Worker threads for the combo sweep. `None` (the default) uses the
     /// machine's available parallelism; `Some(1)` forces a serial sweep.
     pub jobs: Option<usize>,
-    /// Which [`crate::strategy::ExploreStrategy`] executes the sweep. The
-    /// default ([`StrategyKind::Auto`]) picks serial for one job and the
-    /// worker pool otherwise; the strategy never changes the report.
+    /// How the `jobs` budget is spent: the default ([`StrategyKind::Auto`])
+    /// runs a combo pool of `jobs` threads, [`StrategyKind::IntraCombo`]
+    /// also parallelizes each combo's BFS. Never changes the report.
     pub strategy: StrategyKind,
     /// Live-telemetry registry the sweep records `mc.*` metrics into.
     /// `None` (the default) keeps every telemetry hook compiled to a no-op
@@ -265,9 +264,8 @@ pub struct CheckOutcome {
     pub telemetry: SweepEvent,
 }
 
-/// Fans the per-combo explorations of one harness across the configured
-/// [`crate::strategy::ExploreStrategy`] and assembles the deterministic
-/// report (module docs).
+/// Fans the per-combo explorations of one harness across the combo pool
+/// ([`run_pool`]) and assembles the deterministic report (module docs).
 ///
 /// `scope` fingerprints the harness inputs the combo table does not capture
 /// (input values, state caps, depth caps — see [`checkpoint::scope_of`]);
@@ -409,7 +407,7 @@ where
 
     // First journal append failure, if any: it aborts the sweep (durability
     // is gone, so keeping going would checkpoint nothing) and surfaces as a
-    // loud `Err` after the strategy winds down.
+    // loud `Err` after the pool winds down.
     let journal_error: Mutex<Option<String>> = Mutex::new(None);
     let journal_append = |record: &JournalRecord| {
         let Some(journal) = &journal else { return };
@@ -433,9 +431,9 @@ where
         }
     };
 
-    // One combo exploration, handed to the strategy: deterministic per index
-    // (modulo the strategy-controlled `stop` probe), telemetry included.
-    let run_combo = |i: usize, stop: &(dyn Fn() -> bool + Sync)| -> ComboOutcome {
+    // One combo exploration, handed to the pool: deterministic per index
+    // (modulo the pool's `stop` probe), telemetry included.
+    let run_combo = |i: usize, stop: &dyn Fn() -> bool| -> ComboOutcome {
         if let Some(done) = recovered.get(&i) {
             // Recorded by a prior run of this exact sweep: replay verbatim.
             if let Some(tel) = &telemetry {
@@ -464,10 +462,6 @@ where
         }
         if let Some(flag) = &pressure {
             explorer = explorer.with_memory_pressure(Arc::clone(flag));
-        }
-        if let Some(journal) = &journal {
-            explorer = explorer
-                .with_progress_hook(ProgressHook::journaling(Arc::clone(journal), i as u64));
         }
         // Whether this exploration was ever told to stop: cut-short outcomes
         // depend on scheduling, so they must never be journaled as done.
@@ -516,10 +510,9 @@ where
         outcome
     };
 
-    let slots = config
-        .strategy
-        .build(jobs)
-        .run(explore.len(), &|k, stop| run_combo(explore[k], stop));
+    let slots = run_pool(config.strategy.pool_size(jobs), explore.len(), |k, stop| {
+        run_combo(explore[k], stop)
+    });
 
     // Final checkpoint: everything journaled so far is durable before the
     // report is assembled (signal-driven aborts land here too, so a graceful
@@ -543,8 +536,8 @@ where
     };
 
     // Assemble from combos 0..=best only (best = lowest violating index):
-    // those are exactly the combos a serial sweep explores, and the strategy
-    // contract guarantees each was fully explored, never skipped or aborted.
+    // those are exactly the combos a serial sweep explores, and the pool
+    // guarantees each was fully explored, never skipped or aborted.
     // Representatives of combos below `best` sit below `best`'s own slot in
     // the compacted list (reps[i] <= i and positions are ascending), so the
     // prefix contract carries over to the quotiented sweep.
@@ -1429,15 +1422,14 @@ mod tests {
 
     #[test]
     fn forced_strategies_reproduce_the_auto_report() {
-        use crate::strategy::StrategyKind;
         let reference = check_snapshot_task_with(&[1, 2], 500_000, &CheckConfig::serial())
             .unwrap()
             .report;
         for (strategy, jobs) in [
-            (StrategyKind::Serial, 4),
-            (StrategyKind::WorkerPool, 1),
-            (StrategyKind::WorkerPool, 4),
-            (StrategyKind::Auto, 2),
+            (StrategyKind::Auto, 1),
+            (StrategyKind::Auto, 4),
+            (StrategyKind::IntraCombo { workers: 2 }, 2),
+            (StrategyKind::IntraCombo { workers: 2 }, 4),
         ] {
             let config = CheckConfig::default()
                 .with_jobs(jobs)
@@ -1452,7 +1444,6 @@ mod tests {
 
     #[test]
     fn intra_strategy_reproduces_the_serial_sweep_report() {
-        use crate::strategy::StrategyKind;
         // Violating sweep: the intra BFS must select the same lowest
         // violating combo with the same schedule at every worker count and
         // jobs split, composed with the quotient and a spill-forcing budget.
@@ -1490,7 +1481,6 @@ mod tests {
 
     #[test]
     fn intra_checkpoint_journals_at_combo_granularity_only() {
-        use crate::strategy::StrategyKind;
         // Resume semantics are untouched by the intra strategy: a journal
         // written under `--strategy intra` holds exactly the combo-level
         // record stream a serial run writes — same record count, no new
@@ -1610,6 +1600,61 @@ mod tests {
             replayed.telemetry.per_combo_states,
             baseline.telemetry.per_combo_states
         );
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_resume_past_a_retired_record_tag_is_byte_identical() {
+        // A journal from an older build may hold a checksum-valid frame with
+        // the retired progress tag (4) mid-stream. Recovery keeps the records
+        // before it, drops the rest, and the resumed sweep re-explores the
+        // combos that follow: same report as an uninterrupted sweep.
+        let dir = scratch_checkpoint_dir("skew");
+        let baseline = write_once_sweep(1);
+        let cp = CheckpointConfig::new(&dir);
+        write_once_sweep_with(&CheckConfig::serial().with_checkpoint(cp.clone()))
+            .expect("checkpointed sweep");
+
+        // Header plus claim/done pairs for combos 0..10, then the skewed
+        // frame, then the rest of the original journal.
+        let path = SweepJournal::journal_path(&dir);
+        let bytes = std::fs::read(&path).expect("read journal");
+        let mut cut = 0;
+        for _ in 0..1 + 2 * 10 {
+            // Frame: u32 payload length, u64 checksum, payload.
+            let len = u32::from_le_bytes(bytes[cut..cut + 4].try_into().unwrap()) as usize;
+            cut += 12 + len;
+        }
+        let mut skewed = bytes[..cut].to_vec();
+        skewed.extend_from_slice(&checkpoint::retired_progress_frame(10));
+        skewed.extend_from_slice(&bytes[cut..]);
+        std::fs::write(&path, &skewed).expect("write skewed journal");
+        let recovery = crate::inspect_journal(&dir).expect("intact header");
+        assert_eq!(
+            recovery.completed.len(),
+            10,
+            "the skewed frame ends the prefix"
+        );
+        assert_eq!(recovery.truncated_bytes, (skewed.len() - cut) as u64);
+
+        let registry = Arc::new(MetricRegistry::new());
+        let config = CheckConfig::serial()
+            .with_checkpoint(cp.with_resume())
+            .with_telemetry(Arc::clone(&registry));
+        let resumed = write_once_sweep_with(&config).expect("resumed sweep");
+        assert_eq!(
+            format!("{:?}", resumed.report),
+            format!("{:?}", baseline.report)
+        );
+        assert_eq!(
+            resumed.telemetry.per_combo_states,
+            baseline.telemetry.per_combo_states
+        );
+        let snap = registry.sample(0, None);
+        assert_eq!(snap.gauge("ckpt.recovered"), 10);
+        // Combos 10..=24 re-explored: one claim + one done each.
+        assert_eq!(snap.counter("ckpt.records"), 30);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -27,7 +27,7 @@ use crate::arena::{
     step_block_row_in, step_row_in, ArenaTables, OverlayLog, OverlayTables, StateView, HALTED,
 };
 use crate::canon::{compose, invert, Canonicalizer};
-use crate::checkpoint::{crash_point, ProgressHook};
+use crate::checkpoint::crash_point;
 use crate::store::{
     hash_row, HashedStore, InMemoryVisited, ShardedVisited, TieredVisited, VisitedStore,
 };
@@ -248,7 +248,6 @@ where
     corrupt_spill: bool,
     spill_dir: Option<std::path::PathBuf>,
     pressure: Option<Arc<std::sync::atomic::AtomicBool>>,
-    progress: Option<ProgressHook>,
 }
 
 /// Totals an exploration has already published as telemetry counter deltas.
@@ -261,9 +260,9 @@ struct Flushed {
 
 /// How many state expansions, counted in commit order, pass between polls
 /// of the external stop signal: frequent enough to abort promptly, rare
-/// enough to keep the check off the hot path. Telemetry, the progress hook
-/// and the `explorer.poll` crash point share the same boundary, so it is the
-/// same for every worker count.
+/// enough to keep the check off the hot path. Telemetry and the
+/// `explorer.poll` crash point share the same boundary, so it is the same
+/// for every worker count.
 const STOP_POLL_INTERVAL: usize = 1024;
 
 /// One in this many expansions is wall-clock timed for the `mc.dedup` span
@@ -324,7 +323,6 @@ where
             corrupt_spill: false,
             spill_dir: None,
             pressure: None,
-            progress: None,
         }
     }
 
@@ -428,16 +426,6 @@ where
     #[must_use]
     pub fn with_memory_pressure(mut self, flag: Arc<std::sync::atomic::AtomicBool>) -> Self {
         self.pressure = Some(flag);
-        self
-    }
-
-    /// Attaches a progress hook fired with `(states, depth)` on every
-    /// stop-poll boundary — the checkpoint journal uses it to record
-    /// throttled partial-BFS markers. Purely observational: attaching a
-    /// hook never changes the [`ExploreReport`].
-    #[must_use]
-    pub fn with_progress_hook(mut self, hook: ProgressHook) -> Self {
-        self.progress = Some(hook);
         self
     }
 
@@ -750,9 +738,6 @@ where
                         if since_poll >= STOP_POLL_INTERVAL {
                             since_poll = 0;
                             self.flush_telemetry(&mut flushed, &store, depth, &tables);
-                            if let Some(hook) = &self.progress {
-                                hook.fire(store.len() as u64, depth as u64);
-                            }
                             crash_point("explorer.poll");
                             if stop() {
                                 break 'run (false, None);

@@ -13,8 +13,9 @@
 //!   checking on every reachable state and counterexample schedules. The
 //!   hot path runs over the flat id arena of [`arena`]; invariants observe
 //!   states through the borrow-only [`StateView`].
-//! * [`strategy`] — factory-selectable sweep executors
-//!   (serial / worker pool) behind one [`ExploreStrategy`] contract.
+//! * [`strategy`] — how a sweep spends its `--jobs` budget: one combo
+//!   claim loop for any thread count, optionally with intra-combo BFS
+//!   workers ([`StrategyKind`]).
 //! * [`canon`] — symmetry-quotient canonicalization: orbit-representative
 //!   arena rows under the system's processor/register automorphism group,
 //!   with exact orbit sizes for full-space accounting.
@@ -66,10 +67,10 @@ pub use arena::{ArenaState, ArenaTables, IdSpaceExhausted, StateView};
 pub use canon::Canonicalizer;
 pub use checkpoint::{
     crash_point, inspect_journal, scope_of, sweep_fingerprint, CheckpointConfig, JournalError,
-    JournalHeader, JournalRecord, MemoryWatchdog, ProgressHook, Recovery, SweepJournal,
+    JournalHeader, JournalRecord, MemoryWatchdog, Recovery, SweepJournal,
 };
 pub use checks::{CheckConfig, CheckOutcome, QuotientStats, TaskCheckReport};
 pub use explorer::{step_block, ExploreReport, Explorer, McState, Violation};
 pub use store::{InMemoryVisited, ShardedVisited, StoreError, TieredVisited, VisitedStore};
-pub use strategy::{ComboOutcome, ExploreStrategy, StrategyKind};
+pub use strategy::{ComboOutcome, StrategyKind};
 pub use telemetry::{ExplorerTelemetry, SweepTelemetry};

@@ -1,14 +1,12 @@
-//! Pluggable execution strategies for wiring-combination sweeps.
+//! How a wiring-combination sweep spreads over threads.
 //!
 //! A sweep is a loop over independent combo explorations with one shared
 //! rule: the report must cover exactly the serial prefix `0..=B`, where `B`
 //! is the lowest violating combo index (all combos when none violates).
-//! [`ExploreStrategy`] abstracts *how* that prefix gets explored —
-//! [`Serial`] walks it in order on the calling thread, [`WorkerPool`] fans
-//! combos across a scoped thread pool with atomic claiming and
-//! lowest-violation tracking (the PR 2 sweep executor, absorbed here) — so
-//! future schedulers (e.g. a speculative Block-STM-style executor) slot in
-//! behind [`StrategyKind`] without touching any harness call site.
+//! One claim loop, [`run_pool`], explores that prefix on any number of
+//! threads; a serial sweep is a pool of one. [`StrategyKind`] only decides
+//! how a `--jobs` budget is split between combo-level threads and
+//! intra-combo BFS workers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -29,122 +27,62 @@ pub struct ComboOutcome {
     pub violation: Option<String>,
 }
 
-/// One combo exploration: invoked with the combo index and a `stop` probe
-/// the exploration polls (returning `true` makes it abort early — used to
-/// cancel combos made redundant by a lower-indexed violation). Must be
-/// deterministic per index when `stop` stays `false`.
-pub type ComboRunner<'a> = dyn Fn(usize, &(dyn Fn() -> bool + Sync)) -> ComboOutcome + Sync + 'a;
-
-/// How a sweep's combo explorations are executed.
+/// Explores combos `0..total` on a pool of `jobs` threads and returns one
+/// slot per combo.
 ///
-/// # Contract
-///
-/// Let `B` be the lowest index for which the runner reports a violation
-/// (`total` when none does). An implementation must return one slot per
-/// combo such that every slot in `0..=B.min(total-1)` is `Some` and holds a
-/// run that was **never aborted** (its `stop` probe never fired) — those are
-/// exactly the combos a serial sweep explores, which is what makes assembled
-/// reports byte-identical across strategies and worker counts. Slots above
-/// `B` may be `None` (skipped) or hold aborted runs; assembly ignores them.
-pub trait ExploreStrategy: std::fmt::Debug {
-    /// Strategy name, for diagnostics and CLI surfaces.
-    fn name(&self) -> &'static str;
-
-    /// Executes `run_combo` over combos `0..total` under the contract above.
-    fn run(&self, total: usize, run_combo: &ComboRunner<'_>) -> Vec<Option<ComboOutcome>>;
-}
-
-/// In-order exploration on the calling thread, stopping at the first
-/// violating combo. The reference implementation of the contract.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Serial;
-
-impl ExploreStrategy for Serial {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn run(&self, total: usize, run_combo: &ComboRunner<'_>) -> Vec<Option<ComboOutcome>> {
-        let mut slots: Vec<Option<ComboOutcome>> = (0..total).map(|_| None).collect();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            let outcome = run_combo(i, &|| false);
-            let violated = outcome.violation.is_some();
-            *slot = Some(outcome);
-            if violated {
-                break;
-            }
+/// Workers claim indices from a shared counter, lower a shared *best*
+/// (lowest violating index) with `fetch_min` on violations, and skip or
+/// stop combos above it through the `stop` probe handed to `run_combo`
+/// (which must be deterministic per index while `stop` stays `false`).
+/// Best never rises, so every slot in `0..=B` is `Some` and holds a run
+/// that was never stopped — exactly the combos a serial sweep explores.
+/// Slots above `B` are `None` or hold stopped runs; assembly ignores them.
+/// The calling thread is worker 0, so one job spawns no thread.
+pub(crate) fn run_pool<F>(jobs: usize, total: usize, run_combo: F) -> Vec<Option<ComboOutcome>>
+where
+    F: Fn(usize, &dyn Fn() -> bool) -> ComboOutcome + Sync,
+{
+    // Both atomics are Relaxed: they publish no other data (outcomes reach
+    // the caller through the `OnceLock` slots and the scope's join).
+    let next = AtomicUsize::new(0);
+    // Lowest combo index with a violation found so far (MAX = none yet).
+    let best = AtomicUsize::new(usize::MAX);
+    let slots: Vec<OnceLock<ComboOutcome>> = (0..total).map(|_| OnceLock::new()).collect();
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= total {
+            break;
         }
-        slots
-    }
+        // A violation at a lower index makes this combo irrelevant.
+        if i > best.load(Ordering::Relaxed) {
+            continue;
+        }
+        let outcome = run_combo(i, &|| i > best.load(Ordering::Relaxed));
+        if outcome.violation.is_some() {
+            best.fetch_min(i, Ordering::Relaxed);
+        }
+        let _ = slots[i].set(outcome);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..jobs.min(total) {
+            scope.spawn(worker);
+        }
+        worker();
+    });
+    slots.into_iter().map(OnceLock::into_inner).collect()
 }
 
-/// Scoped worker pool with atomic combo claiming: workers pull indices from
-/// a shared counter, lower a shared *best* (lowest violating index) with
-/// `fetch_min` on violations, and skip or abort combos above it. A combo
-/// below the final best is never skipped nor aborted (best never rises), so
-/// the contract's prefix is always fully explored.
-#[derive(Clone, Copy, Debug)]
-pub struct WorkerPool {
-    /// Worker threads to spawn (at least 1).
-    pub jobs: usize,
-}
-
-impl ExploreStrategy for WorkerPool {
-    fn name(&self) -> &'static str {
-        "pool"
-    }
-
-    fn run(&self, total: usize, run_combo: &ComboRunner<'_>) -> Vec<Option<ComboOutcome>> {
-        let jobs = self.jobs.max(1).min(total.max(1));
-        let next = AtomicUsize::new(0);
-        // Lowest combo index with a violation found so far (MAX = none yet).
-        let best = AtomicUsize::new(usize::MAX);
-        let slots: Vec<OnceLock<ComboOutcome>> = (0..total).map(|_| OnceLock::new()).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
-                    }
-                    // A violation at a lower index makes this combo
-                    // irrelevant.
-                    if i > best.load(Ordering::Relaxed) {
-                        continue;
-                    }
-                    let stop = || i > best.load(Ordering::Relaxed);
-                    let outcome = run_combo(i, &stop);
-                    if outcome.violation.is_some() {
-                        best.fetch_min(i, Ordering::Relaxed);
-                    }
-                    let _ = slots[i].set(outcome);
-                });
-            }
-        });
-
-        slots.into_iter().map(OnceLock::into_inner).collect()
-    }
-}
-
-/// Factory selector for an [`ExploreStrategy`] — the knob
-/// [`crate::CheckConfig`] carries, so harness call sites never name a
-/// concrete executor.
+/// How a sweep's `--jobs` budget is spent — the knob
+/// [`crate::CheckConfig`] carries. Never changes the report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StrategyKind {
-    /// [`Serial`] when one worker is requested, [`WorkerPool`] otherwise.
+    /// A combo pool of `jobs` threads, each running one combo's BFS at a
+    /// time (`--jobs 1` is the serial sweep).
     #[default]
     Auto,
-    /// Always [`Serial`], regardless of the job count.
-    Serial,
-    /// Always [`WorkerPool`] (with however many jobs are configured, even
-    /// one).
-    WorkerPool,
     /// Intra-combo parallelism: each combo's BFS runs level-synchronized on
-    /// `workers` threads (`0` = auto-detect the core count), nested inside a
-    /// combo-level [`WorkerPool`] that shares the same core budget — with
-    /// `--jobs J` and `W` intra workers, `max(1, J / W)` combos run
-    /// concurrently.
+    /// `workers` threads (`0` = auto-detect the core count), inside a combo
+    /// pool of `max(1, jobs / workers)` threads sharing the same budget.
     IntraCombo {
         /// Threads per combo exploration (`0` = `available_parallelism`).
         workers: usize,
@@ -152,38 +90,26 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
-    /// Builds the selected strategy for a sweep that will use `jobs` worker
-    /// threads. For [`StrategyKind::IntraCombo`] the `jobs` budget is split:
-    /// the combo-level pool gets `max(1, jobs / workers)` threads, each of
-    /// which drives an exploration with [`Self::intra_workers`] threads.
-    #[must_use]
-    pub fn build(self, jobs: usize) -> Box<dyn ExploreStrategy + Send + Sync> {
-        match self {
-            StrategyKind::Auto if jobs <= 1 => Box::new(Serial),
-            StrategyKind::Auto | StrategyKind::WorkerPool => Box::new(WorkerPool { jobs }),
-            StrategyKind::Serial => Box::new(Serial),
-            StrategyKind::IntraCombo { .. } => {
-                let w = self.intra_workers().unwrap_or(1).max(1);
-                Box::new(WorkerPool {
-                    jobs: (jobs / w).max(1),
-                })
-            }
-        }
-    }
-
     /// Threads each combo exploration should use, with `workers: 0`
-    /// resolved to the detected core count. `None` for every strategy other
-    /// than [`StrategyKind::IntraCombo`] — harnesses use this to pick
-    /// between `run_until` and `run_until_intra`.
+    /// resolved to the detected core count. `None` for
+    /// [`StrategyKind::Auto`] — harnesses use this to pick between
+    /// `run_until` and `run_until_intra`.
     #[must_use]
     pub fn intra_workers(self) -> Option<usize> {
         match self {
+            StrategyKind::Auto => None,
             StrategyKind::IntraCombo { workers: 0 } => {
                 Some(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
             }
             StrategyKind::IntraCombo { workers } => Some(workers),
-            _ => None,
         }
+    }
+
+    /// Combo-pool threads for a sweep with a `jobs` budget: all of it for
+    /// [`StrategyKind::Auto`], `max(1, jobs / workers)` for
+    /// [`StrategyKind::IntraCombo`].
+    pub(crate) fn pool_size(self, jobs: usize) -> usize {
+        (jobs / self.intra_workers().unwrap_or(1).max(1)).max(1)
     }
 }
 
@@ -199,11 +125,10 @@ impl std::str::FromStr for StrategyKind {
         }
         match s {
             "auto" => Ok(StrategyKind::Auto),
-            "serial" => Ok(StrategyKind::Serial),
-            "pool" | "worker-pool" => Ok(StrategyKind::WorkerPool),
             "intra" => Ok(StrategyKind::IntraCombo { workers: 0 }),
             other => Err(format!(
-                "unknown strategy {other:?} (expected auto, serial, pool, intra, or intra:<N>)"
+                "unknown strategy {other:?} (expected auto, intra, or intra:<N>; \
+                 a serial sweep is --jobs 1)"
             )),
         }
     }
@@ -214,11 +139,11 @@ mod tests {
     use super::*;
 
     /// A synthetic runner: combo `i` "explores" `i + 1` states and violates
-    /// exactly on the indices in `violations`. Counts aborted runs so tests
-    /// can assert the prefix contract.
+    /// exactly on the indices in `violations`. Stopped runs report
+    /// incomplete so tests can assert the prefix contract.
     fn runner(
         violations: &'static [usize],
-    ) -> impl Fn(usize, &(dyn Fn() -> bool + Sync)) -> ComboOutcome + Sync {
+    ) -> impl Fn(usize, &dyn Fn() -> bool) -> ComboOutcome + Sync {
         move |i, stop| {
             let aborted = stop();
             ComboOutcome {
@@ -244,7 +169,17 @@ mod tests {
 
     #[test]
     fn serial_stops_at_the_first_violation() {
-        let slots = Serial.run(10, &runner(&[4, 7]));
+        // A pool of one runs on the calling thread in index order and skips
+        // everything past the first violation.
+        let caller = std::thread::current().id();
+        let slots = run_pool(1, 10, |i, stop| {
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "one job spawns no thread"
+            );
+            runner(&[4, 7])(i, stop)
+        });
         assert!(slots[..=4].iter().all(Option::is_some));
         assert!(slots[5..].iter().all(Option::is_none));
         assert_eq!(
@@ -256,9 +191,9 @@ mod tests {
     #[test]
     fn pool_matches_serial_prefix_for_all_job_counts() {
         for violations in [&[][..], &[0][..], &[4, 7][..], &[9][..]] {
-            let reference = assembled_prefix(&Serial.run(10, &runner(violations)));
-            for jobs in [1, 2, 4, 8] {
-                let slots = WorkerPool { jobs }.run(10, &runner(violations));
+            let reference = assembled_prefix(&run_pool(1, 10, runner(violations)));
+            for jobs in [2, 4, 8] {
+                let slots = run_pool(jobs, 10, runner(violations));
                 assert_eq!(
                     assembled_prefix(&slots),
                     reference,
@@ -271,7 +206,7 @@ mod tests {
     #[test]
     fn pool_prefix_is_never_aborted() {
         for _ in 0..20 {
-            let slots = WorkerPool { jobs: 8 }.run(16, &runner(&[5]));
+            let slots = run_pool(8, 16, runner(&[5]));
             for slot in assembled_prefix(&slots) {
                 assert!(slot.complete, "prefix combos must never be aborted");
             }
@@ -279,20 +214,15 @@ mod tests {
     }
 
     #[test]
-    fn factory_selects_by_kind_and_jobs() {
-        assert_eq!(StrategyKind::Auto.build(1).name(), "serial");
-        assert_eq!(StrategyKind::Auto.build(4).name(), "pool");
-        assert_eq!(StrategyKind::Serial.build(4).name(), "serial");
-        assert_eq!(StrategyKind::WorkerPool.build(1).name(), "pool");
-        assert_eq!(
-            "pool".parse::<StrategyKind>().unwrap(),
-            StrategyKind::WorkerPool
-        );
-        assert_eq!(
-            "serial".parse::<StrategyKind>().unwrap(),
-            StrategyKind::Serial
-        );
-        assert!("bogus".parse::<StrategyKind>().is_err());
+    fn kind_sizes_the_combo_pool() {
+        assert_eq!(StrategyKind::Auto.pool_size(1), 1);
+        assert_eq!(StrategyKind::Auto.pool_size(4), 4);
+        assert_eq!("auto".parse::<StrategyKind>().unwrap(), StrategyKind::Auto);
+        // A serial sweep is `--jobs 1` and the combo pool is the default,
+        // so neither has a strategy name.
+        for other in ["serial", "pool", "worker-pool", "bogus"] {
+            assert!(other.parse::<StrategyKind>().is_err(), "{other}");
+        }
     }
 
     #[test]
@@ -300,15 +230,15 @@ mod tests {
         let intra4 = "intra:4".parse::<StrategyKind>().unwrap();
         assert_eq!(intra4, StrategyKind::IntraCombo { workers: 4 });
         assert_eq!(intra4.intra_workers(), Some(4));
-        // 8 jobs / 4 intra workers = 2 combo-level workers.
-        assert_eq!(intra4.build(8).name(), "pool");
+        // 8 jobs / 4 intra workers = 2 combo-level workers; never 0.
+        assert_eq!(intra4.pool_size(8), 2);
+        assert_eq!(intra4.pool_size(2), 1);
         // The auto form resolves 0 to the detected core count, never 0.
         let auto = "intra".parse::<StrategyKind>().unwrap();
         assert_eq!(auto, StrategyKind::IntraCombo { workers: 0 });
         assert!(auto.intra_workers().unwrap() >= 1);
-        // Non-intra kinds expose no intra worker count.
+        // The combo pool alone exposes no intra worker count.
         assert_eq!(StrategyKind::Auto.intra_workers(), None);
-        assert_eq!(StrategyKind::WorkerPool.intra_workers(), None);
         assert!("intra:x".parse::<StrategyKind>().is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Differential guarantees for the exploration engine: it must report
 //! **identically** to a naive reference explorer that shares none of its
 //! code (see `support`), and a sweep's `TaskCheckReport` must be
-//! byte-identical (`{:?}`) across every strategy and worker count. These are
+//! byte-identical (`{:?}`) across every job count and strategy. These are
 //! the invariants that make the arena, the transition memo, the stores and
 //! the worker crew pure implementation choices — same states, same order,
 //! same verdicts.
@@ -10,7 +10,7 @@ mod support;
 
 use std::sync::Arc;
 
-use fa_core::{ConsensusProcess, SnapshotProcess};
+use fa_core::{ConsensusProcess, RenamingProcess, SnapRegister, SnapshotProcess, ViewValue};
 use fa_memory::{ProcId, Wiring};
 use fa_modelcheck::checks::{
     check_consensus_safety_with, check_snapshot_task_coarse_with, check_snapshot_task_with,
@@ -103,6 +103,61 @@ fn n3_wirings() -> Vec<Wiring> {
     ]
 }
 
+fn renaming_procs(inputs: &[u32]) -> Vec<RenamingProcess<u32>> {
+    inputs
+        .iter()
+        .map(|&x| RenamingProcess::new(x, inputs.len()))
+        .collect()
+}
+
+fn consensus_procs(inputs: &[u32]) -> Vec<ConsensusProcess<u32>> {
+    inputs
+        .iter()
+        .map(|&x| ConsensusProcess::new(x, inputs.len()))
+        .collect()
+}
+
+/// A deliberately failing invariant for the snapshot-register systems:
+/// trips on the first write a process makes after climbing to level 1.
+fn no_level_one_write<P, V>(s: &McState<P>) -> Result<(), String>
+where
+    P: fa_memory::Process<Value = SnapRegister<V>> + Clone + Eq + std::hash::Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + std::hash::Hash + std::fmt::Debug,
+    V: ViewValue + std::hash::Hash + std::fmt::Debug,
+{
+    match s.memory.iter().position(|r| r.level >= 1) {
+        Some(g) => Err(format!("register {g} written at level 1")),
+        None => Ok(()),
+    }
+}
+
+/// The safety property shared by renaming and consensus, as a predicate on
+/// `(input_i, output_i, input_j, output_j)` over every pair of decided
+/// processors.
+fn pairwise<P>(
+    inputs: &'static [u32],
+    clash: impl Fn(u32, &P::Output, u32, &P::Output) -> bool,
+) -> impl Fn(&McState<P>) -> Result<(), String>
+where
+    P: fa_memory::Process + Clone + Eq + std::hash::Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + std::hash::Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + std::hash::Hash + std::fmt::Debug,
+{
+    move |s| {
+        let outs = s.first_outputs();
+        for (i, a) in outs.iter().enumerate() {
+            for (j, b) in outs.iter().enumerate().skip(i + 1) {
+                if let (Some(a), Some(b)) = (a, b) {
+                    if clash(inputs[i], a, inputs[j], b) {
+                        return Err(format!("p{i} output {a:?}, p{j} output {b:?}"));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 fn bounds(coarse: bool, max_states: usize) -> Bounds {
     Bounds {
         coarse,
@@ -172,21 +227,78 @@ fn arena_matches_reference_on_a_violating_invariant() {
 }
 
 #[test]
+fn arena_matches_reference_on_the_renaming_system() {
+    // Processors of different groups never take the same name.
+    const N2: &[u32] = &[1, 2];
+    const N3: &[u32] = &[1, 2, 3];
+    let distinct_names =
+        |inputs| pairwise::<RenamingProcess<u32>>(inputs, |x, a, y, b| x != y && a == b);
+    for coarse in [false, true] {
+        let report = check_against_reference(
+            renaming_procs(N2),
+            n2_wirings(),
+            bounds(coarse, 1_000_000),
+            distinct_names(N2),
+        );
+        assert!(report.complete, "n=2 renaming space is exhaustible");
+        assert!(report.violation.is_none());
+        let report = check_against_reference(
+            renaming_procs(N3),
+            n3_wirings(),
+            bounds(coarse, 4_000),
+            distinct_names(N3),
+        );
+        assert_eq!(report.states, 4_000, "the n=3 space outgrows the cap");
+        let report = check_against_reference(
+            renaming_procs(N3),
+            n3_wirings(),
+            bounds(coarse, 20_000),
+            no_level_one_write,
+        );
+        assert!(report.violation.is_some(), "coarse = {coarse}: must trip");
+    }
+}
+
+#[test]
 fn arena_matches_reference_on_the_consensus_system() {
     // Unbounded timestamp space: every path stops at the same caps with the
-    // same visited prefix.
-    let procs: Vec<ConsensusProcess<u32>> = [7u32, 9]
-        .iter()
-        .map(|&x| ConsensusProcess::new(x, 2))
-        .collect();
-    let wirings = vec![Wiring::identity(2), Wiring::identity(2)];
-    let bounds = Bounds {
-        coarse: false,
-        max_states: 20_000,
-        max_depth: Some(40),
-    };
-    let report = check_against_reference(procs, wirings, bounds, |_| Ok(()));
-    assert!(!report.complete);
+    // same visited prefix and the same agreement verdict. The level-1 write
+    // lies past depth 12 when stepping per read, so that run drops the
+    // depth cap.
+    const N2: &[u32] = &[7, 9];
+    const N3: &[u32] = &[7, 9, 7];
+    let agreement = |inputs| pairwise::<ConsensusProcess<u32>>(inputs, |_, a, _, b| a != b);
+    for coarse in [false, true] {
+        let bounds = Bounds {
+            coarse,
+            max_states: 20_000,
+            max_depth: Some(40),
+        };
+        let wirings = vec![Wiring::identity(2), Wiring::identity(2)];
+        let report = check_against_reference(consensus_procs(N2), wirings, bounds, agreement(N2));
+        assert!(!report.complete);
+        assert!(report.violation.is_none());
+        let bounds = Bounds {
+            coarse,
+            max_states: 4_000,
+            max_depth: Some(12),
+        };
+        let report =
+            check_against_reference(consensus_procs(N3), n3_wirings(), bounds, agreement(N3));
+        assert!(!report.complete);
+        assert!(report.violation.is_none());
+        let report = check_against_reference(
+            consensus_procs(N3),
+            n3_wirings(),
+            Bounds {
+                max_states: 20_000,
+                max_depth: None,
+                ..bounds
+            },
+            no_level_one_write,
+        );
+        assert!(report.violation.is_some(), "coarse = {coarse}: must trip");
+    }
 }
 
 #[test]
@@ -220,25 +332,16 @@ fn quotient_estimate_is_the_reference_count() {
 
 #[test]
 fn sweep_reports_are_byte_identical_across_jobs_and_strategies() {
-    // The E13-style guarantee, extended to the strategy factory: the full
-    // `{:?}` rendering of a TaskCheckReport is one fixed byte string no
-    // matter how the sweep was executed.
+    // The E13-style guarantee: the full `{:?}` rendering of a
+    // TaskCheckReport is one fixed byte string no matter how many combo
+    // threads the sweep ran on, or whether each combo's BFS had a crew.
     let configs = [
+        CheckConfig::default().with_jobs(1),
+        CheckConfig::default().with_jobs(2),
+        CheckConfig::default().with_jobs(4),
         CheckConfig::default()
-            .with_jobs(1)
-            .with_strategy(StrategyKind::Auto),
-        CheckConfig::default()
-            .with_jobs(4)
-            .with_strategy(StrategyKind::Auto),
-        CheckConfig::default()
-            .with_jobs(4)
-            .with_strategy(StrategyKind::Serial),
-        CheckConfig::default()
-            .with_jobs(1)
-            .with_strategy(StrategyKind::WorkerPool),
-        CheckConfig::default()
-            .with_jobs(4)
-            .with_strategy(StrategyKind::WorkerPool),
+            .with_jobs(2)
+            .with_strategy(StrategyKind::IntraCombo { workers: 2 }),
     ];
 
     let fine_ref = format!(

@@ -133,8 +133,9 @@ fn consensus_sweeps_match_under_quotient() {
 
 #[test]
 fn quotiented_sweeps_are_byte_identical_across_jobs_and_strategies() {
-    // The strategy-independence guarantee survives the quotient: one fixed
-    // `{:?}` rendering (stats included) for every executor shape.
+    // The job-count independence guarantee survives the quotient: one fixed
+    // `{:?}` rendering (stats included) for every pool size and for an
+    // intra-combo crew.
     let reference = format!(
         "{:?}",
         check_snapshot_task_coarse_with(&[7, 7, 7], 3_000, &quotiented())
@@ -142,14 +143,12 @@ fn quotiented_sweeps_are_byte_identical_across_jobs_and_strategies() {
             .report
     );
     let configs = [
+        CheckConfig::default().with_jobs(1).with_quotient(),
+        CheckConfig::default().with_jobs(2).with_quotient(),
         CheckConfig::default().with_jobs(4).with_quotient(),
         CheckConfig::default()
-            .with_jobs(4)
-            .with_strategy(StrategyKind::Serial)
-            .with_quotient(),
-        CheckConfig::default()
-            .with_jobs(4)
-            .with_strategy(StrategyKind::WorkerPool)
+            .with_jobs(2)
+            .with_strategy(StrategyKind::IntraCombo { workers: 2 })
             .with_quotient(),
     ];
     for config in &configs {

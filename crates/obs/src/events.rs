@@ -239,35 +239,24 @@ pub struct BackoffEvent {
 /// What a checkpoint event describes (see [`CheckpointEvent`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CheckpointAction {
-    /// A fresh journal was created for a sweep.
-    Created,
-    /// A combo was claimed (journaled before its exploration starts).
-    Claimed,
-    /// A combo's deterministic outcome was durably recorded.
-    Completed,
-    /// A long combo published a mid-flight progress record.
-    Progress,
-    /// The journal was fsynced (epoch boundary or final checkpoint).
-    Synced,
     /// A prior run's journal was scanned and its outcomes recovered.
     Recovered,
 }
 
 /// One checkpoint-journal transition — emitted by crash-safe sweep drivers
-/// (journal creation, claims, completions, syncs, and recovery).
+/// when they recover a prior run's journal.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointEvent {
     /// What happened.
     pub action: CheckpointAction,
-    /// The wiring-combination index involved, when the action is per-combo.
+    /// The wiring-combination index involved (`None` for
+    /// [`CheckpointAction::Recovered`], which covers the whole journal).
     pub combo: Option<u64>,
-    /// Combo outcomes durably recorded in the journal so far (after this
-    /// action; for [`CheckpointAction::Recovered`], the recovered count).
+    /// Combo outcomes recovered from the journal.
     pub combos_recorded: u64,
-    /// Journal size in bytes after this action.
+    /// Journal size in bytes.
     pub journal_bytes: u64,
-    /// Bytes dropped from a torn/corrupt journal tail (only nonzero for
-    /// [`CheckpointAction::Recovered`]).
+    /// Bytes dropped from a torn/corrupt journal tail.
     pub truncated_bytes: u64,
 }
 

@@ -411,8 +411,8 @@ mod tests {
             calls: 7,
         });
         probe.on_checkpoint(&CheckpointEvent {
-            action: crate::CheckpointAction::Completed,
-            combo: Some(12),
+            action: crate::CheckpointAction::Recovered,
+            combo: None,
             combos_recorded: 13,
             journal_bytes: 2_048,
             truncated_bytes: 0,
