@@ -51,7 +51,7 @@ use fa_modelcheck::checks::{
     TaskCheckReport,
 };
 use fa_modelcheck::CheckConfig;
-use fa_obs::{JsonlSink, Probe, SweepEvent};
+use fa_obs::{JsonlSink, Probe, ProbeEvent, SweepEvent};
 
 /// Several distinct sweeps run in one invocation; each gets its own journal
 /// under a per-sweep subdirectory so `--resume` always meets a journal whose
@@ -207,7 +207,7 @@ fn main() {
     // Persist the sweep telemetry through the probe layer.
     let mut sink = JsonlSink::new(Vec::new());
     for ev in &telemetry {
-        sink.on_sweep(ev);
+        sink.on_event(&ProbeEvent::Sweep(ev.clone()));
     }
     fs::create_dir_all("results").expect("create results dir");
     let mut f =

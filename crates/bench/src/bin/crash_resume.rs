@@ -40,7 +40,7 @@ use fa_bench::{check_config_from_cli, cli_flag, cli_value, report_exit_code, rng
 use fa_modelcheck::checkpoint::{CRASH_ENV, JOURNAL_FILE};
 use fa_modelcheck::checks::check_snapshot_task_coarse_with;
 use fa_modelcheck::inspect_journal;
-use fa_obs::{CheckpointAction, CheckpointEvent, JsonlSink, Probe};
+use fa_obs::{CheckpointAction, CheckpointEvent, JsonlSink, Probe, ProbeEvent};
 use rand::Rng;
 use serde_json::json;
 
@@ -282,13 +282,13 @@ fn parent_main() {
                                     let bytes = fs::metadata(dir.join(JOURNAL_FILE))
                                         .map(|m| m.len())
                                         .unwrap_or(0);
-                                    events.on_checkpoint(&CheckpointEvent {
+                                    events.on_event(&ProbeEvent::Checkpoint(CheckpointEvent {
                                         action: CheckpointAction::Recovered,
                                         combo: None,
                                         combos_recorded: rec.completed.len() as u64,
                                         journal_bytes: bytes,
                                         truncated_bytes: rec.truncated_bytes,
-                                    });
+                                    }));
                                 }
                                 Err(e) => failures.push(format!(
                                     "{}: pass {pass} journal unreadable after kill: {e}",

@@ -31,7 +31,7 @@ use fa_core::{BackoffArbiter, ConsensusProcess, RenamingProcess, SnapRegister, S
 use fa_memory::chaos::{run_chaos_probed, ChaosConfig, FaultPlan};
 use fa_memory::threaded::ProcOutcome;
 use fa_memory::Wiring;
-use fa_obs::{BackoffEvent, ChaosEvent, JsonlSink, Probe, ReadEvent, WriteEvent};
+use fa_obs::{BackoffEvent, ChaosEvent, JsonlSink, Probe, ProbeEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize as _;
@@ -49,14 +49,13 @@ struct CampaignProbe {
 }
 
 impl Probe for CampaignProbe {
-    fn on_read(&mut self, _event: &ReadEvent) {
-        self.reads += 1;
-    }
-    fn on_write(&mut self, _event: &WriteEvent) {
-        self.writes += 1;
-    }
-    fn on_chaos(&mut self, event: &ChaosEvent) {
-        self.chaos.push(event.clone());
+    fn on_event(&mut self, event: &ProbeEvent) {
+        match event {
+            ProbeEvent::Read(_) => self.reads += 1,
+            ProbeEvent::Write(_) => self.writes += 1,
+            ProbeEvent::Chaos(e) => self.chaos.push(e.clone()),
+            _ => {}
+        }
     }
 }
 
@@ -522,10 +521,10 @@ pub fn run_campaign(
     let mut sink = JsonlSink::new(Vec::new());
     for r in &results {
         for ev in &r.chaos_events {
-            sink.on_chaos(ev);
+            sink.on_event(&ProbeEvent::Chaos(ev.clone()));
         }
         for ev in &r.backoff_events {
-            sink.on_backoff(ev);
+            sink.on_event(&ProbeEvent::Backoff(ev.clone()));
         }
     }
     fs::write("results/chaos_events.jsonl", sink.into_inner()).expect("write event stream");

@@ -24,7 +24,7 @@ use fa_modelcheck::checks::{
     check_renaming_with, check_snapshot_task_coarse_with, check_snapshot_task_with, CheckConfig,
 };
 use fa_obs::BackoffEvent;
-use fa_obs::{JsonlSink, Probe as _, RunMetrics, SweepEvent};
+use fa_obs::{JsonlSink, Probe as _, ProbeEvent, RunMetrics, SweepEvent};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
@@ -399,7 +399,7 @@ pub fn run_report(jobs: Option<usize>) {
     let sweeps = sweep_cells(jobs);
     let mut sink = JsonlSink::new(Vec::new());
     for ev in &sweeps {
-        sink.on_sweep(ev);
+        sink.on_event(&ProbeEvent::Sweep(ev.clone()));
     }
 
     // Consensus-under-chaos backoff telemetry (threaded; see E20 for the

@@ -13,7 +13,7 @@
 //! [`snapshot_trajectories_probed`] to capture the full stream.
 
 use fa_memory::{Executor, MemoryError, ProcId, RandomScheduler, Scheduler, SharedMemory};
-use fa_obs::{Probe, ResetEvent, RunMetrics};
+use fa_obs::{Probe, ProbeEvent, ResetEvent, RunMetrics};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -69,7 +69,7 @@ pub fn snapshot_trajectories(
 /// into `probe`.
 ///
 /// The executor feeds the probe its read/write/output/covering events; this
-/// loop adds [`Probe::on_reset`] whenever a processor's level drops from a
+/// loop adds a [`ProbeEvent::Reset`] whenever a processor's level drops from a
 /// positive value to 0. The probe is returned alongside the trajectories, so
 /// a [`RunMetrics`] passed in comes back with `resets` matching
 /// [`SnapshotTrajectories::resets`].
@@ -133,11 +133,11 @@ pub fn snapshot_trajectories_probed<S: Scheduler, Pr: Probe>(
             });
             if level == 0 && old_level > 0 {
                 resets[p.0] += 1;
-                exec.probe_mut().on_reset(&ResetEvent {
+                exec.probe_mut().on_event(&ProbeEvent::Reset(ResetEvent {
                     proc_id: p.0,
                     time,
                     from_level: old_level as u64,
-                });
+                }));
             }
             peak_level[p.0] = peak_level[p.0].max(level);
             last[p.0] = (level, size);

@@ -14,7 +14,7 @@ use fa_memory::{
     CrashingScheduler, Executor, MemoryError, PctScheduler, ProcId, Process, RandomScheduler,
     Scheduler, ScriptedSchedule, SharedMemory,
 };
-use fa_obs::{FuzzEvent, MetricRegistry, Probe};
+use fa_obs::{FuzzEvent, MetricRegistry, Probe, ProbeEvent};
 
 use crate::case::{Algo, AlgoKind, CaseGen, FuzzCase};
 use crate::oracle::{ConsensusOracle, Oracle, RenamingOracle, SnapshotOracle, Violation};
@@ -439,7 +439,7 @@ pub fn run_campaign<Pr: Probe>(config: &CampaignConfig, probe: &mut Pr) -> Campa
         if tally.cases == 0 {
             continue;
         }
-        probe.on_fuzz(&FuzzEvent {
+        probe.on_event(&ProbeEvent::Fuzz(FuzzEvent {
             campaign: config.campaign.clone(),
             algo: kind.name().to_string(),
             jobs,
@@ -448,7 +448,7 @@ pub fn run_campaign<Pr: Probe>(config: &CampaignConfig, probe: &mut Pr) -> Campa
             total_steps: tally.total_steps,
             distinct_patterns: tally.distinct_patterns,
             elapsed_ns,
-        });
+        }));
     }
 
     CampaignReport {

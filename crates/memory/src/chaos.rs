@@ -78,8 +78,8 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use fa_obs::{
-    ChaosEvent, ChaosKind, Counter, MetricRegistry, NoProbe, OpKind, OutputEvent, Probe, ReadEvent,
-    Span, TimingEvent, WriteEvent,
+    ChaosEvent, ChaosKind, Counter, MetricRegistry, NoProbe, OpKind, OutputEvent, Probe,
+    ProbeEvent, ReadEvent, Span, TimingEvent, WriteEvent,
 };
 use parking_lot::Mutex;
 
@@ -455,13 +455,13 @@ impl FaultDriver {
                     if !*fired && ops_done >= at_op {
                         *fired = true;
                         if Pr::ENABLED {
-                            probe.on_chaos(&ChaosEvent {
+                            probe.on_event(&ProbeEvent::Chaos(ChaosEvent {
                                 proc_id,
                                 kind: ChaosKind::Stall,
                                 at_op: ops_done as u64,
                                 covered_global: None,
                                 stall_ns,
-                            });
+                            }));
                         }
                         std::thread::sleep(Duration::from_nanos(stall_ns));
                     }
@@ -472,13 +472,13 @@ impl FaultDriver {
                         // stalls exactly once.
                         *fired = true;
                         if Pr::ENABLED {
-                            probe.on_chaos(&ChaosEvent {
+                            probe.on_event(&ProbeEvent::Chaos(ChaosEvent {
                                 proc_id,
                                 kind: ChaosKind::Stall,
                                 at_op: ops_done as u64,
                                 covered_global: None,
                                 stall_ns,
-                            });
+                            }));
                         }
                         std::thread::sleep(Duration::from_nanos(stall_ns));
                     } else if ops_done % period != 0 {
@@ -837,13 +837,13 @@ where
             match driver.before_op(proc_id, ops, is_write, &mut probe) {
                 Some(Injection::CrashStop) => {
                     if Pr::ENABLED {
-                        probe.on_chaos(&ChaosEvent {
+                        probe.on_event(&ProbeEvent::Chaos(ChaosEvent {
                             proc_id,
                             kind: ChaosKind::CrashStop,
                             at_op: ops as u64,
                             covered_global: None,
                             stall_ns: 0,
-                        });
+                        }));
                     }
                     return WorkerExit::Done {
                         outcome: ProcOutcome::Crashed {
@@ -861,13 +861,13 @@ where
                         _ => unreachable!("poised crashes only fire on writes"),
                     };
                     if Pr::ENABLED {
-                        probe.on_chaos(&ChaosEvent {
+                        probe.on_event(&ProbeEvent::Chaos(ChaosEvent {
                             proc_id,
                             kind: ChaosKind::CrashPoised,
                             at_op: ops as u64,
                             covered_global: Some(global),
                             stall_ns: 0,
-                        });
+                        }));
                     }
                     return WorkerExit::Park {
                         outcome: ProcOutcome::Crashed {
@@ -881,13 +881,13 @@ where
                 }
                 Some(Injection::Panic) => {
                     if Pr::ENABLED {
-                        probe.on_chaos(&ChaosEvent {
+                        probe.on_event(&ProbeEvent::Chaos(ChaosEvent {
                             proc_id,
                             kind: ChaosKind::Panic,
                             at_op: ops as u64,
                             covered_global: None,
                             stall_ns: 0,
-                        });
+                        }));
                     }
                     panic!("chaos: injected panic on processor {proc_id} at op {ops}");
                 }
@@ -906,20 +906,20 @@ where
                     let lock_wait_ns = elapsed_ns(op_start);
                     value = Versioned::from_shared(Arc::clone(&guard.value), guard.version);
                     drop(guard);
-                    probe.on_read(&ReadEvent {
+                    probe.on_event(&ProbeEvent::Read(ReadEvent {
                         proc_id,
                         local: local.0,
                         global: global.0,
                         time,
                         read_from: None,
                         value: Pr::WANTS_VALUES.then(|| format!("{:?}", value.get())),
-                    });
-                    probe.on_timing(&TimingEvent {
+                    }));
+                    probe.on_event(&ProbeEvent::Timing(TimingEvent {
                         proc_id,
                         op: OpKind::Read,
                         ns: elapsed_ns(op_start),
                         lock_wait_ns,
-                    });
+                    }));
                 } else {
                     let guard = registers[global.0].lock();
                     value = Versioned::from_shared(Arc::clone(&guard.value), guard.version);
@@ -940,20 +940,20 @@ where
                     guard.value = cell;
                     guard.version += 1;
                     drop(guard);
-                    probe.on_write(&WriteEvent {
+                    probe.on_event(&ProbeEvent::Write(WriteEvent {
                         proc_id,
                         local: local.0,
                         global: global.0,
                         time,
                         overwrote_writer: None,
                         value: rendered,
-                    });
-                    probe.on_timing(&TimingEvent {
+                    }));
+                    probe.on_event(&ProbeEvent::Timing(TimingEvent {
                         proc_id,
                         op: OpKind::Write,
                         ns: elapsed_ns(op_start),
                         lock_wait_ns,
-                    });
+                    }));
                 } else {
                     let mut guard = registers[global.0].lock();
                     guard.value = cell;
@@ -964,18 +964,18 @@ where
             }
             Action::Output(o) => {
                 if Pr::ENABLED {
-                    probe.on_output(&OutputEvent {
+                    probe.on_event(&ProbeEvent::Output(OutputEvent {
                         proc_id,
                         time,
                         value: Pr::WANTS_VALUES.then(|| format!("{o:?}")),
-                    });
+                    }));
                 }
                 outputs.push(o);
                 StepInput::OutputRecorded
             }
             Action::Halt => {
                 if Pr::ENABLED {
-                    probe.on_halt(proc_id, time);
+                    probe.on_event(&ProbeEvent::Halt { proc_id, time });
                 }
                 halted = true;
                 break;
@@ -1121,15 +1121,50 @@ mod tests {
         assert!(report.outcomes[2].is_completed());
     }
 
+    /// Writes `10 * id + r` to register 0 in rounds `r = 1..=3`, then
+    /// outputs and halts: every landed write names its writer and round.
+    struct RoundWriter {
+        id: u32,
+        round: u32,
+    }
+    impl Process for RoundWriter {
+        type Value = u32;
+        type Output = u32;
+        fn step(&mut self, _i: StepInput<u32>) -> Action<u32, u32> {
+            self.round += 1;
+            match self.round {
+                1..=3 => Action::write(0, 10 * self.id + self.round),
+                4 => Action::Output(self.id),
+                _ => Action::Halt,
+            }
+        }
+    }
+
+    /// The values of the writes a worker performed, as its probe saw them.
+    #[derive(Default)]
+    struct LandedWrites(Vec<String>);
+    impl Probe for LandedWrites {
+        const WANTS_VALUES: bool = true;
+        fn on_event(&mut self, event: &ProbeEvent) {
+            if let ProbeEvent::Write(e) = event {
+                self.0.extend(e.value.clone());
+            }
+        }
+    }
+
     #[test]
     fn poised_crash_parks_without_hanging_the_run() {
-        let report = run_chaos(
-            writers(2, 3),
+        // p0 writes 1, then crashes poised on its round-2 write of 2; p1
+        // writes 11, 12, 13. Any interleaving may run p0's one landed write
+        // last, so the final value is 1 or 13, but never 2.
+        let (report, probes) = run_chaos_probed(
+            (0..2).map(|id| RoundWriter { id, round: 0 }).collect(),
             vec![Wiring::identity(1); 2],
             1,
-            7u32,
+            0u32,
             &FaultPlan::new(2).crash_poised(0, 1),
             &ChaosConfig::new(100),
+            |_| LandedWrites::default(),
         )
         .unwrap();
         assert_eq!(
@@ -1141,8 +1176,15 @@ mod tests {
         );
         assert_eq!(report.covered_registers(), vec![0]);
         assert!(report.outcomes[1].is_completed());
-        // The pending write never landed: p1's write is the final value.
-        assert_eq!(report.final_contents, vec![1]);
+        // The pending write never landed.
+        let landed = |p: usize| probes[p].as_ref().expect("worker reported").0.clone();
+        assert_eq!(landed(0), ["1"]);
+        assert_eq!(landed(1), ["11", "12", "13"]);
+        assert!(
+            report.final_contents == [1] || report.final_contents == [13],
+            "{:?}",
+            report.final_contents
+        );
     }
 
     #[test]
@@ -1273,8 +1315,10 @@ mod tests {
         #[derive(Default)]
         struct ChaosCount(Vec<ChaosEvent>);
         impl Probe for ChaosCount {
-            fn on_chaos(&mut self, event: &ChaosEvent) {
-                self.0.push(event.clone());
+            fn on_event(&mut self, event: &ProbeEvent) {
+                if let ProbeEvent::Chaos(e) = event {
+                    self.0.push(e.clone());
+                }
             }
         }
         let (report, probes) = run_chaos_probed(

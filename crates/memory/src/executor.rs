@@ -5,7 +5,7 @@ use crate::schedule::{RandomScheduler, RoundRobin, Scheduler, SoloScheduler};
 use crate::{
     Action, Event, EventKind, MemoryError, ProcId, Process, SharedMemory, StepInput, Trace,
 };
-use fa_obs::{NoProbe, Probe};
+use fa_obs::{NoProbe, OutputEvent, Probe, ProbeEvent, ReadEvent, StepEvent, WriteEvent};
 
 /// What a single executed step did, from the executor's perspective.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -363,14 +363,14 @@ where
                 // cell; the value is deep-cloned only into an enabled trace.
                 let (value, global, read_from) = self.memory.read(p, local)?;
                 if Pr::ENABLED {
-                    self.probe.on_read(&fa_obs::ReadEvent {
+                    self.probe.on_event(&ProbeEvent::Read(ReadEvent {
                         proc_id: p.0,
                         local: local.0,
                         global: global.0,
                         time: probe_time,
                         read_from: read_from.map(|w| w.0),
                         value: Pr::WANTS_VALUES.then(|| format!("{:?}", value.get())),
-                    });
+                    }));
                 }
                 let event = self.trace.is_some().then(|| EventKind::Read {
                     local,
@@ -394,14 +394,14 @@ where
                     self.memory
                         .write_shared(p, local, std::sync::Arc::clone(&cell))?;
                 if Pr::ENABLED {
-                    self.probe.on_write(&fa_obs::WriteEvent {
+                    self.probe.on_event(&ProbeEvent::Write(WriteEvent {
                         proc_id: p.0,
                         local: local.0,
                         global: global.0,
                         time: probe_time,
                         overwrote_writer: overwrote_writer.map(|w| w.0),
                         value: Pr::WANTS_VALUES.then(|| format!("{:?}", &*cell)),
-                    });
+                    }));
                 }
                 let event = self.trace.is_some().then(|| EventKind::Write {
                     local,
@@ -414,11 +414,11 @@ where
             }
             Action::Output(o) => {
                 if Pr::ENABLED {
-                    self.probe.on_output(&fa_obs::OutputEvent {
+                    self.probe.on_event(&ProbeEvent::Output(OutputEvent {
                         proc_id: p.0,
                         time: probe_time,
                         value: Pr::WANTS_VALUES.then(|| format!("{o:?}")),
-                    });
+                    }));
                 }
                 let event = self.trace.is_some().then(|| EventKind::Output(o.clone()));
                 self.outputs[p.0].push(o);
@@ -426,7 +426,10 @@ where
             }
             Action::Halt => {
                 if Pr::ENABLED {
-                    self.probe.on_halt(p.0, probe_time);
+                    self.probe.on_event(&ProbeEvent::Halt {
+                        proc_id: p.0,
+                        time: probe_time,
+                    });
                 }
                 (StepOutcome::Halted, None, Some(EventKind::Halt))
             }
@@ -447,10 +450,10 @@ where
             self.pending[p.0] = Some(next);
         }
         if Pr::ENABLED {
-            self.probe.on_step(&fa_obs::StepEvent {
+            self.probe.on_event(&ProbeEvent::Step(StepEvent {
                 time: probe_time,
                 poised: self.poised_writers,
-            });
+            }));
         }
         Ok(outcome)
     }

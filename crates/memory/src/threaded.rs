@@ -174,9 +174,10 @@ where
 ///
 /// Each thread stamps events with its *local* step count as the time — there
 /// is no global clock in a threaded run — and additionally reports per-op
-/// wall-clock timing through [`Probe::on_timing`]: `ns` covers the whole
-/// operation (lock acquisition plus the register access for reads/writes)
-/// and `lock_wait_ns` isolates time spent acquiring the register lock. Fold
+/// wall-clock timing as [`ProbeEvent::Timing`](fa_obs::ProbeEvent::Timing)
+/// events: `ns` covers the whole operation (lock acquisition plus the
+/// register access for reads/writes) and `lock_wait_ns` isolates time spent
+/// acquiring the register lock. Fold
 /// per-thread `RunMetrics` probes together with
 /// [`RunMetrics::merge`](fa_obs::RunMetrics::merge) for whole-run aggregates.
 ///

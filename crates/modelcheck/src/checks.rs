@@ -259,7 +259,7 @@ pub struct CheckOutcome {
     /// The deterministic verdict.
     pub report: TaskCheckReport,
     /// Throughput/shape telemetry, for the `fa-obs` probe layer
-    /// (`Probe::on_sweep`). Carries wall-clock and the worker count, so it
+    /// (`ProbeEvent::Sweep`). Carries wall-clock and the worker count, so it
     /// is *not* comparable across `jobs` values — the report is.
     pub telemetry: SweepEvent,
 }

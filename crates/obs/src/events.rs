@@ -423,101 +423,114 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn events_round_trip_through_json() {
-        let events = vec![
-            ProbeEvent::Read(ReadEvent {
-                proc_id: 0,
-                local: 1,
-                global: 2,
-                time: 3,
-                read_from: Some(4),
-                value: Some("View { .. }".to_string()),
-            }),
-            ProbeEvent::Write(WriteEvent {
+    /// One sample of every [`ProbeEvent`] variant, in declaration order.
+    pub(crate) fn samples() -> Vec<ProbeEvent> {
+        let first = ProbeEvent::Read(ReadEvent {
+            proc_id: 0,
+            local: 1,
+            global: 2,
+            time: 1,
+            read_from: Some(3),
+            value: Some("v".to_string()),
+        });
+        std::iter::successors(Some(first), sample_after).collect()
+    }
+
+    /// The sample of the variant declared after `prev`'s, `None` after the
+    /// last. The match is exhaustive, so a new variant does not compile
+    /// until it is given a place in the chain.
+    fn sample_after(prev: &ProbeEvent) -> Option<ProbeEvent> {
+        Some(match prev {
+            ProbeEvent::Read(_) => ProbeEvent::Write(WriteEvent {
                 proc_id: 1,
                 local: 0,
                 global: 0,
-                time: 4,
-                overwrote_writer: None,
+                time: 2,
+                overwrote_writer: Some(0),
                 value: None,
             }),
-            ProbeEvent::Output(OutputEvent {
-                proc_id: 2,
-                time: 9,
-                value: None,
-            }),
-            ProbeEvent::Halt {
-                proc_id: 2,
-                time: 10,
-            },
-            ProbeEvent::Reset(ResetEvent {
-                proc_id: 0,
-                time: 7,
-                from_level: 3,
-            }),
-            ProbeEvent::Step(StepEvent { time: 5, poised: 2 }),
-            ProbeEvent::Timing(TimingEvent {
+            ProbeEvent::Write(_) => ProbeEvent::Output(OutputEvent {
                 proc_id: 1,
+                time: 3,
+                value: Some("out".to_string()),
+            }),
+            ProbeEvent::Output(_) => ProbeEvent::Halt {
+                proc_id: 1,
+                time: 4,
+            },
+            ProbeEvent::Halt { .. } => ProbeEvent::Reset(ResetEvent {
+                proc_id: 0,
+                time: 5,
+                from_level: 2,
+            }),
+            ProbeEvent::Reset(_) => ProbeEvent::Step(StepEvent { time: 6, poised: 3 }),
+            ProbeEvent::Step(_) => ProbeEvent::Timing(TimingEvent {
+                proc_id: 0,
                 op: OpKind::Write,
-                ns: 120,
-                lock_wait_ns: 30,
+                ns: 150,
+                lock_wait_ns: 20,
             }),
-            ProbeEvent::Sweep(SweepEvent {
+            ProbeEvent::Timing(_) => ProbeEvent::Sweep(SweepEvent {
                 check: "snapshot_task".to_string(),
-                jobs: 4,
-                combos_attempted: 25,
-                combos_total: 36,
-                states: 1000,
-                peak_combo_states: 80,
-                per_combo_states: vec![40; 25],
-                elapsed_ns: 2_000_000_000,
+                jobs: 2,
+                combos_attempted: 4,
+                combos_total: 8,
+                states: 100,
+                peak_combo_states: 40,
+                per_combo_states: vec![25; 4],
+                elapsed_ns: 1_000,
             }),
-            ProbeEvent::Fuzz(FuzzEvent {
+            ProbeEvent::Sweep(_) => ProbeEvent::Fuzz(FuzzEvent {
                 campaign: "smoke".to_string(),
                 algo: "snapshot".to_string(),
-                jobs: 2,
-                cases: 500,
+                jobs: 1,
+                cases: 10,
                 violations: 0,
-                total_steps: 123_456,
-                distinct_patterns: 17,
-                elapsed_ns: 1_000_000_000,
+                total_steps: 500,
+                distinct_patterns: 3,
+                elapsed_ns: 2_000,
             }),
-            ProbeEvent::Chaos(ChaosEvent {
-                proc_id: 3,
+            ProbeEvent::Fuzz(_) => ProbeEvent::Chaos(ChaosEvent {
+                proc_id: 2,
                 kind: ChaosKind::CrashPoised,
-                at_op: 17,
-                covered_global: Some(2),
+                at_op: 9,
+                covered_global: Some(1),
                 stall_ns: 0,
             }),
-            ProbeEvent::Chaos(ChaosEvent {
-                proc_id: 1,
-                kind: ChaosKind::Stall,
-                at_op: 40,
-                covered_global: None,
-                stall_ns: 2_000_000,
-            }),
-            ProbeEvent::Backoff(BackoffEvent {
+            ProbeEvent::Chaos(_) => ProbeEvent::Backoff(BackoffEvent {
                 proc_id: 0,
-                attempts: 12,
-                backoffs: 11,
-                total_backoff_ns: 5_500_000,
-                max_backoff_ns: 1_200_000,
+                attempts: 3,
+                backoffs: 2,
+                total_backoff_ns: 900,
+                max_backoff_ns: 500,
             }),
-            ProbeEvent::Telemetry(sample_snapshot()),
-            ProbeEvent::Span(SpanEvent {
-                name: "mc.expand".to_string(),
-                ns: 9_876_543,
-                calls: 321,
+            ProbeEvent::Backoff(_) => ProbeEvent::Telemetry(sample_snapshot()),
+            ProbeEvent::Telemetry(_) => ProbeEvent::Span(SpanEvent {
+                name: "fuzz.execute".to_string(),
+                ns: 4_242,
+                calls: 7,
             }),
-            ProbeEvent::Checkpoint(CheckpointEvent {
+            ProbeEvent::Span(_) => ProbeEvent::Checkpoint(CheckpointEvent {
                 action: CheckpointAction::Recovered,
                 combo: None,
-                combos_recorded: 24,
-                journal_bytes: 4_096,
-                truncated_bytes: 17,
+                combos_recorded: 13,
+                journal_bytes: 2_048,
+                truncated_bytes: 0,
             }),
-        ];
+            ProbeEvent::Checkpoint(_) => return None,
+        })
+    }
+
+    #[test]
+    fn events_round_trip_through_json() {
+        let mut events = samples();
+        events.push(ProbeEvent::Chaos(ChaosEvent {
+            proc_id: 1,
+            kind: ChaosKind::Stall,
+            at_op: 40,
+            covered_global: None,
+            stall_ns: 2_000_000,
+        }));
         for ev in events {
             let text = serde_json::to_string(&ev).unwrap();
             let back: ProbeEvent = serde_json::from_str(&text).unwrap();

@@ -1,9 +1,6 @@
 //! Streaming sink: one JSON object per event, one event per line.
 
-use crate::events::{
-    BackoffEvent, ChaosEvent, CheckpointEvent, FuzzEvent, OutputEvent, ProbeEvent, ReadEvent,
-    ResetEvent, SpanEvent, StepEvent, SweepEvent, TelemetrySnapshot, TimingEvent, WriteEvent,
-};
+use crate::events::ProbeEvent;
 use crate::probe::Probe;
 use std::io::{self, Write};
 
@@ -64,18 +61,6 @@ impl<W: Write> JsonlSink<W> {
     pub fn into_inner(self) -> W {
         self.finish().expect("jsonl sink flush failed")
     }
-
-    fn emit(&mut self, event: &ProbeEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let writer = self.writer.as_mut().expect("writer present until consumed");
-        let line = serde_json::to_string(event).expect("probe event serialization cannot fail");
-        match writeln!(writer, "{line}") {
-            Ok(()) => self.events_written += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
 }
 
 impl<W: Write> Drop for JsonlSink<W> {
@@ -100,60 +85,16 @@ impl<W: Write> Drop for JsonlSink<W> {
 impl<W: Write> Probe for JsonlSink<W> {
     const WANTS_VALUES: bool = true;
 
-    fn on_read(&mut self, event: &ReadEvent) {
-        self.emit(&ProbeEvent::Read(event.clone()));
-    }
-
-    fn on_write(&mut self, event: &WriteEvent) {
-        self.emit(&ProbeEvent::Write(event.clone()));
-    }
-
-    fn on_output(&mut self, event: &OutputEvent) {
-        self.emit(&ProbeEvent::Output(event.clone()));
-    }
-
-    fn on_halt(&mut self, proc_id: usize, time: u64) {
-        self.emit(&ProbeEvent::Halt { proc_id, time });
-    }
-
-    fn on_reset(&mut self, event: &ResetEvent) {
-        self.emit(&ProbeEvent::Reset(event.clone()));
-    }
-
-    fn on_step(&mut self, event: &StepEvent) {
-        self.emit(&ProbeEvent::Step(event.clone()));
-    }
-
-    fn on_timing(&mut self, event: &TimingEvent) {
-        self.emit(&ProbeEvent::Timing(event.clone()));
-    }
-
-    fn on_sweep(&mut self, event: &SweepEvent) {
-        self.emit(&ProbeEvent::Sweep(event.clone()));
-    }
-
-    fn on_fuzz(&mut self, event: &FuzzEvent) {
-        self.emit(&ProbeEvent::Fuzz(event.clone()));
-    }
-
-    fn on_chaos(&mut self, event: &ChaosEvent) {
-        self.emit(&ProbeEvent::Chaos(event.clone()));
-    }
-
-    fn on_backoff(&mut self, event: &BackoffEvent) {
-        self.emit(&ProbeEvent::Backoff(event.clone()));
-    }
-
-    fn on_telemetry(&mut self, event: &TelemetrySnapshot) {
-        self.emit(&ProbeEvent::Telemetry(event.clone()));
-    }
-
-    fn on_span(&mut self, event: &SpanEvent) {
-        self.emit(&ProbeEvent::Span(event.clone()));
-    }
-
-    fn on_checkpoint(&mut self, event: &CheckpointEvent) {
-        self.emit(&ProbeEvent::Checkpoint(event.clone()));
+    fn on_event(&mut self, event: &ProbeEvent) {
+        if self.error.is_some() {
+            return;
+        }
+        let writer = self.writer.as_mut().expect("writer present until consumed");
+        let line = serde_json::to_string(event).expect("probe event serialization cannot fail");
+        match writeln!(writer, "{line}") {
+            Ok(()) => self.events_written += 1,
+            Err(e) => self.error = Some(e),
+        }
     }
 }
 
@@ -172,92 +113,66 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<ProbeEvent>, serde::Error> {
         .collect()
 }
 
-/// Replays parsed events into any probe — the bridge from a recorded stream
-/// back to an aggregate such as [`crate::RunMetrics`].
-pub fn replay_events<P: Probe>(events: &[ProbeEvent], probe: &mut P) {
-    for ev in events {
-        match ev {
-            ProbeEvent::Read(e) => probe.on_read(e),
-            ProbeEvent::Write(e) => probe.on_write(e),
-            ProbeEvent::Output(e) => probe.on_output(e),
-            ProbeEvent::Halt { proc_id, time } => probe.on_halt(*proc_id, *time),
-            ProbeEvent::Reset(e) => probe.on_reset(e),
-            ProbeEvent::Step(e) => probe.on_step(e),
-            ProbeEvent::Timing(e) => probe.on_timing(e),
-            ProbeEvent::Sweep(e) => probe.on_sweep(e),
-            ProbeEvent::Fuzz(e) => probe.on_fuzz(e),
-            ProbeEvent::Chaos(e) => probe.on_chaos(e),
-            ProbeEvent::Backoff(e) => probe.on_backoff(e),
-            ProbeEvent::Telemetry(e) => probe.on_telemetry(e),
-            ProbeEvent::Span(e) => probe.on_span(e),
-            ProbeEvent::Checkpoint(e) => probe.on_checkpoint(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::tests::{sample_snapshot, samples};
+    use crate::events::SpanEvent;
     use crate::metrics::RunMetrics;
 
-    fn sample_events(sink: &mut impl Probe) {
-        sink.on_read(&ReadEvent {
-            proc_id: 0,
-            local: 1,
-            global: 2,
-            time: 1,
-            read_from: None,
-            value: Some("7".to_string()),
-        });
-        sink.on_write(&WriteEvent {
-            proc_id: 1,
-            local: 0,
-            global: 0,
-            time: 2,
-            overwrote_writer: Some(0),
-            value: Some("9".to_string()),
-        });
-        sink.on_step(&StepEvent { time: 2, poised: 1 });
-        sink.on_output(&OutputEvent {
-            proc_id: 1,
-            time: 3,
-            value: Some("out".to_string()),
-        });
-        sink.on_halt(1, 4);
+    fn feed(probe: &mut impl Probe, events: &[ProbeEvent]) {
+        for event in events {
+            probe.on_event(event);
+        }
     }
 
     #[test]
     fn stream_parses_back_to_identical_events() {
         let mut sink = JsonlSink::new(Vec::new());
-        sample_events(&mut sink);
-        assert_eq!(sink.events_written(), 5);
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 5);
-
-        let events = parse_jsonl(&text).unwrap();
-        assert_eq!(events.len(), 5);
-        assert!(matches!(events[0], ProbeEvent::Read(_)));
-        assert!(matches!(
-            events[4],
-            ProbeEvent::Halt {
-                proc_id: 1,
-                time: 4
-            }
-        ));
+        feed(&mut sink, &samples());
+        assert_eq!(sink.events_written(), samples().len() as u64);
+        let text = String::from_utf8(sink.into_inner()).unwrap();
+        assert_eq!(text.lines().count(), samples().len());
+        assert_eq!(parse_jsonl(&text).unwrap(), samples());
     }
 
     #[test]
     fn replayed_stream_rebuilds_metrics() {
         let mut sink = JsonlSink::new(Vec::new());
         let mut live = RunMetrics::new();
-        sample_events(&mut sink);
-        sample_events(&mut live);
+        feed(&mut sink, &samples());
+        feed(&mut live, &samples());
 
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let mut replayed = RunMetrics::new();
-        replay_events(&parse_jsonl(&text).unwrap(), &mut replayed);
+        feed(&mut replayed, &parse_jsonl(&text).unwrap());
         assert_eq!(replayed, live);
+    }
+
+    /// The JSONL wire format of every event kind, byte for byte. The
+    /// committed `results/*.jsonl` streams and CI's validators read it.
+    #[test]
+    fn every_event_kind_has_a_pinned_wire_line() {
+        let mut sink = JsonlSink::new(Vec::new());
+        feed(&mut sink, &crate::events::tests::samples());
+        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let expected = [
+            r#"{"Read":{"global":2,"local":1,"proc_id":0,"read_from":3,"time":1,"value":"v"}}"#,
+            r#"{"Write":{"global":0,"local":0,"overwrote_writer":0,"proc_id":1,"time":2,"value":null}}"#,
+            r#"{"Output":{"proc_id":1,"time":3,"value":"out"}}"#,
+            r#"{"Halt":{"proc_id":1,"time":4}}"#,
+            r#"{"Reset":{"from_level":2,"proc_id":0,"time":5}}"#,
+            r#"{"Step":{"poised":3,"time":6}}"#,
+            r#"{"Timing":{"lock_wait_ns":20,"ns":150,"op":"Write","proc_id":0}}"#,
+            r#"{"Sweep":{"check":"snapshot_task","combos_attempted":4,"combos_total":8,"elapsed_ns":1000,"jobs":2,"peak_combo_states":40,"per_combo_states":[25,25,25,25],"states":100}}"#,
+            r#"{"Fuzz":{"algo":"snapshot","campaign":"smoke","cases":10,"distinct_patterns":3,"elapsed_ns":2000,"jobs":1,"total_steps":500,"violations":0}}"#,
+            r#"{"Chaos":{"at_op":9,"covered_global":1,"kind":"CrashPoised","proc_id":2,"stall_ns":0}}"#,
+            r#"{"Backoff":{"attempts":3,"backoffs":2,"max_backoff_ns":500,"proc_id":0,"total_backoff_ns":900}}"#,
+            r#"{"Telemetry":{"counters":[["mc.combos_done",42],["mc.states_total",1234567]],"elapsed_ns":1750000000,"gauges":[["mc.frontier_depth",11],["mc.visited_bytes_est",12345678],["mc.visited_entries",98765]],"phases":[["mc.expand",{"calls":42,"ns":1500000000,"share":0.857142857}]],"quantiles":[["mc.combo_states",{"count":42,"p50":1023,"p95":2047,"p99":4095}]],"rates":[["mc.states_total",198431.0625]],"rss_bytes":88080384,"seq":7}}"#,
+            r#"{"Span":{"calls":7,"name":"fuzz.execute","ns":4242}}"#,
+            r#"{"Checkpoint":{"action":"Recovered","combo":null,"combos_recorded":13,"journal_bytes":2048,"truncated_bytes":0}}"#,
+        ];
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
     }
 
     #[test]
@@ -269,28 +184,22 @@ mod tests {
     #[test]
     fn telemetry_and_span_arms_round_trip_through_replay() {
         let mut sink = JsonlSink::new(Vec::new());
-        let snap = crate::events::tests::sample_snapshot();
-        let span = SpanEvent {
-            name: "mc.dedup".to_string(),
-            ns: 123_456_789,
-            calls: 64,
-        };
-        sink.on_telemetry(&snap);
-        sink.on_span(&span);
+        let recorded = vec![
+            ProbeEvent::Telemetry(sample_snapshot()),
+            ProbeEvent::Span(SpanEvent {
+                name: "mc.dedup".to_string(),
+                ns: 123_456_789,
+                calls: 64,
+            }),
+        ];
+        feed(&mut sink, &recorded);
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let events = parse_jsonl(&text).unwrap();
-        assert_eq!(
-            events,
-            vec![
-                ProbeEvent::Telemetry(snap.clone()),
-                ProbeEvent::Span(span.clone())
-            ]
-        );
+        assert_eq!(events, recorded);
 
-        // Replay drives the on_telemetry/on_span hooks, producing an
-        // identical re-recorded stream.
+        // Replaying the parsed stream re-records it identically.
         let mut resink = JsonlSink::new(Vec::new());
-        replay_events(&events, &mut resink);
+        feed(&mut resink, &events);
         assert_eq!(resink.events_written(), 2);
         let retext = String::from_utf8(resink.into_inner()).unwrap();
         assert_eq!(retext, text);
@@ -324,7 +233,10 @@ mod tests {
                 flushed: flushed.clone(),
                 written: written.clone(),
             });
-            sink.on_halt(0, 1);
+            sink.on_event(&ProbeEvent::Halt {
+                proc_id: 0,
+                time: 1,
+            });
             assert!(!flushed.load(std::sync::atomic::Ordering::SeqCst));
         } // dropped without finish()
         assert!(flushed.load(std::sync::atomic::Ordering::SeqCst));
@@ -353,13 +265,19 @@ mod tests {
     #[test]
     fn write_errors_stick_and_surface_through_finish() {
         let mut sink = JsonlSink::new(FailingWriter);
-        sink.on_halt(0, 1); // must not panic
+        sink.on_event(&ProbeEvent::Halt {
+            proc_id: 0,
+            time: 1,
+        }); // must not panic
         assert_eq!(sink.events_written(), 0);
         assert_eq!(
             sink.error().map(std::io::Error::kind),
             Some(std::io::ErrorKind::BrokenPipe)
         );
-        sink.on_halt(0, 2); // sticky: silently skipped, error preserved
+        sink.on_event(&ProbeEvent::Halt {
+            proc_id: 0,
+            time: 2,
+        }); // sticky: silently skipped, error preserved
         assert_eq!(sink.events_written(), 0);
         let err = sink.finish().unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
@@ -368,7 +286,10 @@ mod tests {
     #[test]
     fn finish_returns_writer_and_disarms_drop() {
         let mut sink = JsonlSink::new(Vec::new());
-        sink.on_halt(3, 4);
+        sink.on_event(&ProbeEvent::Halt {
+            proc_id: 3,
+            time: 4,
+        });
         let bytes = sink.finish().unwrap();
         assert_eq!(
             String::from_utf8(bytes).unwrap(),

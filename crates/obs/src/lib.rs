@@ -1,10 +1,12 @@
 //! Unified probe layer for the fully-anonymous shared-memory runtimes.
 //!
-//! A [`Probe`] receives structured events as a run executes: one hook per
-//! operation kind (read, write, output, halt), a per-step hook carrying the
+//! A [`Probe`] receives structured events as a run executes through one
+//! hook, [`Probe::on_event`]. [`ProbeEvent`] is the one list of event kinds:
+//! the operations (read, write, output, halt), a per-step event carrying the
 //! current covering size (processors poised to write), an algorithm-level
-//! reset hook (a snapshot process dropping back to level 0), and a
-//! wall-clock timing hook used by the threaded runtime.
+//! reset (a snapshot process dropping back to level 0), the threaded
+//! runtime's wall-clock timing, and the run summaries and telemetry samples
+//! of the campaign drivers. It is also the JSONL schema.
 //!
 //! Probes compose:
 //!
@@ -44,7 +46,7 @@ pub use events::{
     OutputEvent, PhaseStat, ProbeEvent, QuantileStat, ReadEvent, ResetEvent, SpanEvent, StepEvent,
     SweepEvent, TelemetrySnapshot, TimingEvent, WriteEvent,
 };
-pub use jsonl::{parse_jsonl, replay_events, JsonlSink};
+pub use jsonl::{parse_jsonl, JsonlSink};
 pub use metrics::{Histogram, ProcMetrics, RunMetrics};
 pub use probe::{NoProbe, Probe, Tee};
 pub use registry::{

@@ -1,6 +1,6 @@
 //! In-memory aggregation probe: [`RunMetrics`].
 
-use crate::events::{OutputEvent, ReadEvent, ResetEvent, StepEvent, TimingEvent, WriteEvent};
+use crate::events::ProbeEvent;
 use crate::probe::Probe;
 use serde::{Deserialize, Serialize};
 
@@ -217,57 +217,56 @@ impl RunMetrics {
 }
 
 impl Probe for RunMetrics {
-    fn on_read(&mut self, event: &ReadEvent) {
-        let p = self.proc(event.proc_id);
-        p.reads += 1;
-        p.steps += 1;
-        self.see_time(event.time);
-    }
-
-    fn on_write(&mut self, event: &WriteEvent) {
-        let p = self.proc(event.proc_id);
-        p.writes += 1;
-        p.steps += 1;
-        self.see_time(event.time);
-    }
-
-    fn on_output(&mut self, event: &OutputEvent) {
-        let p = self.proc(event.proc_id);
-        p.outputs += 1;
-        p.steps += 1;
-        if p.first_output_at.is_none() {
-            p.first_output_at = Some(event.time);
-            let steps = self.per_proc[event.proc_id].steps;
-            self.steps_to_output.record(steps);
+    fn on_event(&mut self, event: &ProbeEvent) {
+        match event {
+            ProbeEvent::Read(e) => {
+                let p = self.proc(e.proc_id);
+                p.reads += 1;
+                p.steps += 1;
+                self.see_time(e.time);
+            }
+            ProbeEvent::Write(e) => {
+                let p = self.proc(e.proc_id);
+                p.writes += 1;
+                p.steps += 1;
+                self.see_time(e.time);
+            }
+            ProbeEvent::Output(e) => {
+                let p = self.proc(e.proc_id);
+                p.outputs += 1;
+                p.steps += 1;
+                if p.first_output_at.is_none() {
+                    p.first_output_at = Some(e.time);
+                    let steps = p.steps;
+                    self.steps_to_output.record(steps);
+                }
+                self.see_time(e.time);
+            }
+            &ProbeEvent::Halt { proc_id, time } => {
+                self.proc(proc_id).steps += 1;
+                self.see_time(time);
+            }
+            ProbeEvent::Reset(e) => {
+                self.proc(e.proc_id).resets += 1;
+                self.see_time(e.time);
+            }
+            ProbeEvent::Step(e) => {
+                self.peak_covering = self.peak_covering.max(e.poised);
+                self.see_time(e.time);
+            }
+            ProbeEvent::Timing(e) => {
+                self.op_ns.record(e.ns);
+                self.lock_wait_ns.record(e.lock_wait_ns);
+            }
+            _ => {}
         }
-        self.see_time(event.time);
-    }
-
-    fn on_halt(&mut self, proc_id: usize, time: u64) {
-        let p = self.proc(proc_id);
-        p.steps += 1;
-        self.see_time(time);
-    }
-
-    fn on_reset(&mut self, event: &ResetEvent) {
-        self.proc(event.proc_id).resets += 1;
-        self.see_time(event.time);
-    }
-
-    fn on_step(&mut self, event: &StepEvent) {
-        self.peak_covering = self.peak_covering.max(event.poised);
-        self.see_time(event.time);
-    }
-
-    fn on_timing(&mut self, event: &TimingEvent) {
-        self.op_ns.record(event.ns);
-        self.lock_wait_ns.record(event.lock_wait_ns);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{OutputEvent, ReadEvent, StepEvent, TimingEvent, WriteEvent};
 
     #[test]
     fn histogram_bucket_boundaries() {
@@ -388,28 +387,31 @@ mod tests {
     #[test]
     fn counters_accumulate_per_proc() {
         let mut m = RunMetrics::new();
-        m.on_read(&ReadEvent {
+        m.on_event(&ProbeEvent::Read(ReadEvent {
             proc_id: 1,
             local: 0,
             global: 0,
             time: 1,
             read_from: None,
             value: None,
-        });
-        m.on_write(&WriteEvent {
+        }));
+        m.on_event(&ProbeEvent::Write(WriteEvent {
             proc_id: 1,
             local: 0,
             global: 0,
             time: 2,
             overwrote_writer: None,
             value: None,
-        });
-        m.on_output(&OutputEvent {
+        }));
+        m.on_event(&ProbeEvent::Output(OutputEvent {
             proc_id: 1,
             time: 3,
             value: None,
+        }));
+        m.on_event(&ProbeEvent::Halt {
+            proc_id: 1,
+            time: 4,
         });
-        m.on_halt(1, 4);
         assert_eq!(m.per_proc.len(), 2);
         assert_eq!(m.per_proc[1].reads, 1);
         assert_eq!(m.per_proc[1].writes, 1);
@@ -425,7 +427,7 @@ mod tests {
     fn peak_covering_tracks_maximum() {
         let mut m = RunMetrics::new();
         for (t, poised) in [(1, 0), (2, 2), (3, 5), (4, 1)] {
-            m.on_step(&StepEvent { time: t, poised });
+            m.on_event(&ProbeEvent::Step(StepEvent { time: t, poised }));
         }
         assert_eq!(m.peak_covering, 5);
         assert_eq!(m.total_steps, 4);
@@ -434,25 +436,25 @@ mod tests {
     #[test]
     fn merge_adds_counters_and_maxes_peaks() {
         let mut a = RunMetrics::new();
-        a.on_read(&ReadEvent {
+        a.on_event(&ProbeEvent::Read(ReadEvent {
             proc_id: 0,
             local: 0,
             global: 0,
             time: 1,
             read_from: None,
             value: None,
-        });
-        a.on_step(&StepEvent { time: 1, poised: 3 });
+        }));
+        a.on_event(&ProbeEvent::Step(StepEvent { time: 1, poised: 3 }));
         let mut b = RunMetrics::new();
-        b.on_read(&ReadEvent {
+        b.on_event(&ProbeEvent::Read(ReadEvent {
             proc_id: 0,
             local: 0,
             global: 0,
             time: 2,
             read_from: None,
             value: None,
-        });
-        b.on_step(&StepEvent { time: 2, poised: 1 });
+        }));
+        b.on_event(&ProbeEvent::Step(StepEvent { time: 2, poised: 1 }));
         a.merge(&b);
         assert_eq!(a.per_proc[0].reads, 2);
         assert_eq!(a.peak_covering, 3);
@@ -462,17 +464,17 @@ mod tests {
     #[test]
     fn metrics_serialize_round_trip() {
         let mut m = RunMetrics::new();
-        m.on_output(&OutputEvent {
+        m.on_event(&ProbeEvent::Output(OutputEvent {
             proc_id: 0,
             time: 5,
             value: None,
-        });
-        m.on_timing(&TimingEvent {
+        }));
+        m.on_event(&ProbeEvent::Timing(TimingEvent {
             proc_id: 0,
             op: crate::OpKind::Read,
             ns: 900,
             lock_wait_ns: 10,
-        });
+        }));
         let text = serde_json::to_string(&m).unwrap();
         let back: RunMetrics = serde_json::from_str(&text).unwrap();
         assert_eq!(back, m);

@@ -10,7 +10,7 @@
 //! specifically so `--smoke` byte-identity diffs over stdout stay valid
 //! with `--progress` on.
 
-use crate::events::TelemetrySnapshot;
+use crate::events::{ProbeEvent, TelemetrySnapshot};
 use crate::jsonl::JsonlSink;
 use crate::probe::Probe;
 use crate::registry::MetricRegistry;
@@ -217,7 +217,7 @@ fn emitter_loop(
         // cadence, so every stream has at least one record.
         let snap = registry.sample(seq, prev.as_ref());
         if let Some(sink) = sink.as_mut() {
-            sink.on_telemetry(&snap);
+            sink.on_event(&ProbeEvent::Telemetry(snap.clone()));
         }
         if let Some(p) = progress.as_mut() {
             p.render(&progress_line(&config.label, &snap));
@@ -231,10 +231,11 @@ fn emitter_loop(
     }
 
     let span_events = registry.span_events();
+    let spans = span_events.len();
     let mut io_error = None;
     if let Some(mut sink) = sink {
-        for ev in &span_events {
-            sink.on_span(ev);
+        for ev in span_events {
+            sink.on_event(&ProbeEvent::Span(ev));
         }
         if let Err(e) = sink.finish() {
             io_error = Some(e.to_string());
@@ -253,7 +254,7 @@ fn emitter_loop(
         ));
         io_error = io_error.or(p.into_error());
     }
-    (seq, span_events.len(), io_error)
+    (seq, spans, io_error)
 }
 
 /// Renders one in-place progress line from a snapshot: elapsed, then the

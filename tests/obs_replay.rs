@@ -5,7 +5,7 @@
 
 use fa_core::{SnapRegister, SnapshotProcess};
 use fa_memory::{replay, Executor, SharedMemory, Wiring};
-use fa_obs::{parse_jsonl, replay_events, JsonlSink, RunMetrics, Tee};
+use fa_obs::{parse_jsonl, JsonlSink, Probe, RunMetrics, Tee};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -47,7 +47,9 @@ fn probed_run_replays_to_identical_metrics() {
     // Route 2: rebuild the aggregate from the recorded event stream alone.
     let events = parse_jsonl(&stream).unwrap();
     let mut rebuilt = RunMetrics::new();
-    replay_events(&events, &mut rebuilt);
+    for event in &events {
+        rebuilt.on_event(event);
+    }
     assert_eq!(rebuilt, live, "event stream must rebuild the metrics");
 
     // Sanity on what the probe actually saw.
