@@ -27,12 +27,6 @@
 //!    n = 5 scope — far past any full sweep at (5!)⁴ ≈ 2·10⁸ combos — as a
 //!    capped single-combo exploration pushed through the tiered visited
 //!    store with a deliberately tiny memory budget.
-//! 5. **E26 (intra-combo parallelism)** — the sweep driven through the
-//!    worker crew (`--strategy intra`) with one worker per core: per-combo
-//!    counts must match the serial run exactly (the level-commit
-//!    determinism argument, DESIGN §15), and on a ≥4-core box the
-//!    best-of-N states/s must reach ≥1.5× the serial-per-combo rate (on
-//!    smaller hosts the ratio is recorded but not gated).
 //!
 //! Exits nonzero if any determinism check fails.
 //!
@@ -154,21 +148,12 @@ where
     (steps, per_sec)
 }
 
-/// How a [`sweep`] runs each combo: serially, or with N intra-combo
-/// workers (the E26 arm).
-#[derive(Clone, Copy)]
-enum Engine {
-    Serial,
-    Intra(usize),
-}
-
 /// One E18-style sweep: coarse-scan exploration of the first `combos`
 /// wiring combinations at n = 4, bounded per combo. Returns the per-combo
 /// state counts and the throughput.
-fn sweep<V, F>(combos: usize, max_states: usize, engine: Engine, mk: F) -> (Vec<usize>, f64, f64)
+fn sweep<V, F>(combos: usize, max_states: usize, mk: F) -> (Vec<usize>, f64, f64)
 where
     V: fa_core::ViewValue + Eq + std::hash::Hash + std::fmt::Debug + Default,
-    V: Send + Sync,
     F: Fn(u32) -> SnapshotProcess<V>,
 {
     let n = 4usize;
@@ -181,11 +166,7 @@ where
         let explorer = Explorer::new(procs, n, Default::default(), table.combo(i))
             .with_coarse_scans()
             .with_max_states(max_states);
-        let report = match engine {
-            Engine::Serial => explorer.run(|_| Ok(())),
-            Engine::Intra(workers) => explorer.run_intra(|_| Ok(()), workers),
-        };
-        per_combo.push(report.states);
+        per_combo.push(explorer.run(|_| Ok(())).states);
     }
     let elapsed = start.elapsed().as_secs_f64();
     let total: usize = per_combo.iter().sum();
@@ -201,17 +182,15 @@ fn sweep_best_of<V, F>(
     reps: usize,
     combos: usize,
     max_states: usize,
-    engine: Engine,
     mk: F,
 ) -> (Vec<usize>, f64, f64)
 where
     V: fa_core::ViewValue + Eq + std::hash::Hash + std::fmt::Debug + Default,
-    V: Send + Sync,
     F: Fn(u32) -> SnapshotProcess<V>,
 {
     let mut best: Option<(Vec<usize>, f64, f64)> = None;
     for _ in 0..reps.max(1) {
-        let (per_combo, elapsed, rate) = sweep(combos, max_states, engine, &mk);
+        let (per_combo, elapsed, rate) = sweep(combos, max_states, &mk);
         match &best {
             Some((prev, _, prev_rate)) => {
                 assert_eq!(prev, &per_combo, "sweep reps diverged");
@@ -286,38 +265,17 @@ fn main() {
     eprintln!("[bench_report] E18-style sweep ({sweep_combos} combos, cap {sweep_cap})...");
     let n = 4usize;
     let (per_combo_new, elapsed_new, rate_new) =
-        sweep_best_of(sweep_reps, sweep_combos, sweep_cap, Engine::Serial, |x| {
+        sweep_best_of(sweep_reps, sweep_combos, sweep_cap, |x| {
             SnapshotProcess::new(x, n)
         });
     let (per_combo_old, elapsed_old, rate_old) =
-        sweep_best_of(sweep_reps, sweep_combos, sweep_cap, Engine::Serial, |x| {
+        sweep_best_of(sweep_reps, sweep_combos, sweep_cap, |x| {
             SnapshotProcess::new(Opaque(x), n)
         });
-    let (per_combo_again, _, _) = sweep(sweep_combos, sweep_cap, Engine::Serial, |x| {
-        SnapshotProcess::new(x, n)
-    });
+    let (per_combo_again, _, _) = sweep(sweep_combos, sweep_cap, |x| SnapshotProcess::new(x, n));
     eprintln!(
         "  bitmask {rate_new:.0} states/s ({elapsed_new:.2}s), fallback {rate_old:.0} states/s ({elapsed_old:.2}s) ({:.2}x)",
         rate_new / rate_old
-    );
-
-    // 5. E26: the same sweep through the worker crew, one intra worker per
-    // core. The serial rate above is the denominator of the headline
-    // speedup.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    eprintln!(
-        "[bench_report] E26 intra-combo sweep ({sweep_combos} combos, cap {sweep_cap}, {cores} workers)..."
-    );
-    let (per_combo_intra, elapsed_intra, rate_intra) = sweep_best_of(
-        sweep_reps,
-        sweep_combos,
-        sweep_cap,
-        Engine::Intra(cores),
-        |x| SnapshotProcess::new(x, n),
-    );
-    let intra_speedup = rate_intra / rate_new;
-    eprintln!(
-        "  intra {rate_intra:.0} states/s ({elapsed_intra:.2}s), serial {rate_new:.0} states/s ({intra_speedup:.2}x on {cores} cores)"
     );
 
     // 4. E24: the symmetry quotient over the E18-class sweep — fully
@@ -389,15 +347,6 @@ fn main() {
     let ser_a = serde_json::to_string(&per_combo_new).expect("serialize");
     let ser_b = serde_json::to_string(&per_combo_again).expect("serialize");
     let rerun_identical = ser_a == ser_b;
-    // Determinism check 3: the worker crew visits
-    // exactly the serial engine's states, combo by combo.
-    let intra_equivalent = per_combo_intra == per_combo_new;
-    // Perf gate: the whole point of the intra engine is scaling, so on a
-    // ≥4-core box require ≥1.5× over the serial-per-combo rate. On smaller
-    // hosts the parallel engine cannot beat serial (there is nothing to
-    // fan out over), so the ratio is recorded but not gated.
-    let intra_gate_active = cores >= 4;
-    let intra_gate_ok = !intra_gate_active || intra_speedup >= 1.5;
     if !repr_equivalent {
         eprintln!("[bench_report] FAIL: representations explored different state spaces");
     }
@@ -407,20 +356,8 @@ fn main() {
     if !quotient_rerun_identical {
         eprintln!("[bench_report] FAIL: quotiented sweep re-run is not byte-identical");
     }
-    if !intra_equivalent {
-        eprintln!("[bench_report] FAIL: intra and serial engines explored different state spaces");
-    }
-    if !intra_gate_ok {
-        eprintln!(
-            "[bench_report] FAIL: intra sweep reached only {intra_speedup:.2}x the serial rate on {cores} cores (gate: 1.5x)"
-        );
-    }
 
-    let determinism_ok = repr_equivalent
-        && rerun_identical
-        && quotient_rerun_identical
-        && intra_equivalent
-        && intra_gate_ok;
+    let determinism_ok = repr_equivalent && rerun_identical && quotient_rerun_identical;
     let total_states: usize = per_combo_new.iter().sum();
     let sweep_doc = json!({
         "n": n,
@@ -431,18 +368,12 @@ fn main() {
         "fallback_states_per_sec": rate_old,
         "speedup": rate_new / rate_old,
         "arena_states_per_sec": rate_new,
-        "intra_states_per_sec": rate_intra,
-        "intra_workers": cores,
-        "intra_speedup": intra_speedup,
-        "intra_gate_active": intra_gate_active,
         "per_combo_states_fingerprint": short_hash(&ser_a),
     });
     let determinism_doc = json!({
         "representations_equivalent": repr_equivalent,
         "rerun_byte_identical": rerun_identical,
         "quotient_rerun_byte_identical": quotient_rerun_identical,
-        "intra_matches_serial_engine": intra_equivalent,
-        "intra_speedup_gate_ok": intra_gate_ok,
     });
     let quotient_doc = json!({
         "n": quot_n,
@@ -467,7 +398,7 @@ fn main() {
         }),
     });
     let doc = json!({
-        "experiment": "E21+E24+E26",
+        "experiment": "E21+E24",
         "smoke": smoke,
         "micro": micros.iter().map(Micro::to_json).collect::<Vec<_>>(),
         "scan": scans,
@@ -492,7 +423,7 @@ fn main() {
         })
         .unwrap_or_default();
     let prefix = if smoke { "smoke_" } else { "" };
-    root.insert("experiment".into(), json!("E21+E24+E26"));
+    root.insert("experiment".into(), json!("E21+E24"));
     for (key, value) in [
         (
             "min_micro_speedup",
@@ -506,10 +437,6 @@ fn main() {
         ("sweep_states_per_sec_fallback", json!(rate_old)),
         ("sweep_speedup", json!(rate_new / rate_old)),
         ("sweep_states_per_sec_arena", json!(rate_new)),
-        ("sweep_states_per_sec_intra", json!(rate_intra)),
-        ("intra_workers", json!(cores)),
-        ("intra_sweep_speedup", json!(intra_speedup)),
-        ("intra_gate_active", json!(intra_gate_active)),
         ("quotient_orbit_factor", json!(orbit_factor)),
         (
             "quotient_canonical_states",

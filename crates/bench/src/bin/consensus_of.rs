@@ -2,9 +2,10 @@
 //! termination holds whenever contention subsides (solo tail), and solo runs
 //! decide in a constant number of snapshot rounds.
 //!
-//! Honors the shared sweep flags (`--jobs`, `--strategy auto|intra[:N]`,
-//! `--quotient`, `--visited-budget`,
-//! `--checkpoint-dir`/`--checkpoint-every`/`--resume`, `--memory-limit`).
+//! Honors the shared sweep flags (`--jobs`, `--quotient`,
+//! `--visited-budget`, `--checkpoint-dir`/`--checkpoint-every`/`--resume`,
+//! `--memory-limit`); the retired `--strategy` exits 1 and points at
+//! `--jobs N`.
 //! Exit codes: 0 clean, 2 incomplete (the safety check is depth-bounded by
 //! design — the timestamp space is unbounded — so this is the expected code
 //! for a healthy run), 3 violation found.

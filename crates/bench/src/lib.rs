@@ -84,21 +84,6 @@ pub fn cli_jobs() -> Option<usize> {
     })
 }
 
-/// The sweep strategy requested via `--strategy auto|intra[:N]` (`None`
-/// when absent: [`fa_modelcheck::StrategyKind::Auto`], a combo pool of
-/// `--jobs` threads; a serial sweep is `--jobs 1`). `intra` parallelizes
-/// *within* each combo's BFS with N shared-frontier workers (N omitted or
-/// 0: the detected core count), splitting the `--jobs` budget between
-/// combo-level and intra-combo threads.
-///
-/// # Panics
-///
-/// Panics with a usage message if the value names no known strategy.
-#[must_use]
-pub fn cli_strategy() -> Option<fa_modelcheck::StrategyKind> {
-    cli_value("--strategy").map(|v| v.parse().unwrap_or_else(|e| panic!("{e}")))
-}
-
 /// Parses a human-readable byte size: a plain integer (`65536`), a binary
 /// suffix (`64KiB`, `2GiB` — powers of 1024), a decimal suffix (`64KB`,
 /// `2GB` — powers of 1000), or a bare letter (`64K`, `2G` — binary, the
@@ -204,18 +189,25 @@ pub fn cli_memory_limit() -> Option<u64> {
     cli_size("--memory-limit")
 }
 
-/// A model-check [`CheckConfig`] honoring the `--jobs`, `--strategy`,
-/// `--quotient`, `--visited-budget`, `--checkpoint-dir`,
-/// `--checkpoint-every`, `--resume`, and `--memory-limit` flags.
+/// A model-check [`CheckConfig`] honoring the `--jobs`, `--quotient`,
+/// `--visited-budget`, `--checkpoint-dir`, `--checkpoint-every`,
+/// `--resume`, and `--memory-limit` flags.
+///
+/// Exits with status 1 if the retired `--strategy` flag is given, so an old
+/// script fails loudly instead of silently running a different sweep.
 #[must_use]
 pub fn check_config_from_cli() -> CheckConfig {
+    if std::env::args().any(|a| a == "--strategy" || a.starts_with("--strategy=")) {
+        eprintln!(
+            "--strategy is gone: every combo runs on one thread; \
+             use --jobs N to set the sweep's thread count"
+        );
+        std::process::exit(1);
+    }
     let mut config = match cli_jobs() {
         Some(j) => CheckConfig::default().with_jobs(j),
         None => CheckConfig::default(),
     };
-    if let Some(kind) = cli_strategy() {
-        config = config.with_strategy(kind);
-    }
     if cli_flag("--quotient") {
         config = config.with_quotient();
     }

@@ -55,9 +55,9 @@ pub struct CheckConfig {
     /// Worker threads for the combo sweep. `None` (the default) uses the
     /// machine's available parallelism; `Some(1)` forces a serial sweep.
     pub jobs: Option<usize>,
-    /// How the `jobs` budget is spent: the default ([`StrategyKind::Auto`])
-    /// runs a combo pool of `jobs` threads, [`StrategyKind::IntraCombo`]
-    /// also parallelizes each combo's BFS. Never changes the report.
+    /// How many combo-pool threads the `jobs` budget buys (see
+    /// [`StrategyKind`]; the default is all of it). Never changes the
+    /// report.
     pub strategy: StrategyKind,
     /// Live-telemetry registry the sweep records `mc.*` metrics into.
     /// `None` (the default) keeps every telemetry hook compiled to a no-op
@@ -129,7 +129,8 @@ impl CheckConfig {
         self
     }
 
-    /// Selects the sweep execution strategy (see [`CheckConfig::strategy`]).
+    /// Sizes the combo pool (see [`CheckConfig::strategy`]). Kept only
+    /// until the benchmark retires its e3-n3-intra2 workload.
     #[must_use]
     pub fn with_strategy(mut self, strategy: StrategyKind) -> Self {
         self.strategy = strategy;
@@ -474,13 +475,7 @@ where
             }
             s
         };
-        // `--strategy intra` runs the same BFS with intra-combo workers;
-        // its report is byte-identical (DESIGN §15), so everything
-        // downstream — journaling included — is oblivious.
-        let result = match config.strategy.intra_workers() {
-            Some(w) => explorer.run_until_intra(&invariant, probe, w),
-            None => explorer.run_until(&invariant, probe),
-        };
+        let result = explorer.run_until(&invariant, probe);
         drop(expand_guard);
         if let Some(tel) = &telemetry {
             tel.combos_done.inc();
@@ -1440,79 +1435,6 @@ mod tests {
                 "strategy={strategy:?} jobs={jobs} must reproduce the serial report"
             );
         }
-    }
-
-    #[test]
-    fn intra_strategy_reproduces_the_serial_sweep_report() {
-        // Violating sweep: the intra BFS must select the same lowest
-        // violating combo with the same schedule at every worker count and
-        // jobs split, composed with the quotient and a spill-forcing budget.
-        let reference = write_once_sweep(1);
-        for workers in [1, 2, 4] {
-            for jobs in [1, 4] {
-                let config = CheckConfig::default()
-                    .with_jobs(jobs)
-                    .with_strategy(StrategyKind::IntraCombo { workers });
-                let outcome =
-                    write_once_sweep_with(&config).expect("uncheckpointed sweeps never error");
-                assert_eq!(
-                    outcome.report, reference.report,
-                    "intra workers={workers} jobs={jobs}"
-                );
-                assert_eq!(
-                    outcome.telemetry.per_combo_states,
-                    reference.telemetry.per_combo_states
-                );
-            }
-        }
-
-        let quotiented = CheckConfig::serial()
-            .with_quotient()
-            .with_visited_budget(64);
-        let reference = check_snapshot_task_with(&[1, 2], 500_000, &quotiented).unwrap();
-        for workers in [2, 4] {
-            let config = quotiented
-                .clone()
-                .with_strategy(StrategyKind::IntraCombo { workers });
-            let outcome = check_snapshot_task_with(&[1, 2], 500_000, &config).unwrap();
-            assert_eq!(outcome.report, reference.report, "intra workers={workers}");
-        }
-    }
-
-    #[test]
-    fn intra_checkpoint_journals_at_combo_granularity_only() {
-        // Resume semantics are untouched by the intra strategy: a journal
-        // written under `--strategy intra` holds exactly the combo-level
-        // record stream a serial run writes — same record count, no new
-        // kinds — and resumes byte-identically under either strategy.
-        let baseline = write_once_sweep(1);
-        let dir = scratch_checkpoint_dir("intra");
-        let cp = CheckpointConfig::new(&dir);
-        let registry = Arc::new(MetricRegistry::new());
-        let config = CheckConfig::serial()
-            .with_strategy(StrategyKind::IntraCombo { workers: 2 })
-            .with_checkpoint(cp.clone())
-            .with_telemetry(Arc::clone(&registry));
-        let intra = write_once_sweep_with(&config).expect("checkpointed sweep");
-        assert_eq!(intra.report, baseline.report);
-        // One claim + one done per explored combo (25: stops at the first
-        // violating combo) — identical to the serial journal's stream.
-        let snap = registry.sample(0, None);
-        assert_eq!(snap.counter("ckpt.records"), 50);
-
-        // The journal replays into a *serial* resume verbatim: granularity
-        // is per-combo, so the writing strategy is unobservable.
-        let recovery = crate::inspect_journal(&dir).expect("intact journal");
-        assert_eq!(recovery.completed.len(), 25);
-        let config = CheckConfig::serial().with_checkpoint(cp.with_resume());
-        let resumed = write_once_sweep_with(&config).expect("resumed sweep");
-        assert_eq!(resumed.report, baseline.report);
-        assert_eq!(
-            resumed.telemetry.per_combo_states,
-            baseline.telemetry.per_combo_states
-        );
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,30 +7,22 @@
 //! representation ([`McState`]) remains the *semantic* definition of a state
 //! — violations, replays, and the simulation/atomicity layers still use it.
 //!
-//! There is one BFS: a level-by-level loop that commits every (parent, live
-//! process) expansion in serial pop order (DESIGN §12). With one worker it
-//! steps each expansion straight into the committed tables; with more
-//! (`--strategy intra`, DESIGN §15) a worker crew expands, interns and
-//! canonicalizes each level in parallel ahead of that loop, which only
-//! consumes the results — so every worker count reports identically.
+//! There is one BFS: a level-by-level loop that steps and commits every
+//! (parent, live process) expansion in serial pop order on one thread
+//! (DESIGN §12). Parallelism lives one level up, in the combo pool
+//! (`--jobs`); DESIGN §15 records why there is no intra-combo crew.
 
 use std::borrow::Borrow;
 use std::hash::Hash;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use fa_memory::{Action, ProcId, Process, StepInput, Wiring};
 
-use crate::arena::{
-    step_block_row_in, step_row_in, ArenaTables, OverlayLog, OverlayTables, StateView, HALTED,
-};
+use crate::arena::{ArenaTables, StateView, HALTED};
 use crate::canon::{compose, invert, Canonicalizer};
 use crate::checkpoint::crash_point;
-use crate::store::{
-    hash_row, HashedStore, InMemoryVisited, ShardedVisited, TieredVisited, VisitedStore,
-};
+use crate::store::{hash_row, HashedStore, InMemoryVisited, TieredVisited, VisitedStore};
 use crate::telemetry::ExplorerTelemetry;
 
 /// A process's poised-action slot: `None` once the process has halted.
@@ -261,8 +253,7 @@ struct Flushed {
 /// How many state expansions, counted in commit order, pass between polls
 /// of the external stop signal: frequent enough to abort promptly, rare
 /// enough to keep the check off the hot path. Telemetry and the
-/// `explorer.poll` crash point share the same boundary, so it is the same
-/// for every worker count.
+/// `explorer.poll` crash point share the same boundary.
 const STOP_POLL_INTERVAL: usize = 1024;
 
 /// One in this many expansions is wall-clock timed for the `mc.dedup` span
@@ -270,16 +261,6 @@ const STOP_POLL_INTERVAL: usize = 1024;
 /// `Instant::now()` calls off the per-expansion hot path — the <5% probe
 /// overhead budget of EXPERIMENTS E22.
 const DEDUP_SAMPLE_INTERVAL: usize = 64;
-
-/// Frontier positions handed out per work-stealing claim in the crew's
-/// expand phase: big enough to amortize the claim `fetch_add`, small enough
-/// to balance the skewed out-degrees of real frontiers.
-const EXPAND_CHUNK: usize = 32;
-
-/// Record indices handed out per claim in the crew's derive phase (patch +
-/// canonicalize + hash + probe): cheaper per item than expansion, so chunks
-/// are larger.
-const DERIVE_CHUNK: usize = 128;
 
 impl<P> Explorer<P>
 where
@@ -477,9 +458,7 @@ where
     ///
     /// States are id rows (see [`crate::arena`]), stepping patches a copied
     /// row in place, and the visited set — in memory, or tiered under
-    /// [`Explorer::with_visited_budget`] — hashes rows directly. This is the
-    /// one-worker run of the single BFS engine, so it explores the same
-    /// states in the same order as [`Explorer::run_until_intra`].
+    /// [`Explorer::with_visited_budget`] — hashes rows directly.
     pub fn run_until<F, S>(&self, invariant: F, stop: S) -> ExploreReport<P>
     where
         F: Fn(&StateView<'_, P>) -> Result<(), String>,
@@ -489,13 +468,7 @@ where
         let w = m + 3 * n;
         let canon = self.canonicalizer();
         match self.visited_budget {
-            None => self.explore(
-                &invariant,
-                &stop,
-                InMemoryVisited::new(w),
-                canon.as_ref(),
-                Inline,
-            ),
+            None => self.explore(&invariant, &stop, InMemoryVisited::new(w), canon.as_ref()),
             Some(budget) => {
                 let mut store = TieredVisited::new(w, budget);
                 if let Some(dir) = &self.spill_dir {
@@ -507,66 +480,20 @@ where
                 if self.corrupt_spill {
                     store.corrupt_next_spill_for_tests();
                 }
-                self.explore(&invariant, &stop, store, canon.as_ref(), Inline)
+                self.explore(&invariant, &stop, store, canon.as_ref())
             }
         }
     }
 
-    /// [`Explorer::run_until_intra`] without an external stop signal.
-    pub fn run_intra<F>(&self, invariant: F, workers: usize) -> ExploreReport<P>
+    /// [`Explorer::run`] under its old intra-combo name; `_workers` is
+    /// ignored. Kept only until the benchmark retires its e3-n3-intra2
+    /// workload.
+    #[doc(hidden)]
+    pub fn run_intra<F>(&self, invariant: F, _workers: usize) -> ExploreReport<P>
     where
-        F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
-        P: Send + Sync,
-        P::Value: Send + Sync,
-        P::Output: Send + Sync,
+        F: Fn(&StateView<'_, P>) -> Result<(), String>,
     {
-        self.run_until_intra(invariant, || false, workers)
-    }
-
-    /// Like [`Explorer::run_until`] over a [`ShardedVisited`] store, with
-    /// `workers` threads sharing each BFS level (`--strategy intra`).
-    ///
-    /// One worker runs exactly [`Explorer::run_until`]'s code. With more,
-    /// a worker crew speculatively expands each level against per-worker
-    /// overlay tables, replays the overlay intern logs in serial order and
-    /// derives the committed, canonical successor rows in parallel (DESIGN
-    /// §15); the serial commit loop then consumes them where it would
-    /// otherwise step. Slot ids, dedup decisions, state numbering, stop
-    /// polls and therefore the entire [`ExploreReport`] (including which
-    /// violation is found and its schedule) are byte-identical for any
-    /// worker count.
-    pub fn run_until_intra<F, S>(&self, invariant: F, stop: S, workers: usize) -> ExploreReport<P>
-    where
-        F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
-        S: Fn() -> bool,
-        P: Send + Sync,
-        P::Value: Send + Sync,
-        P::Output: Send + Sync,
-    {
-        let (m, n) = self.dims();
-        let mut store = ShardedVisited::new(m + 3 * n, self.visited_budget);
-        if let Some(dir) = &self.spill_dir {
-            store = store.with_spill_dir(dir.clone());
-        }
-        if let Some(flag) = &self.pressure {
-            store.set_pressure(Arc::clone(flag));
-        }
-        if self.corrupt_spill {
-            store.corrupt_next_spill_for_tests();
-        }
-        let canon = self.canonicalizer();
-        if workers <= 1 {
-            return self.explore(&invariant, &stop, store, canon.as_ref(), Inline);
-        }
-        let crew = Crew::new(self, &invariant, canon.as_ref(), workers);
-        std::thread::scope(|s| {
-            for idx in 1..workers {
-                let crew = &crew;
-                s.spawn(move || crew.work(idx));
-            }
-            let _dismissal = crew.dismissal();
-            self.explore(&invariant, &stop, store, canon.as_ref(), &crew)
-        })
+        self.run(invariant)
     }
 
     /// `(registers, processes)` of the system.
@@ -587,7 +514,7 @@ where
 
     /// Publishes live telemetry: states and transition-memo tallies as
     /// counter deltas since the last flush (so shared counters stay
-    /// globally monotone across combos and workers), gauges as the current
+    /// globally monotone across combos and pool threads), gauges as the current
     /// readings. Runs on the stop-poll boundary and at the exit, so the
     /// per-step path touches no atomics.
     fn flush_telemetry<V: VisitedStore>(
@@ -619,33 +546,29 @@ where
         tel.interner_entries.set(tables.len_total() as u64);
     }
 
-    /// The BFS engine, generic over visited-set storage and over who steps
-    /// a level's expansions: the commit loop itself ([`Inline`]) or a
-    /// worker [`Crew`] ahead of it. The store only decides where rows live,
-    /// never which ids exist, so every instantiation reports identically.
+    /// The BFS engine, generic over visited-set storage. The store only
+    /// decides where rows live, never which ids exist, so every store
+    /// reports identically.
     ///
     /// Level `d` is the id range the store held when level `d - 1` was
     /// done — the FIFO queue of a serial BFS, cut at depth boundaries. The
     /// commit loop pops each parent in that order, reading its row back
-    /// from the store (so a corrupted spill tier is caught at the same
-    /// parent for every worker count), and commits each live process's
-    /// successor: canonicalize, look up, cap, insert, check the invariant.
-    /// Store failures (spill-tier I/O errors or corruption) and id-space
+    /// from the store (so a corrupted spill tier is caught at a fixed
+    /// parent), and commits each live process's successor: step,
+    /// canonicalize, look up, cap, insert, check the invariant. Store
+    /// failures (spill-tier I/O errors or corruption) and id-space
     /// exhaustion abort with `complete: false`, never as "row not seen".
-    #[allow(clippy::too_many_lines)]
-    fn explore<V, F, S, X>(
+    fn explore<V, F, S>(
         &self,
         invariant: &F,
         stop: &S,
         mut store: V,
         canon: Option<&Canonicalizer>,
-        mut prefetch: X,
     ) -> ExploreReport<P>
     where
         V: HashedStore,
         F: Fn(&StateView<'_, P>) -> Result<(), String>,
         S: Fn() -> bool,
-        X: Prefetch<P, V>,
     {
         let (m, n) = self.dims();
         let w = m + 3 * n;
@@ -709,14 +632,9 @@ where
             let mut canon_buf = vec![0u32; w];
             let mut level_start = 0usize;
             while level_start < store.len() {
-                let level = level_start..store.len();
+                let level_end = store.len();
                 let capped = self.max_depth.is_some_and(|maxd| depth >= maxd);
-                let mut ahead = if capped {
-                    None
-                } else {
-                    prefetch.level(&mut tables, &mut store, level.clone())
-                };
-                for cur in level.clone() {
+                for cur in level_start..level_end {
                     if store.read_row(cur, &mut cur_row).is_err() {
                         break 'run (false, None);
                     }
@@ -728,7 +646,6 @@ where
                         complete = false;
                         continue;
                     }
-                    let pos = (cur - level.start) as u32;
                     for pi in 0..n {
                         if cur_row[m + n + pi] == HALTED {
                             continue;
@@ -751,52 +668,29 @@ where
                         let dedup_start = (self.telemetry.is_some()
                             && expansions % DEDUP_SAMPLE_INTERVAL == 0)
                             .then(Instant::now);
-                        // The successor lands in `row`, canonical, with its
-                        // hash, group element, orbit size and — when the
-                        // crew pre-checked it — its invariant verdict.
-                        let (hash, gidx, orbit, checked) = if let Some(ahead) = &mut ahead {
-                            if ahead.stop_at.is_some_and(|at| (pos, pi as u16) >= at) {
-                                // Stepping inline would exhaust the id space
-                                // (or fail to read the parent) right here.
-                                break 'run (false, None);
-                            }
-                            let d = ahead
-                                .derived
-                                .next()
-                                .flatten()
-                                .expect("the crew derives every step before its stop point");
-                            if d.spec_dup {
-                                // Present in the store before this level
-                                // began — the lookup could only agree.
-                                continue;
-                            }
-                            row.copy_from_slice(&d.row);
-                            (d.hash, d.gidx, d.orbit, Some(d.inv_err))
+                        row.copy_from_slice(&cur_row);
+                        let stepped = if self.coarse_scans {
+                            tables.step_block_row(&mut row, p, &self.wirings)
                         } else {
-                            row.copy_from_slice(&cur_row);
-                            let stepped = if self.coarse_scans {
-                                step_block_row_in(&mut tables, &mut row, p, &self.wirings)
-                            } else {
-                                step_row_in(&mut tables, &mut row, p, &self.wirings)
-                            };
-                            if stepped.is_err() {
-                                // Id-space exhaustion: abort gracefully, like
-                                // hitting the state cap — the report stays
-                                // honest and the sweep worker never panics.
-                                break 'run (false, None);
-                            }
-                            let (g, orbit) = match canon {
-                                Some(c) => {
-                                    let (g, orbit) = c.canonicalize(&row, &mut canon_buf);
-                                    // Dedup, insertion and the invariant all
-                                    // see the representative.
-                                    std::mem::swap(&mut row, &mut canon_buf);
-                                    (g, orbit)
-                                }
-                                None => (0, 1),
-                            };
-                            (hash_row(&row), g, orbit, None)
+                            tables.step_row(&mut row, p, &self.wirings)
                         };
+                        if stepped.is_err() {
+                            // Id-space exhaustion: abort gracefully, like
+                            // hitting the state cap — the report stays
+                            // honest and the sweep worker never panics.
+                            break 'run (false, None);
+                        }
+                        let (gidx, orbit) = match canon {
+                            Some(c) => {
+                                let (g, orbit) = c.canonicalize(&row, &mut canon_buf);
+                                // Dedup, insertion and the invariant all see
+                                // the representative.
+                                std::mem::swap(&mut row, &mut canon_buf);
+                                (g, orbit)
+                            }
+                            None => (0, 1),
+                        };
+                        let hash = hash_row(&row);
                         let seen = store.lookup_hashed(&row, hash);
                         if let (Some(started), Some(tel)) = (dedup_start, &self.telemetry) {
                             let ns =
@@ -819,11 +713,7 @@ where
                         estimate += orbit;
                         parents.push(Some((cur, p)));
                         gelems.push(gidx);
-                        let verdict = match checked {
-                            Some(verdict) => verdict,
-                            None => invariant(&StateView::new(&tables, &row)).err(),
-                        };
-                        if let Some(message) = verdict {
+                        if let Err(message) = invariant(&StateView::new(&tables, &row)) {
                             let v = self.assemble_violation(
                                 &tables, canon, invariant, &parents, &gelems, id, &row, message,
                             );
@@ -831,7 +721,7 @@ where
                         }
                     }
                 }
-                level_start = level.end;
+                level_start = level_end;
                 depth += 1;
             }
             (complete, None)
@@ -923,500 +813,6 @@ where
             state: tables.decode(&urow),
             schedule,
         }
-    }
-}
-
-/// Who steps a BFS level's expansions before the engine's commit loop
-/// consumes them.
-trait Prefetch<P: Process, V>
-where
-    P: Clone + Eq + Hash + std::fmt::Debug,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug,
-{
-    /// The derived successors of the parents with ids `level`, or `None`
-    /// to let the commit loop step them itself.
-    fn level(
-        &mut self,
-        tables: &mut ArenaTables<P>,
-        store: &mut V,
-        level: Range<usize>,
-    ) -> Option<Prefetched>;
-}
-
-/// One worker: the commit loop steps every expansion straight into the
-/// committed tables — no overlay, log, replay, threads or locks.
-struct Inline;
-
-impl<P, V> Prefetch<P, V> for Inline
-where
-    P: Process + Clone + Eq + Hash + std::fmt::Debug,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug,
-{
-    fn level(&mut self, _: &mut ArenaTables<P>, _: &mut V, _: Range<usize>) -> Option<Prefetched> {
-        None
-    }
-}
-
-/// One level's successors as the crew hands them to the commit loop.
-struct Prefetched {
-    /// One entry per (parent, live process) step in serial order, up to
-    /// `stop_at`.
-    derived: std::vec::IntoIter<Option<Derived>>,
-    /// `(parent position, process)` of the first step the crew could not
-    /// take: stepping inline would exhaust the id space there (or fail to
-    /// read the parent back), so the commit loop aborts on reaching it.
-    stop_at: Option<(u32, u16)>,
-}
-
-/// One speculative expansion produced by a crew worker during the parallel
-/// expand phase: the successor row in the worker's *provisional* id space,
-/// plus enough provenance to commit it in exact serial order.
-struct ExpRecord {
-    /// Position of the parent within the level.
-    parent_pos: u32,
-    /// Process stepped to produce this successor.
-    proc: u16,
-    /// Worker whose overlay log (and provisional id space) the row uses.
-    worker: u16,
-    /// Range of that worker's overlay intern log this step appended.
-    log_start: u32,
-    /// Exclusive end of the log range.
-    log_end: u32,
-    /// The successor row; fresh slots carry provisional ids until patched.
-    row: Box<[u32]>,
-}
-
-/// Per-record results of the parallel derive phase: the committed-id,
-/// canonicalized successor row and everything speculated from it against
-/// the level-frozen tables and store.
-struct Derived {
-    /// The patched, canonical row — byte-identical to what the commit loop
-    /// would have produced stepping inline.
-    row: Box<[u32]>,
-    /// `hash_row` of the row, for the commit loop's store.
-    hash: u64,
-    /// Canonicalizing group element (0 without quotienting).
-    gidx: u32,
-    /// Orbit size of the canonical state (1 without quotienting).
-    orbit: u64,
-    /// Row was already present in the pre-level (frozen) store — the
-    /// commit's lookup could only agree, so it skips the row outright.
-    spec_dup: bool,
-    /// Invariant verdict, pre-checked for rows that may be inserted; only
-    /// applied if the commit actually inserts the row.
-    inv_err: Option<String>,
-}
-
-/// Phase outputs of one crew worker for one BFS level.
-struct WorkerOut<P: Process>
-where
-    P: Clone + Eq + Hash + std::fmt::Debug,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug,
-{
-    /// Claimed level chunks (by start position) and their records.
-    chunks: Vec<(usize, Vec<ExpRecord>)>,
-    /// The worker's overlay intern log for the level.
-    log: Option<OverlayLog<P>>,
-    /// `(parent_pos, proc)` of a step that overran the hard id bound; the
-    /// worker stopped claiming there.
-    err_at: Option<(u32, u16)>,
-    /// Chunks claimed beyond the worker's first this level.
-    steals: u64,
-    /// Derive-phase output: `(record index, derived data)`.
-    derived: Vec<(usize, Derived)>,
-}
-
-/// What the commit loop lends the crew while a level is prefetched: the
-/// committed tables and store, and the level's phase data.
-struct Lent<P: Process>
-where
-    P: Clone + Eq + Hash + std::fmt::Debug,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug,
-{
-    tables: ArenaTables<P>,
-    store: ShardedVisited,
-    /// The level's parent rows, in pop order.
-    rows: Vec<u32>,
-    /// Table-committed expansions in serial order.
-    records: Vec<ExpRecord>,
-    /// Each worker's overlay intern log.
-    logs: Vec<OverlayLog<P>>,
-    /// Each worker's provisional → committed id maps, per slot table.
-    maps: Vec<[Vec<u32>; 4]>,
-}
-
-/// The worker crew behind `run_until_intra` with more than one worker.
-/// Each level runs four phases (DESIGN §15), the first and third on every
-/// worker, the others on the thread running the commit loop:
-///
-/// 1. **Expand**: workers claim level chunks off an atomic cursor and step
-///    every live process of every parent through per-worker
-///    [`OverlayTables`], recording provisional-id rows and intern-log
-///    ranges.
-/// 2. **Table commit**: the chunks are merged back into serial `(parent,
-///    process)` order and their overlay logs replayed into the committed
-///    tables — which reproduces the serial id assignment bit-for-bit and
-///    finds id-space exhaustion at the exact step the serial BFS would.
-/// 3. **Derive**: provisional ids are patched to committed ones, rows
-///    canonicalized, the level-frozen store probed, and the invariant
-///    pre-checked.
-/// 4. The derived rows go to the commit loop in serial order.
-///
-/// The locks are coarse — one acquisition per worker per phase, never on
-/// the per-state path — and never contended across phases by construction
-/// of the barrier protocol.
-struct Crew<'c, P: Process, F>
-where
-    P: Clone + Eq + Hash + std::fmt::Debug,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug,
-{
-    explorer: &'c Explorer<P>,
-    invariant: &'c F,
-    canon: Option<&'c Canonicalizer>,
-    workers: usize,
-    lent: RwLock<Lent<P>>,
-    outs: Vec<Mutex<WorkerOut<P>>>,
-    cursor: AtomicUsize,
-    barrier: Barrier,
-    done: AtomicBool,
-}
-
-impl<'c, P, F> Crew<'c, P, F>
-where
-    P: Process + Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
-    F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
-{
-    fn new(
-        explorer: &'c Explorer<P>,
-        invariant: &'c F,
-        canon: Option<&'c Canonicalizer>,
-        workers: usize,
-    ) -> Self {
-        let (m, n) = explorer.dims();
-        Crew {
-            explorer,
-            invariant,
-            canon,
-            workers,
-            // Placeholders until the commit loop lends the real ones.
-            lent: RwLock::new(Lent {
-                tables: ArenaTables::new(m, n, explorer.id_cap),
-                store: ShardedVisited::new(m + 3 * n, None),
-                rows: Vec::new(),
-                records: Vec::new(),
-                logs: Vec::new(),
-                maps: Vec::new(),
-            }),
-            outs: (0..workers)
-                .map(|_| {
-                    Mutex::new(WorkerOut {
-                        chunks: Vec::new(),
-                        log: None,
-                        err_at: None,
-                        steals: 0,
-                        derived: Vec::new(),
-                    })
-                })
-                .collect(),
-            cursor: AtomicUsize::new(0),
-            barrier: Barrier::new(workers),
-            done: AtomicBool::new(false),
-        }
-    }
-
-    /// A spawned worker's life: one expand and one derive per level until
-    /// the [`Crew::dismissal`] drops. The commit loop only runs between
-    /// levels, while every worker is parked at the first barrier.
-    fn work(&self, idx: usize) {
-        loop {
-            self.barrier.wait();
-            if self.done.load(Ordering::Acquire) {
-                break;
-            }
-            self.expand(idx);
-            self.barrier.wait();
-            self.barrier.wait();
-            self.derive(idx);
-            self.barrier.wait();
-        }
-    }
-
-    /// A guard that lets the parked workers exit when it drops: after the
-    /// commit loop returns, or while a panic unwinds it.
-    fn dismissal(&self) -> Dismissal<'_> {
-        Dismissal {
-            done: &self.done,
-            barrier: &self.barrier,
-        }
-    }
-
-    /// Phase 1 on worker `idx`.
-    fn expand(&self, idx: usize) {
-        let (m, n) = self.explorer.dims();
-        let w = m + 3 * n;
-        let lent = self.lent.read().expect("crew lock");
-        let parents = lent.rows.len() / w;
-        let mut overlay = OverlayTables::new(&lent.tables);
-        let mut chunks: Vec<(usize, Vec<ExpRecord>)> = Vec::new();
-        let mut err_at: Option<(u32, u16)> = None;
-        let mut steals = 0u64;
-        let mut first = true;
-        let mut scratch = vec![0u32; w];
-        'claim: loop {
-            let start = self.cursor.fetch_add(EXPAND_CHUNK, Ordering::Relaxed);
-            if start >= parents {
-                break;
-            }
-            if first {
-                first = false;
-            } else {
-                steals += 1;
-            }
-            let end = (start + EXPAND_CHUNK).min(parents);
-            let mut recs: Vec<ExpRecord> = Vec::new();
-            for pos in start..end {
-                let row = &lent.rows[pos * w..(pos + 1) * w];
-                if row[m + n..m + 2 * n].iter().all(|&id| id == HALTED) {
-                    continue;
-                }
-                for pi in 0..n {
-                    if row[m + n + pi] == HALTED {
-                        continue;
-                    }
-                    scratch.copy_from_slice(row);
-                    let log_start = overlay.log_len() as u32;
-                    let wirings = &self.explorer.wirings;
-                    let stepped = if self.explorer.coarse_scans {
-                        step_block_row_in(&mut overlay, &mut scratch, ProcId(pi), wirings)
-                    } else {
-                        step_row_in(&mut overlay, &mut scratch, ProcId(pi), wirings)
-                    };
-                    if stepped.is_err() {
-                        // Provisional id overran the hard bound: the serial
-                        // BFS aborts at or before this very step. Stop
-                        // claiming; the table commit truncates to the
-                        // serial abort point.
-                        err_at = Some((pos as u32, pi as u16));
-                        chunks.push((start, recs));
-                        break 'claim;
-                    }
-                    recs.push(ExpRecord {
-                        parent_pos: pos as u32,
-                        proc: pi as u16,
-                        worker: idx as u16,
-                        log_start,
-                        log_end: overlay.log_len() as u32,
-                        row: scratch.clone().into_boxed_slice(),
-                    });
-                }
-            }
-            chunks.push((start, recs));
-        }
-        let log = overlay.into_log();
-        let mut out = self.outs[idx].lock().expect("worker slot");
-        out.chunks = chunks;
-        out.log = Some(log);
-        out.err_at = err_at;
-        out.steals = steals;
-    }
-
-    /// Phase 3 on worker `idx`.
-    fn derive(&self, idx: usize) {
-        let (m, n) = self.explorer.dims();
-        let lent = self.lent.read().expect("crew lock");
-        let mut derived: Vec<(usize, Derived)> = Vec::new();
-        let mut buf = vec![0u32; m + 3 * n];
-        loop {
-            let start = self.cursor.fetch_add(DERIVE_CHUNK, Ordering::Relaxed);
-            if start >= lent.records.len() {
-                break;
-            }
-            let end = (start + DERIVE_CHUNK).min(lent.records.len());
-            for (i, r) in lent.records.iter().enumerate().take(end).skip(start) {
-                let wk = r.worker as usize;
-                let mut row = r.row.to_vec();
-                lent.logs[wk].patch_row(m, n, &lent.maps[wk], &mut row);
-                let (gidx, orbit) = if let Some(c) = self.canon {
-                    let (g, orb) = c.canonicalize(&row, &mut buf);
-                    std::mem::swap(&mut row, &mut buf);
-                    (g, orb)
-                } else {
-                    (0u32, 1u64)
-                };
-                // A store error here is *not* authoritative — the commit
-                // loop re-probes and aborts at the exact serial point if
-                // the tier really is broken.
-                let hash = hash_row(&row);
-                let spec_dup = matches!(lent.store.lookup_shared(&row, hash), Ok(Some(_)));
-                let inv_err = if spec_dup {
-                    None
-                } else {
-                    (self.invariant)(&StateView::new(&lent.tables, &row)).err()
-                };
-                derived.push((
-                    i,
-                    Derived {
-                        row: row.into_boxed_slice(),
-                        hash,
-                        gidx,
-                        orbit,
-                        spec_dup,
-                        inv_err,
-                    },
-                ));
-            }
-        }
-        self.outs[idx].lock().expect("worker slot").derived = derived;
-    }
-
-    /// Phase 2: merges the workers' chunks into serial order, truncates at
-    /// the first step that cannot be taken (narrowing `stop_at` to it), and
-    /// replays the overlay logs into the committed tables.
-    fn commit_tables(&self, lent: &mut Lent<P>, stop_at: &mut Option<(u32, u16)>) {
-        let mut logs: Vec<OverlayLog<P>> = Vec::with_capacity(self.workers);
-        let mut chunks: Vec<(usize, Vec<ExpRecord>)> = Vec::new();
-        for out in &self.outs {
-            let mut o = out.lock().expect("worker slot");
-            chunks.append(&mut o.chunks);
-            logs.push(o.log.take().expect("the expand phase left a log"));
-            if let Some(e) = o.err_at.take() {
-                *stop_at = Some(stop_at.map_or(e, |cur| cur.min(e)));
-            }
-            if let Some(tel) = &self.explorer.telemetry {
-                tel.steals.add(o.steals);
-            }
-        }
-        chunks.sort_unstable_by_key(|&(start, _)| start);
-        let mut records: Vec<ExpRecord> = chunks.into_iter().flat_map(|(_, recs)| recs).collect();
-        // A worker that hit the hard id bound stopped claiming, but chunks
-        // are handed out in increasing order, so every expansion serially
-        // before the failed step is present — and the serial BFS would
-        // have aborted at or before that step. Drop everything at or after
-        // it.
-        if let Some(e) = *stop_at {
-            records.truncate(records.partition_point(|r| (r.parent_pos, r.proc) < e));
-        }
-        let mut maps: Vec<[Vec<u32>; 4]> = (0..self.workers)
-            .map(|_| std::array::from_fn(|_| Vec::new()))
-            .collect();
-        let mut cursors: Vec<[usize; 4]> = vec![[0; 4]; self.workers];
-        for (i, r) in records.iter().enumerate() {
-            let wk = r.worker as usize;
-            let range = r.log_start as usize..r.log_end as usize;
-            if lent
-                .tables
-                .replay_slice(&logs[wk], range, &mut cursors[wk], &mut maps[wk])
-                .is_err()
-            {
-                // The replay interns exactly the values the serial BFS
-                // would intern, in the same order: this is the serial
-                // abort step.
-                *stop_at = Some((r.parent_pos, r.proc));
-                records.truncate(i);
-                break;
-            }
-        }
-        // Every memo entry a worker logged holds committed ids only, so
-        // merging them in any order leaves the memo a function of the
-        // committed tables.
-        for log in &logs {
-            lent.tables.absorb(log);
-        }
-        lent.records = records;
-        lent.logs = logs;
-        lent.maps = maps;
-    }
-}
-
-/// See [`Crew::dismissal`].
-struct Dismissal<'a> {
-    done: &'a AtomicBool,
-    barrier: &'a Barrier,
-}
-
-impl Drop for Dismissal<'_> {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::Release);
-        self.barrier.wait();
-    }
-}
-
-impl<P, F> Prefetch<P, ShardedVisited> for &Crew<'_, P, F>
-where
-    P: Process + Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
-    P::Value: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
-    P::Output: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
-    F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
-{
-    fn level(
-        &mut self,
-        tables: &mut ArenaTables<P>,
-        store: &mut ShardedVisited,
-        level: Range<usize>,
-    ) -> Option<Prefetched> {
-        if level.len() <= EXPAND_CHUNK {
-            // One claim covers the whole level, so there is nothing to
-            // share: the commit loop steps it inline, skipping the barriers.
-            return None;
-        }
-        let w = store.row_words();
-        // The parents in pop order; one that cannot be read back stops the
-        // level there, and the commit loop's own read of it aborts.
-        let mut stop_at = None;
-        let mut rows = vec![0u32; level.len() * w];
-        for (pos, id) in level.enumerate() {
-            if store
-                .read_row(id, &mut rows[pos * w..(pos + 1) * w])
-                .is_err()
-            {
-                rows.truncate(pos * w);
-                stop_at = Some((pos as u32, 0));
-                break;
-            }
-        }
-        {
-            let mut lent = self.lent.write().expect("crew lock");
-            std::mem::swap(tables, &mut lent.tables);
-            std::mem::swap(store, &mut lent.store);
-            lent.rows = rows;
-        }
-
-        self.cursor.store(0, Ordering::Relaxed);
-        self.barrier.wait(); // expand starts
-        let expand_started = Instant::now();
-        self.expand(0);
-        self.barrier.wait(); // expand ends
-        if let Some(tel) = &self.explorer.telemetry {
-            let ns = u64::try_from(expand_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            tel.expand_parallel.record_ns(ns);
-        }
-        self.commit_tables(&mut self.lent.write().expect("crew lock"), &mut stop_at);
-
-        self.cursor.store(0, Ordering::Relaxed);
-        self.barrier.wait(); // derive starts
-        self.derive(0);
-        self.barrier.wait(); // derive ends
-
-        let mut lent = self.lent.write().expect("crew lock");
-        let mut derived: Vec<Option<Derived>> = lent.records.iter().map(|_| None).collect();
-        for out in &self.outs {
-            for (i, d) in out.lock().expect("worker slot").derived.drain(..) {
-                derived[i] = Some(d);
-            }
-        }
-        std::mem::swap(tables, &mut lent.tables);
-        std::mem::swap(store, &mut lent.store);
-        Some(Prefetched {
-            derived: derived.into_iter(),
-            stop_at,
-        })
     }
 }
 
@@ -1819,9 +1215,9 @@ mod tests {
     #[test]
     fn one_engine_reports_identically_over_every_store() {
         use fa_core::SnapshotProcess;
-        // `run` (in-memory), `run` under a spilling budget (tiered) and
-        // `run_intra(_, 1)` (sharded) are the same engine over different
-        // stores: same states, same order, same verdicts, byte for byte.
+        // `run` (in-memory) and `run` under a spilling budget (tiered) are
+        // the same engine over different stores: same states, same order,
+        // same verdicts, byte for byte.
         let mk = || {
             let procs: Vec<SnapshotProcess<u8>> =
                 vec![SnapshotProcess::new(1, 2), SnapshotProcess::new(2, 2)];
@@ -1858,59 +1254,12 @@ mod tests {
                 spilled_shards: 0,
                 ..tiered
             };
-            let sharded = mk().run_intra(invariant, 1);
             assert_eq!(format!("{tiered:?}"), format!("{plain:?}"));
-            assert_eq!(format!("{sharded:?}"), format!("{plain:?}"));
         }
     }
 
     #[test]
-    fn intra_reports_match_serial_for_every_worker_count() {
-        use fa_core::SnapshotProcess;
-        let mk = || {
-            let procs: Vec<SnapshotProcess<u8>> =
-                vec![SnapshotProcess::new(1, 2), SnapshotProcess::new(2, 2)];
-            Explorer::new(
-                procs,
-                2,
-                Default::default(),
-                vec![Wiring::identity(2), Wiring::cyclic_shift(2, 1)],
-            )
-        };
-        let serial = mk().run(|_| Ok(()));
-        assert!(serial.complete);
-        for workers in [1, 2, 4, 8] {
-            let intra = mk().run_intra(|_| Ok(()), workers);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{intra:?}"),
-                "workers = {workers}"
-            );
-        }
-
-        // Violating invariant: same state, same schedule, same message —
-        // the serial pop order decides which violation is "first".
-        let violating = |s: &StateView<'_, SnapshotProcess<u8>>| {
-            if s.first_outputs().iter().any(Option::is_some) {
-                Err("a snapshot was output".to_string())
-            } else {
-                Ok(())
-            }
-        };
-        let serial = mk().run(violating);
-        assert!(serial.violation.is_some());
-        for workers in [1, 2, 4, 8] {
-            let intra = mk().run_intra(violating, workers);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{intra:?}"),
-                "workers = {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn intra_composes_with_quotient_and_visited_budget() {
+    fn quotient_composes_with_visited_budget() {
         use fa_core::SnapshotProcess;
         let mk = || {
             let procs: Vec<SnapshotProcess<u8>> =
@@ -1922,22 +1271,7 @@ mod tests {
                 vec![Wiring::identity(2), Wiring::identity(2)],
             )
             .with_quotient()
-            .with_visited_budget(64)
         };
-        let serial = mk().run(|_| Ok(()));
-        assert!(serial.complete);
-        assert!(serial.spilled_shards > 0, "budget of 64B must spill");
-        for workers in [1, 2, 4, 8] {
-            let intra = mk().run_intra(|_| Ok(()), workers);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{intra:?}"),
-                "workers = {workers}"
-            );
-        }
-
-        // Quotiented violation: the untranslation walk must emit the same
-        // concrete schedule and real state regardless of worker count.
         let violating = |s: &StateView<'_, SnapshotProcess<u8>>| {
             if s.first_outputs().iter().any(Option::is_some) {
                 Err("a snapshot was output".to_string())
@@ -1945,20 +1279,31 @@ mod tests {
                 Ok(())
             }
         };
-        let serial = mk().run(violating);
-        assert!(serial.violation.is_some());
-        for workers in [1, 2, 4, 8] {
-            let intra = mk().run_intra(violating, workers);
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{intra:?}"),
-                "workers = {workers}"
-            );
-        }
+        // A 64-byte budget spills the quotiented run, which otherwise
+        // reports exactly what the in-memory one does — the untranslated
+        // counterexample included.
+        let in_memory = mk().run(|_| Ok(()));
+        let spilled = mk().with_visited_budget(64).run(|_| Ok(()));
+        assert!(spilled.complete);
+        assert!(spilled.spilled_shards > 0, "budget of 64B must spill");
+        let spilled = ExploreReport {
+            spilled_shards: 0,
+            ..spilled
+        };
+        assert_eq!(format!("{spilled:?}"), format!("{in_memory:?}"));
+
+        let in_memory = mk().run(violating);
+        assert!(in_memory.violation.is_some());
+        let spilled = mk().with_visited_budget(64).run(violating);
+        let spilled = ExploreReport {
+            spilled_shards: 0,
+            ..spilled
+        };
+        assert_eq!(format!("{spilled:?}"), format!("{in_memory:?}"));
     }
 
     #[test]
-    fn intra_matches_serial_on_caps_and_exhaustion() {
+    fn every_small_id_cap_aborts_incomplete_without_a_violation() {
         use fa_core::SnapshotProcess;
         let base = || {
             let procs: Vec<SnapshotProcess<u8>> =
@@ -1970,72 +1315,23 @@ mod tests {
                 vec![Wiring::identity(2), Wiring::cyclic_shift(2, 1)],
             )
         };
-        // Hard id-space exhaustion: the commit replay must abort at the
-        // exact serial step, so states/terminals agree byte-for-byte. The
-        // larger caps run out on levels wide enough for the crew.
+        let full = base().run(|_| Ok(()));
+        assert!(full.complete);
+        // Larger caps run out deeper in the search, never past the full
+        // space, and a rerun at the same cap stops at the same state.
+        let mut last = 0;
         for cap in [1, 2, 4, 8, 16, 32, 48] {
-            let serial = base().with_id_cap(cap).run(|_| Ok(()));
-            assert!(!serial.complete);
-            for workers in [1, 3] {
-                let intra = base().with_id_cap(cap).run_intra(|_| Ok(()), workers);
-                assert_eq!(
-                    format!("{serial:?}"),
-                    format!("{intra:?}"),
-                    "cap = {cap}, workers = {workers}"
-                );
-            }
+            let capped = base().with_id_cap(cap).run(|_| Ok(()));
+            assert!(!capped.complete, "cap = {cap}");
+            assert!(capped.violation.is_none(), "cap = {cap}");
+            assert!(
+                last <= capped.states && capped.states <= full.states,
+                "cap = {cap}"
+            );
+            last = capped.states;
+            let again = base().with_id_cap(cap).run(|_| Ok(()));
+            assert_eq!(format!("{again:?}"), format!("{capped:?}"), "cap = {cap}");
         }
-        // State cap and depth cap.
-        let serial = base().with_max_states(7).run(|_| Ok(()));
-        let intra = base().with_max_states(7).run_intra(|_| Ok(()), 4);
-        assert_eq!(format!("{serial:?}"), format!("{intra:?}"));
-        let serial = base().with_max_depth(2).run(|_| Ok(()));
-        let intra = base().with_max_depth(2).run_intra(|_| Ok(()), 4);
-        assert_eq!(format!("{serial:?}"), format!("{intra:?}"));
-        // An external stop on entry aborts without touching the workers.
-        let stopped = base().run_until_intra(|_| Ok(()), || true, 4);
-        assert!(!stopped.complete);
-        assert!(stopped.violation.is_none());
-    }
-
-    #[test]
-    fn intra_telemetry_is_exact_and_never_changes_the_report() {
-        use fa_core::SnapshotProcess;
-        use fa_obs::MetricRegistry;
-
-        let mk = || {
-            let procs: Vec<SnapshotProcess<u8>> =
-                vec![SnapshotProcess::new(1, 2), SnapshotProcess::new(2, 2)];
-            Explorer::new(
-                procs,
-                2,
-                Default::default(),
-                vec![Wiring::identity(2), Wiring::cyclic_shift(2, 1)],
-            )
-        };
-        let plain = mk().run_intra(|_| Ok(()), 4);
-
-        let registry = MetricRegistry::new();
-        let tel = ExplorerTelemetry::from_registry(&registry);
-        let probed = mk().with_telemetry(tel.clone()).run_intra(|_| Ok(()), 4);
-
-        assert_eq!(format!("{plain:?}"), format!("{probed:?}"));
-        assert_eq!(tel.states.get(), plain.states as u64);
-        assert_eq!(tel.visited_entries.get(), plain.states as u64);
-        assert!(tel.visited_bytes.get() > 0);
-        assert!(tel.interner_entries.get() > 0);
-        // The expand span records once per committed BFS level.
-        assert!(registry.span("mc.expand_parallel").calls() > 0);
-
-        // Overlays probe only the frozen base memo, so the tallies do not
-        // depend on which worker claimed which chunk: a second run repeats
-        // them exactly, and the report is unchanged.
-        let (hits, misses) = (tel.step_memo_hits.get(), tel.step_memo_misses.get());
-        assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
-        let again = mk().with_telemetry(tel.clone()).run_intra(|_| Ok(()), 4);
-        assert_eq!(format!("{again:?}"), format!("{plain:?}"));
-        assert_eq!(tel.step_memo_hits.get(), 2 * hits);
-        assert_eq!(tel.step_memo_misses.get(), 2 * misses);
     }
 
     #[test]

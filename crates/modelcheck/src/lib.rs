@@ -14,12 +14,12 @@
 //!   hot path runs over the flat id arena of [`arena`]; invariants observe
 //!   states through the borrow-only [`StateView`].
 //! * [`strategy`] — how a sweep spends its `--jobs` budget: one combo
-//!   claim loop for any thread count, optionally with intra-combo BFS
-//!   workers ([`StrategyKind`]).
+//!   claim loop for any thread count, each combo explored on the thread
+//!   that claimed it.
 //! * [`canon`] — symmetry-quotient canonicalization: orbit-representative
 //!   arena rows under the system's processor/register automorphism group,
 //!   with exact orbit sizes for full-space accounting.
-//! * [`store`] — pluggable visited-set stores behind [`VisitedStore`]:
+//! * [`store`] — the visited-set stores behind [`VisitedStore`]:
 //!   all-in-memory, or tiered with cold shards spilled to a checksummed
 //!   append-only disk file under a memory budget.
 //! * [`checks`] — ready-made checks: the snapshot task (E3), adaptive

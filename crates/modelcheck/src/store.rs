@@ -1,21 +1,16 @@
 //! Visited-set storage for the arena BFS: a [`VisitedStore`] trait with a
-//! hot in-memory table ([`InMemoryVisited`], the exact logic the explorer
-//! used inline before this module existed), a tiered implementation
-//! ([`TieredVisited`]) that spills cold row shards to an append-only
-//! file-backed tier once a configurable memory budget is exceeded
-//! (DESIGN §13), and a hash-sharded implementation ([`ShardedVisited`])
-//! whose frozen-epoch lookups are readable from many intra-combo workers at
-//! once (DESIGN §15).
+//! hot in-memory table ([`InMemoryVisited`], the flat fast path for runs
+//! without a budget) and a tiered implementation ([`TieredVisited`]) that
+//! spills cold row shards to an append-only file-backed tier once a
+//! configurable memory budget is exceeded (DESIGN §13).
 //!
-//! All stores assign state ids in insertion order (`0, 1, 2, ..`), so the
+//! Both stores assign state ids in insertion order (`0, 1, 2, ..`), so the
 //! explorer's BFS numbering — and therefore every report it assembles — is
-//! identical whichever store backs it. The tiered stores keep their hash
-//! index in memory permanently (only row payloads spill) and read spilled
+//! identical whichever store backs it. The tiered store keeps its hash
+//! index in memory permanently (only row payloads spill) and reads spilled
 //! shards back through a single-shard cache; BFS pops are nearly sequential
-//! in id order, so the cache absorbs almost all disk traffic. Both tiered
-//! stores share one row core ([`TieredRows`]), so spill decisions depend
-//! only on the insertion sequence — never on which index found the rows —
-//! and the reported `spilled_shards` is identical across stores.
+//! in id order, so the cache absorbs almost all disk traffic. Spill
+//! decisions depend only on the insertion sequence.
 //!
 //! Durability is *not* a goal — the spill file is a temp file deleted on
 //! drop. Integrity is: every spilled shard carries a checksum, and any
@@ -29,7 +24,7 @@ use std::hash::{Hash, Hasher};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Hash of one row, matching the explorer's historical row hashing exactly
 /// (so in-memory runs before and after this module report identically).
@@ -123,8 +118,7 @@ pub trait VisitedStore: std::fmt::Debug {
 }
 
 /// [`VisitedStore::lookup`] and [`VisitedStore::insert`] with the row's
-/// [`hash_row`] supplied, so the explorer hashes each successor once — and
-/// not at all where a worker already did.
+/// [`hash_row`] supplied, so the explorer hashes each successor once.
 pub(crate) trait HashedStore: VisitedStore {
     fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError>;
     fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError>;
@@ -224,11 +218,8 @@ enum Shard {
     Disk { offset: u64 },
 }
 
-/// The mutable disk half of a row tier: the spill file handle, its length,
-/// and the single-shard read-back cache. Behind a `Mutex` so sealed shards
-/// read back through `&self` — intra-combo workers probe a frozen store
-/// concurrently during speculative expansion, and only this rarely-touched
-/// corner needs synchronization.
+/// The disk half of the tiered store: the spill file handle, its length,
+/// and the single-shard read-back cache.
 #[derive(Debug, Default)]
 struct DiskTier {
     file: Option<File>,
@@ -237,13 +228,68 @@ struct DiskTier {
     cache: Option<(usize, Vec<u32>)>,
 }
 
-/// Index-free tiered row storage — the row arena plus spill tier shared by
-/// [`TieredVisited`] (one flat hash index) and [`ShardedVisited`] (a
-/// hash-sharded index). Spill decisions here depend only on the insertion
-/// sequence, never on the index that found a row, so `spilled_shards` is
-/// identical across every store built on this core.
+impl DiskTier {
+    /// Row `id` of `shards` (each `shard_rows` rows of `w` words), read
+    /// back through the cache — checksum verified — when its shard has
+    /// spilled.
+    fn row<'a>(
+        &'a mut self,
+        shards: &'a [Shard],
+        shard_rows: usize,
+        w: usize,
+        id: usize,
+    ) -> Result<&'a [u32], StoreError> {
+        let (s, r) = (id / shard_rows, id % shard_rows);
+        let rows: &[u32] = match &shards[s] {
+            Shard::Ram(rows) => rows,
+            Shard::Disk { offset } => self.load_shard(s, *offset, shard_rows * w * 4)?,
+        };
+        Ok(&rows[r * w..(r + 1) * w])
+    }
+
+    /// The rows of shard `s` (on disk at `offset`, `payload_bytes` long),
+    /// loaded into the cache unless already there.
+    fn load_shard(
+        &mut self,
+        s: usize,
+        offset: u64,
+        payload_bytes: usize,
+    ) -> Result<&[u32], StoreError> {
+        if !self.cache.as_ref().is_some_and(|(c, _)| *c == s) {
+            let file = self.file.as_mut().ok_or_else(|| {
+                StoreError::Corrupt(format!("shard {s} marked spilled but no spill file exists"))
+            })?;
+            let mut header = [0u8; 8];
+            let mut payload = vec![0u8; payload_bytes];
+            file.seek(SeekFrom::Start(offset))?;
+            file.read_exact(&mut header)?;
+            file.read_exact(&mut payload)?;
+            let expect = u64::from_le_bytes(header);
+            let got = fnv1a(&payload);
+            if got != expect {
+                return Err(StoreError::Corrupt(format!(
+                    "shard {s} at offset {offset}: checksum {got:#018x} != recorded {expect:#018x}"
+                )));
+            }
+            let rows: Vec<u32> = payload
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+                .collect();
+            self.cache = Some((s, rows));
+        }
+        Ok(&self.cache.as_ref().expect("the cache holds shard s").1)
+    }
+}
+
+/// The tiered store: resident shards up to a byte budget, then the oldest
+/// *full* shards spill — append-only, checksummed — to a temp file. The
+/// tail shard (still filling) and the hash index never spill, so lookups
+/// stay one hash probe plus (rarely) one cached shard read. Spill
+/// decisions depend only on the insertion sequence. Without a budget
+/// nothing ever spills.
 #[derive(Debug)]
-pub(crate) struct TieredRows {
+pub struct TieredVisited {
+    index: HashMap<u64, Vec<usize>>,
     w: usize,
     /// Rows per shard — fixed at construction so disk offsets are computable.
     shard_rows: usize,
@@ -251,7 +297,7 @@ pub(crate) struct TieredRows {
     budget_rows: usize,
     shards: Vec<Shard>,
     len: usize,
-    disk: Mutex<DiskTier>,
+    disk: DiskTier,
     path: Option<PathBuf>,
     /// Lowest shard index still resident — shards spill strictly in order.
     next_to_spill: usize,
@@ -267,24 +313,30 @@ pub(crate) struct TieredRows {
     pressure: Option<Arc<AtomicBool>>,
 }
 
-impl TieredRows {
-    /// Creates row storage for rows of `row_words` words that keeps at most
-    /// roughly `budget_bytes` of row payload resident. Tiny budgets are
-    /// honored by spilling every shard as soon as it fills.
-    fn new(row_words: usize, budget_bytes: usize) -> Self {
-        let w = row_words.max(1);
-        let row_bytes = w * 4;
+/// The store the intra-combo strategy used, now the tiered store itself.
+/// Kept only until the benchmark retires its e3-n3-intra2 workload.
+pub type ShardedVisited = TieredVisited;
+
+impl TieredVisited {
+    /// Creates a store for rows of `row_words` words that keeps at most
+    /// roughly `budget_bytes` of row payload resident; `None` never spills.
+    /// Tiny budgets are honored by spilling every shard as soon as it
+    /// fills.
+    #[must_use]
+    pub fn new(row_words: usize, budget_bytes: impl Into<Option<usize>>) -> Self {
+        let budget_bytes = budget_bytes.into().unwrap_or(usize::MAX);
+        let row_bytes = row_words.max(1) * 4;
         // Aim for at least a handful of shards within budget, bounded so
         // spill granularity stays sane for both tiny and huge budgets.
         let shard_rows = (budget_bytes / row_bytes / 4).clamp(16, 4096);
-        let budget_rows = (budget_bytes / row_bytes).max(shard_rows);
-        TieredRows {
+        TieredVisited {
+            index: HashMap::new(),
             w: row_words,
             shard_rows,
-            budget_rows,
+            budget_rows: (budget_bytes / row_bytes).max(shard_rows),
             shards: Vec::new(),
             len: 0,
-            disk: Mutex::new(DiskTier::default()),
+            disk: DiskTier::default(),
             path: None,
             next_to_spill: 0,
             spilled: 0,
@@ -294,16 +346,44 @@ impl TieredRows {
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
+    /// Routes spill shards into `dir` (a checkpoint directory) instead of
+    /// the system temp dir, and makes the spill tier durable: every sealed
+    /// shard is fsync'd, and a vanished directory surfaces as a loud
+    /// [`StoreError`] instead of silent dedup loss.
+    #[must_use]
+    pub fn with_spill_dir(mut self, dir: PathBuf) -> Self {
+        self.spill_dir = Some(dir);
+        self
+    }
+
+    /// Attaches a memory-pressure flag (from the watchdog): while raised,
+    /// every sealed shard spills immediately regardless of budget.
+    pub fn set_pressure(&mut self, flag: Arc<AtomicBool>) {
+        self.pressure = Some(flag);
+    }
+
+    /// Path of the spill file, once anything has spilled.
+    #[must_use]
+    pub fn spill_path(&self) -> Option<&Path> {
+        self.path.as_deref()
+    }
+
+    /// Rows per spill shard (fixed at construction).
+    #[must_use]
+    pub fn shard_rows(&self) -> usize {
+        self.shard_rows
+    }
+
+    /// Test hook: flips one payload byte of the next shard written to disk,
+    /// so read-back must fail the checksum. Hidden — only the corruption
+    /// tests use it.
+    #[doc(hidden)]
+    pub fn corrupt_next_spill_for_tests(&mut self) {
+        self.corrupt_next_spill = true;
     }
 
     fn resident_rows(&self) -> usize {
         self.len - self.spilled * self.shard_rows
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.resident_rows() * self.w * 4 + self.len * STATE_OVERHEAD_BYTES
     }
 
     /// In durable mode, errors loudly when the configured spill directory
@@ -321,7 +401,7 @@ impl TieredRows {
     }
 
     fn ensure_file(&mut self) -> Result<(), StoreError> {
-        if self.disk.get_mut().expect("disk tier lock").file.is_some() {
+        if self.disk.file.is_some() {
             return Ok(());
         }
         self.check_spill_dir()?;
@@ -336,7 +416,7 @@ impl TieredRows {
             .write(true)
             .create_new(true)
             .open(&path)?;
-        self.disk.get_mut().expect("disk tier lock").file = Some(file);
+        self.disk.file = Some(file);
         self.path = Some(path);
         Ok(())
     }
@@ -363,22 +443,17 @@ impl TieredRows {
             self.corrupt_next_spill = false;
             payload[0] ^= 0xFF;
         }
-        let durable = self.spill_dir.is_some();
-        let offset = {
-            let tier = self.disk.get_mut().expect("disk tier lock");
-            let offset = tier.file_len;
-            let file = tier.file.as_mut().expect("ensure_file ran");
-            file.seek(SeekFrom::Start(offset))?;
-            file.write_all(&checksum.to_le_bytes())?;
-            file.write_all(&payload)?;
-            if durable {
-                // Durable mode: the shard is sealed — make it survive a
-                // crash before anything depends on it being on disk.
-                file.sync_data()?;
-            }
-            tier.file_len = offset + 8 + payload.len() as u64;
-            offset
-        };
+        let offset = self.disk.file_len;
+        let file = self.disk.file.as_mut().expect("ensure_file ran");
+        file.seek(SeekFrom::Start(offset))?;
+        file.write_all(&checksum.to_le_bytes())?;
+        file.write_all(&payload)?;
+        if self.spill_dir.is_some() {
+            // Durable mode: the shard is sealed — make it survive a crash
+            // before anything depends on it being on disk.
+            file.sync_data()?;
+        }
+        self.disk.file_len = offset + 8 + payload.len() as u64;
         self.shards[s] = Shard::Disk { offset };
         self.next_to_spill += 1;
         self.spilled += 1;
@@ -407,11 +482,33 @@ impl TieredRows {
         }
         Ok(())
     }
+}
 
-    /// Appends `row` (no index bookkeeping) and returns its dense id,
-    /// spilling sealed shards past the budget.
-    fn push_row(&mut self, row: &[u32]) -> Result<usize, StoreError> {
+impl Drop for TieredVisited {
+    fn drop(&mut self) {
+        self.disk.file = None;
+        if let Some(path) = &self.path {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+impl HashedStore for TieredVisited {
+    fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError> {
+        let Some(ids) = self.index.get(&hash) else {
+            return Ok(None);
+        };
+        for &id in ids {
+            if self.disk.row(&self.shards, self.shard_rows, self.w, id)? == row {
+                return Ok(Some(id));
+            }
+        }
+        Ok(None)
+    }
+
+    fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
         let id = self.len;
+        self.index.entry(hash).or_default().push(id);
         let cap = self.shard_rows * self.w;
         let needs_new_tail = match self.shards.last() {
             None | Some(Shard::Disk { .. }) => true,
@@ -428,172 +525,15 @@ impl TieredRows {
         self.maybe_spill()?;
         Ok(id)
     }
-
-    /// Loads shard `s` (on disk at `offset`) into the read cache, verifying
-    /// its checksum.
-    fn load_shard(&self, tier: &mut DiskTier, s: usize, offset: u64) -> Result<(), StoreError> {
-        if tier.cache.as_ref().is_some_and(|(c, _)| *c == s) {
-            return Ok(());
-        }
-        let file = tier.file.as_mut().ok_or_else(|| {
-            StoreError::Corrupt(format!("shard {s} marked spilled but no spill file exists"))
-        })?;
-        let payload_bytes = self.shard_rows * self.w * 4;
-        let mut header = [0u8; 8];
-        let mut payload = vec![0u8; payload_bytes];
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(&mut header)?;
-        file.read_exact(&mut payload)?;
-        let expect = u64::from_le_bytes(header);
-        let got = fnv1a(&payload);
-        if got != expect {
-            return Err(StoreError::Corrupt(format!(
-                "shard {s} at offset {offset}: checksum {got:#018x} != recorded {expect:#018x}"
-            )));
-        }
-        let rows: Vec<u32> = payload
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        tier.cache = Some((s, rows));
-        Ok(())
-    }
-
-    /// Copies row `id` into `out`, reading through the disk tier if needed.
-    /// `&self`: safe to call from many workers against a frozen epoch.
-    fn read_row_into(&self, id: usize, out: &mut [u32]) -> Result<(), StoreError> {
-        let s = id / self.shard_rows;
-        let r = id % self.shard_rows;
-        match &self.shards[s] {
-            Shard::Ram(rows) => {
-                out.copy_from_slice(&rows[r * self.w..(r + 1) * self.w]);
-                Ok(())
-            }
-            Shard::Disk { offset } => {
-                let mut tier = self.disk.lock().expect("disk tier lock");
-                self.load_shard(&mut tier, s, *offset)?;
-                let (_, rows) = tier.cache.as_ref().expect("load_shard filled the cache");
-                out.copy_from_slice(&rows[r * self.w..(r + 1) * self.w]);
-                Ok(())
-            }
-        }
-    }
-
-    /// Whether stored row `id` equals `row`, reading through the disk tier
-    /// if needed. `&self`: safe from many workers against a frozen epoch.
-    fn row_equals(&self, id: usize, row: &[u32]) -> Result<bool, StoreError> {
-        let s = id / self.shard_rows;
-        let r = id % self.shard_rows;
-        match &self.shards[s] {
-            Shard::Ram(rows) => Ok(rows[r * self.w..(r + 1) * self.w] == *row),
-            Shard::Disk { offset } => {
-                let mut tier = self.disk.lock().expect("disk tier lock");
-                self.load_shard(&mut tier, s, *offset)?;
-                let (_, rows) = tier.cache.as_ref().expect("load_shard filled the cache");
-                Ok(rows[r * self.w..(r + 1) * self.w] == *row)
-            }
-        }
-    }
-}
-
-impl Drop for TieredRows {
-    fn drop(&mut self) {
-        if let Ok(tier) = self.disk.get_mut() {
-            tier.file = None;
-        }
-        if let Some(path) = &self.path {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// The tiered store: resident shards up to a byte budget, then the oldest
-/// *full* shards spill — append-only, checksummed — to a temp file. The
-/// tail shard (still filling) and the hash index never spill, so lookups
-/// stay one hash probe plus (rarely) one cached shard read.
-#[derive(Debug)]
-pub struct TieredVisited {
-    index: HashMap<u64, Vec<usize>>,
-    core: TieredRows,
-}
-
-impl TieredVisited {
-    /// Creates a store for rows of `row_words` words that keeps at most
-    /// roughly `budget_bytes` of row payload resident. Tiny budgets are
-    /// honored by spilling every shard as soon as it fills.
-    #[must_use]
-    pub fn new(row_words: usize, budget_bytes: usize) -> Self {
-        TieredVisited {
-            index: HashMap::new(),
-            core: TieredRows::new(row_words, budget_bytes),
-        }
-    }
-
-    /// Routes spill shards into `dir` (a checkpoint directory) instead of
-    /// the system temp dir, and makes the spill tier durable: every sealed
-    /// shard is fsync'd, and a vanished directory surfaces as a loud
-    /// [`StoreError`] instead of silent dedup loss.
-    #[must_use]
-    pub fn with_spill_dir(mut self, dir: PathBuf) -> Self {
-        self.core.spill_dir = Some(dir);
-        self
-    }
-
-    /// Attaches a memory-pressure flag (from the watchdog): while raised,
-    /// every sealed shard spills immediately regardless of budget.
-    pub fn set_pressure(&mut self, flag: Arc<AtomicBool>) {
-        self.core.pressure = Some(flag);
-    }
-
-    /// Path of the spill file, once anything has spilled.
-    #[must_use]
-    pub fn spill_path(&self) -> Option<&Path> {
-        self.core.path.as_deref()
-    }
-
-    /// Rows per spill shard (fixed at construction).
-    #[must_use]
-    pub fn shard_rows(&self) -> usize {
-        self.core.shard_rows
-    }
-
-    /// Test hook: flips one payload byte of the next shard written to disk,
-    /// so read-back must fail the checksum. Hidden — only the corruption
-    /// tests use it.
-    #[doc(hidden)]
-    pub fn corrupt_next_spill_for_tests(&mut self) {
-        self.core.corrupt_next_spill = true;
-    }
-}
-
-impl HashedStore for TieredVisited {
-    fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError> {
-        let Some(ids) = self.index.get(&hash) else {
-            return Ok(None);
-        };
-        for &id in ids {
-            if self.core.row_equals(id, row)? {
-                return Ok(Some(id));
-            }
-        }
-        Ok(None)
-    }
-
-    fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
-        let id = self.core.len();
-        self.index.entry(hash).or_default().push(id);
-        self.core.push_row(row)?;
-        Ok(id)
-    }
 }
 
 impl VisitedStore for TieredVisited {
     fn row_words(&self) -> usize {
-        self.core.w
+        self.w
     }
 
     fn len(&self) -> usize {
-        self.core.len()
+        self.len
     }
 
     fn lookup(&mut self, row: &[u32]) -> Result<Option<usize>, StoreError> {
@@ -605,138 +545,16 @@ impl VisitedStore for TieredVisited {
     }
 
     fn read_row(&mut self, id: usize, out: &mut [u32]) -> Result<(), StoreError> {
-        self.core.read_row_into(id, out)
+        out.copy_from_slice(self.disk.row(&self.shards, self.shard_rows, self.w, id)?);
+        Ok(())
     }
 
     fn spilled_shards(&self) -> usize {
-        self.core.spilled
+        self.spilled
     }
 
     fn approx_bytes(&self) -> usize {
-        self.core.approx_bytes()
-    }
-}
-
-/// Index shards of a [`ShardedVisited`] — fixed so shard selection is a
-/// pure function of the row hash.
-const INDEX_SHARDS: usize = 16;
-
-/// The hash-sharded store behind intra-combo parallel exploration
-/// (`--strategy intra`, DESIGN §15): [`INDEX_SHARDS`] index shards keyed by
-/// the high bits of the row hash over one shared [`TieredRows`] row tier.
-/// Frozen-epoch probes ([`ShardedVisited::lookup_shared`]) take `&self`, so
-/// every expansion worker can deduplicate speculatively against the
-/// committed prefix at once; inserts stay `&mut self` and happen only in
-/// the serial commit phase, in exactly the order a serial BFS would have
-/// performed them. Because the row tier is shared — not per index shard —
-/// spill decisions compose with `--visited-budget` identically to
-/// [`TieredVisited`], keeping `spilled_shards` byte-identical in reports.
-#[derive(Debug)]
-pub struct ShardedVisited {
-    index: Box<[HashMap<u64, Vec<usize>>]>,
-    core: TieredRows,
-}
-
-impl ShardedVisited {
-    /// Creates a store for rows of `row_words` words. With `budget_bytes`
-    /// set, cold sealed shards spill past the budget exactly like
-    /// [`TieredVisited`]; without, nothing ever spills.
-    #[must_use]
-    pub fn new(row_words: usize, budget_bytes: Option<usize>) -> Self {
-        ShardedVisited {
-            index: (0..INDEX_SHARDS).map(|_| HashMap::new()).collect(),
-            core: TieredRows::new(row_words, budget_bytes.unwrap_or(usize::MAX)),
-        }
-    }
-
-    /// See [`TieredVisited::with_spill_dir`].
-    #[must_use]
-    pub fn with_spill_dir(mut self, dir: PathBuf) -> Self {
-        self.core.spill_dir = Some(dir);
-        self
-    }
-
-    /// See [`TieredVisited::set_pressure`].
-    pub fn set_pressure(&mut self, flag: Arc<AtomicBool>) {
-        self.core.pressure = Some(flag);
-    }
-
-    /// See [`TieredVisited::corrupt_next_spill_for_tests`].
-    #[doc(hidden)]
-    pub fn corrupt_next_spill_for_tests(&mut self) {
-        self.core.corrupt_next_spill = true;
-    }
-
-    /// Which index shard a row hash lands in: the high bits, which the
-    /// low-bit-consuming hash maps leave unused.
-    fn shard_of(hash: u64) -> usize {
-        (hash >> 60) as usize % INDEX_SHARDS
-    }
-
-    /// Id of an already-stored row equal to `row` (whose hash is `hash`),
-    /// through `&self`: the concurrent frozen-epoch probe. Callers must not
-    /// race this with inserts — the explorer's level commit is the only
-    /// inserter and runs with exclusive access.
-    pub(crate) fn lookup_shared(
-        &self,
-        row: &[u32],
-        hash: u64,
-    ) -> Result<Option<usize>, StoreError> {
-        let Some(ids) = self.index[Self::shard_of(hash)].get(&hash) else {
-            return Ok(None);
-        };
-        for &id in ids {
-            if self.core.row_equals(id, row)? {
-                return Ok(Some(id));
-            }
-        }
-        Ok(None)
-    }
-}
-
-impl HashedStore for ShardedVisited {
-    fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError> {
-        self.lookup_shared(row, hash)
-    }
-
-    fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
-        let id = self.core.len();
-        self.index[Self::shard_of(hash)]
-            .entry(hash)
-            .or_default()
-            .push(id);
-        self.core.push_row(row)?;
-        Ok(id)
-    }
-}
-
-impl VisitedStore for ShardedVisited {
-    fn row_words(&self) -> usize {
-        self.core.w
-    }
-
-    fn len(&self) -> usize {
-        self.core.len()
-    }
-
-    fn lookup(&mut self, row: &[u32]) -> Result<Option<usize>, StoreError> {
-        self.lookup_shared(row, hash_row(row))
-    }
-
-    fn insert(&mut self, row: &[u32]) -> Result<usize, StoreError> {
-        self.insert_hashed(row, hash_row(row))
-    }
-
-    fn read_row(&mut self, id: usize, out: &mut [u32]) -> Result<(), StoreError> {
-        self.core.read_row_into(id, out)
-    }
-
-    fn spilled_shards(&self) -> usize {
-        self.core.spilled
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.core.approx_bytes()
+        self.resident_rows() * self.w * 4 + self.len * STATE_OVERHEAD_BYTES
     }
 }
 
@@ -955,8 +773,8 @@ mod tests {
 
     /// A deterministic pseudo-random op stream (the no-new-deps stand-in
     /// for a proptest): under any interleaving of inserts and lookups of
-    /// colliding candidates, [`ShardedVisited`] accepts and rejects exactly
-    /// the set [`InMemoryVisited`] does, with identical ids.
+    /// colliding candidates, a budget-less [`TieredVisited`] accepts and
+    /// rejects exactly the set [`InMemoryVisited`] does, with identical ids.
     #[test]
     fn sharded_matches_inmemory_under_random_interleavings() {
         for (seed, w) in [(1u64, 3usize), (7, 5), (42, 8)] {
@@ -967,7 +785,7 @@ mod tests {
                 rng ^= rng << 17;
                 rng
             };
-            let mut sharded = ShardedVisited::new(w, None);
+            let mut tiered = TieredVisited::new(w, None);
             let mut reference = InMemoryVisited::new(w);
             let mut out_a = vec![0u32; w];
             let mut out_b = vec![0u32; w];
@@ -977,7 +795,7 @@ mod tests {
                 let candidate = row((next() % 97) as u32, w);
                 match next() % 3 {
                     0 => {
-                        let a = sharded.lookup(&candidate).unwrap();
+                        let a = tiered.lookup(&candidate).unwrap();
                         let b = reference.lookup(&candidate).unwrap();
                         assert_eq!(a, b, "seed {seed} w {w}");
                     }
@@ -985,8 +803,8 @@ mod tests {
                         // Insert only if absent, mirroring the explorer's
                         // lookup-then-insert discipline.
                         if reference.lookup(&candidate).unwrap().is_none() {
-                            assert_eq!(sharded.lookup(&candidate).unwrap(), None);
-                            let a = sharded.insert(&candidate).unwrap();
+                            assert_eq!(tiered.lookup(&candidate).unwrap(), None);
+                            let a = tiered.insert(&candidate).unwrap();
                             let b = reference.insert(&candidate).unwrap();
                             assert_eq!(a, b, "seed {seed} w {w}");
                         }
@@ -994,60 +812,15 @@ mod tests {
                     _ => {
                         if !reference.is_empty() {
                             let id = (next() % reference.len() as u64) as usize;
-                            sharded.read_row(id, &mut out_a).unwrap();
+                            tiered.read_row(id, &mut out_a).unwrap();
                             reference.read_row(id, &mut out_b).unwrap();
                             assert_eq!(out_a, out_b, "seed {seed} w {w}");
                         }
                     }
                 }
             }
-            assert_eq!(sharded.len(), reference.len());
-            assert_eq!(sharded.spilled_shards(), 0, "no budget, no spills");
-        }
-    }
-
-    /// The concurrent frozen-epoch probe agrees with the `&mut` trait
-    /// lookup for both present and absent rows.
-    #[test]
-    fn sharded_shared_lookup_agrees_with_mut_lookup() {
-        let w = 6;
-        let mut s = ShardedVisited::new(w, None);
-        for i in 0..200u32 {
-            s.insert(&row(i, w)).unwrap();
-        }
-        for i in 0..260u32 {
-            let r = row(i, w);
-            let hash = hash_row(&r);
-            assert_eq!(s.lookup_shared(&r, hash).unwrap(), s.lookup(&r).unwrap());
-        }
-    }
-
-    /// With a budget, the sharded store makes the same spill decisions as
-    /// the tiered store for the same insertion sequence — the property that
-    /// keeps `spilled_shards` byte-identical in intra-vs-serial reports.
-    #[test]
-    #[cfg_attr(miri, ignore)] // exercises the real filesystem spill tier
-    fn sharded_budget_spill_accounting_matches_tiered() {
-        let w = 4;
-        let mut sharded = ShardedVisited::new(w, Some(0));
-        let mut tiered = TieredVisited::new(w, 0);
-        let total = 5 * tiered.shard_rows() + 7;
-        for i in 0..total {
-            let r = row(i as u32, w);
-            assert_eq!(sharded.insert(&r).unwrap(), tiered.insert(&r).unwrap());
-            assert_eq!(sharded.spilled_shards(), tiered.spilled_shards());
-        }
-        assert_eq!(sharded.spilled_shards(), 5);
-        // Spilled rows look up and read back identically through both.
-        let mut a = vec![0u32; w];
-        let mut b = vec![0u32; w];
-        for i in 0..total {
-            let r = row(i as u32, w);
-            assert_eq!(sharded.lookup(&r).unwrap(), Some(i));
-            assert_eq!(tiered.lookup(&r).unwrap(), Some(i));
-            sharded.read_row(i, &mut a).unwrap();
-            tiered.read_row(i, &mut b).unwrap();
-            assert_eq!(a, b);
+            assert_eq!(tiered.len(), reference.len());
+            assert_eq!(tiered.spilled_shards(), 0, "no budget, no spills");
         }
     }
 }

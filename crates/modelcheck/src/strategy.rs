@@ -4,9 +4,8 @@
 //! rule: the report must cover exactly the serial prefix `0..=B`, where `B`
 //! is the lowest violating combo index (all combos when none violates).
 //! One claim loop, [`run_pool`], explores that prefix on any number of
-//! threads; a serial sweep is a pool of one. [`StrategyKind`] only decides
-//! how a `--jobs` budget is split between combo-level threads and
-//! intra-combo BFS workers.
+//! threads; a serial sweep is a pool of one. `--jobs` is the only
+//! parallelism: each combo's BFS runs on the one thread that claimed it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -72,65 +71,37 @@ where
     slots.into_iter().map(OnceLock::into_inner).collect()
 }
 
-/// How a sweep's `--jobs` budget is spent — the knob
-/// [`crate::CheckConfig`] carries. Never changes the report.
+/// How many combo-pool threads a sweep's `--jobs` budget buys — the knob
+/// [`crate::CheckConfig`] carries. Never changes the report. Kept only
+/// until the benchmark retires its e3-n3-intra2 workload; no binary sets
+/// it, so outside that workload `--jobs` alone sizes the pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StrategyKind {
-    /// A combo pool of `jobs` threads, each running one combo's BFS at a
-    /// time (`--jobs 1` is the serial sweep).
+    /// A combo pool of `jobs` threads (`--jobs 1` is the serial sweep).
     #[default]
     Auto,
-    /// Intra-combo parallelism: each combo's BFS runs level-synchronized on
-    /// `workers` threads (`0` = auto-detect the core count), inside a combo
-    /// pool of `max(1, jobs / workers)` threads sharing the same budget.
+    /// The retired intra-combo strategy's core budget: a combo pool of
+    /// `max(1, jobs / workers)` threads (`workers: 0` = the detected core
+    /// count), each running its combo on the one engine.
     IntraCombo {
-        /// Threads per combo exploration (`0` = `available_parallelism`).
+        /// Cores the retired strategy gave each combo.
         workers: usize,
     },
 }
 
 impl StrategyKind {
-    /// Threads each combo exploration should use, with `workers: 0`
-    /// resolved to the detected core count. `None` for
-    /// [`StrategyKind::Auto`] — harnesses use this to pick between
-    /// `run_until` and `run_until_intra`.
-    #[must_use]
-    pub fn intra_workers(self) -> Option<usize> {
-        match self {
-            StrategyKind::Auto => None,
-            StrategyKind::IntraCombo { workers: 0 } => {
-                Some(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-            }
-            StrategyKind::IntraCombo { workers } => Some(workers),
-        }
-    }
-
     /// Combo-pool threads for a sweep with a `jobs` budget: all of it for
     /// [`StrategyKind::Auto`], `max(1, jobs / workers)` for
     /// [`StrategyKind::IntraCombo`].
     pub(crate) fn pool_size(self, jobs: usize) -> usize {
-        (jobs / self.intra_workers().unwrap_or(1).max(1)).max(1)
-    }
-}
-
-impl std::str::FromStr for StrategyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if let Some(n) = s.strip_prefix("intra:") {
-            let workers: usize = n
-                .parse()
-                .map_err(|_| format!("bad intra worker count {n:?} (expected intra:<N>)"))?;
-            return Ok(StrategyKind::IntraCombo { workers });
-        }
-        match s {
-            "auto" => Ok(StrategyKind::Auto),
-            "intra" => Ok(StrategyKind::IntraCombo { workers: 0 }),
-            other => Err(format!(
-                "unknown strategy {other:?} (expected auto, intra, or intra:<N>; \
-                 a serial sweep is --jobs 1)"
-            )),
-        }
+        let workers = match self {
+            StrategyKind::Auto => 1,
+            StrategyKind::IntraCombo { workers: 0 } => {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            }
+            StrategyKind::IntraCombo { workers } => workers,
+        };
+        (jobs / workers).max(1)
     }
 }
 
@@ -217,28 +188,18 @@ mod tests {
     fn kind_sizes_the_combo_pool() {
         assert_eq!(StrategyKind::Auto.pool_size(1), 1);
         assert_eq!(StrategyKind::Auto.pool_size(4), 4);
-        assert_eq!("auto".parse::<StrategyKind>().unwrap(), StrategyKind::Auto);
-        // A serial sweep is `--jobs 1` and the combo pool is the default,
-        // so neither has a strategy name.
-        for other in ["serial", "pool", "worker-pool", "bogus"] {
-            assert!(other.parse::<StrategyKind>().is_err(), "{other}");
-        }
     }
 
     #[test]
     fn intra_kind_splits_the_core_budget() {
-        let intra4 = "intra:4".parse::<StrategyKind>().unwrap();
-        assert_eq!(intra4, StrategyKind::IntraCombo { workers: 4 });
-        assert_eq!(intra4.intra_workers(), Some(4));
+        let intra4 = StrategyKind::IntraCombo { workers: 4 };
         // 8 jobs / 4 intra workers = 2 combo-level workers; never 0.
         assert_eq!(intra4.pool_size(8), 2);
         assert_eq!(intra4.pool_size(2), 1);
         // The auto form resolves 0 to the detected core count, never 0.
-        let auto = "intra".parse::<StrategyKind>().unwrap();
-        assert_eq!(auto, StrategyKind::IntraCombo { workers: 0 });
-        assert!(auto.intra_workers().unwrap() >= 1);
-        // The combo pool alone exposes no intra worker count.
-        assert_eq!(StrategyKind::Auto.intra_workers(), None);
-        assert!("intra:x".parse::<StrategyKind>().is_err());
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let auto = StrategyKind::IntraCombo { workers: 0 };
+        assert_eq!(auto.pool_size(cores), 1);
+        assert_eq!(auto.pool_size(2 * cores), 2);
     }
 }

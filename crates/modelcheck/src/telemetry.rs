@@ -10,7 +10,6 @@
 //! | `mc.combos_total`      | gauge     | combinations in the sweep                  |
 //! | `mc.jobs`              | gauge     | sweep worker threads                       |
 //! | `mc.frontier_depth`    | gauge     | BFS depth currently being expanded         |
-//! | `mc.steal_count`       | counter   | frontier chunks claimed beyond a worker's first (intra strategy) |
 //! | `mc.step_memo_hits`    | counter   | arena steps patched from the transition memo |
 //! | `mc.step_memo_misses`  | counter   | arena steps that ran `Process::step`       |
 //! | `mc.visited_entries`   | gauge     | arena size of the sampled combo            |
@@ -21,7 +20,6 @@
 //! | `mc.claim`             | span      | combo claim + wiring materialization       |
 //! | `mc.expand`            | span      | per-combo BFS exploration                  |
 //! | `mc.dedup`             | span      | key + visited lookup (1-in-64 sampled)     |
-//! | `mc.expand_parallel`   | span      | per-level parallel expand phase (intra strategy) |
 //! | `mc.combo_states`      | histogram | states per finished combination            |
 //! | `ckpt.records`         | counter   | checkpoint journal records appended        |
 //! | `ckpt.journal_bytes`   | gauge     | checkpoint journal size on disk            |
@@ -54,12 +52,6 @@ pub struct ExplorerTelemetry {
     pub interner_entries: Gauge,
     /// `mc.dedup` — sampled, see [`crate::Explorer`] docs.
     pub dedup: Span,
-    /// `mc.steal_count` — work-stealing events in the intra-combo strategy:
-    /// every frontier chunk a worker claims beyond its first per level.
-    pub steals: Counter,
-    /// `mc.expand_parallel` — wall time of each parallel expand phase
-    /// (one record per BFS level under the intra-combo strategy).
-    pub expand_parallel: Span,
     /// `mc.step_memo_hits` — arena steps answered by the transition memo
     /// (published as deltas on the telemetry flush boundary).
     pub step_memo_hits: Counter,
@@ -80,8 +72,6 @@ impl ExplorerTelemetry {
             visited_spilled: registry.gauge("mc.visited_spilled"),
             interner_entries: registry.gauge("mc.interner_entries"),
             dedup: registry.span("mc.dedup"),
-            steals: registry.counter("mc.steal_count"),
-            expand_parallel: registry.span("mc.expand_parallel"),
             step_memo_hits: registry.counter("mc.step_memo_hits"),
             step_memo_misses: registry.counter("mc.step_memo_misses"),
         }

@@ -2,9 +2,8 @@
 //! **identically** to a naive reference explorer that shares none of its
 //! code (see `support`), and a sweep's `TaskCheckReport` must be
 //! byte-identical (`{:?}`) across every job count and strategy. These are
-//! the invariants that make the arena, the transition memo, the stores and
-//! the worker crew pure implementation choices — same states, same order,
-//! same verdicts.
+//! the invariants that make the arena, the transition memo and the stores
+//! pure implementation choices — same states, same order, same verdicts.
 
 mod support;
 
@@ -17,8 +16,8 @@ use fa_modelcheck::checks::{
     CheckConfig,
 };
 use fa_modelcheck::{
-    ArenaTables, ExploreReport, Explorer, InMemoryVisited, McState, ShardedVisited, StateView,
-    StrategyKind, VisitedStore,
+    ArenaTables, ExploreReport, Explorer, InMemoryVisited, McState, StateView, StrategyKind,
+    TieredVisited, VisitedStore,
 };
 use proptest::prelude::*;
 use support::{Bounds, Reference};
@@ -49,9 +48,8 @@ where
     }
 }
 
-/// Explores one system with the reference and with the engine — serial and
-/// with a two-worker crew — and asserts all three agree. Returns the
-/// serial engine report.
+/// Explores one system with the reference and with the engine and asserts
+/// both agree. Returns the engine report.
 fn check_against_reference<P, I>(
     procs: Vec<P>,
     wirings: Vec<Wiring>,
@@ -59,10 +57,10 @@ fn check_against_reference<P, I>(
     invariant: I,
 ) -> ExploreReport<P>
 where
-    P: fa_memory::Process + Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + Sync,
-    P::Value: Clone + Eq + std::hash::Hash + std::fmt::Debug + Default + Send + Sync,
-    P::Output: Clone + Eq + std::hash::Hash + std::fmt::Debug + Send + Sync,
-    I: Fn(&McState<P>) -> Result<(), String> + Sync,
+    P: fa_memory::Process + Clone + Eq + std::hash::Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + std::hash::Hash + std::fmt::Debug + Default,
+    P::Output: Clone + Eq + std::hash::Hash + std::fmt::Debug,
+    I: Fn(&McState<P>) -> Result<(), String>,
 {
     let m = wirings[0].len();
     let initial = McState::initial(procs.clone(), m, Default::default());
@@ -75,11 +73,9 @@ where
     if let Some(depth) = bounds.max_depth {
         explorer = explorer.with_max_depth(depth);
     }
-    let on_view = |s: &StateView<'_, P>| invariant(&s.to_state());
-    let serial = explorer.run(on_view);
-    assert_matches_reference(&serial, &reference);
-    assert_matches_reference(&explorer.run_intra(on_view, 2), &reference);
-    serial
+    let report = explorer.run(|s: &StateView<'_, P>| invariant(&s.to_state()));
+    assert_matches_reference(&report, &reference);
+    report
 }
 
 fn snapshot_procs(inputs: &[u32]) -> Vec<SnapshotProcess<u32>> {
@@ -380,120 +376,69 @@ fn sweep_reports_are_byte_identical_across_jobs_and_strategies() {
 fn stop_is_polled_on_the_same_cadence_for_every_worker_count() {
     use std::cell::Cell;
     let mk = || Explorer::new(snapshot_procs(&[1, 2]), 2, Default::default(), n2_wirings());
-    // Once on entry, then every 1,024 expansions counted in commit order —
-    // whoever computed the successors.
+    // Once on entry, then every 1,024 expansions counted in commit order.
+    // Each combo runs on one thread, so this holds for every `--jobs`.
     let polls = Cell::new(0usize);
     let counting = || {
         polls.set(polls.get() + 1);
         false
     };
-    let serial = mk().run_until(|_| Ok(()), counting);
-    let serial_polls = polls.replace(0);
+    let full = mk().run_until(|_| Ok(()), counting);
+    let full_polls = polls.replace(0);
     assert!(
-        serial_polls > 2,
-        "the run must cross the poll interval: {serial_polls} polls"
+        full_polls > 2,
+        "the run must cross the poll interval: {full_polls} polls"
     );
-    for workers in [1, 2, 4] {
-        let intra = mk().run_until_intra(|_| Ok(()), counting, workers);
-        assert_eq!(format!("{intra:?}"), format!("{serial:?}"));
-        assert_eq!(polls.replace(0), serial_polls, "workers = {workers}");
-    }
+    let again = mk().run_until(|_| Ok(()), counting);
+    assert_eq!(format!("{again:?}"), format!("{full:?}"));
+    assert_eq!(polls.replace(0), full_polls);
 
-    // A stop raised at the second poll aborts every worker count at the
-    // same expansion, with the same partial counts.
+    // A stop raised at the second poll aborts at the same expansion, with
+    // the same partial counts, on every run.
     let stop_at_second = || {
         polls.set(polls.get() + 1);
         polls.get() >= 2
     };
-    let serial = mk().run_until(|_| Ok(()), stop_at_second);
+    let stopped = mk().run_until(|_| Ok(()), stop_at_second);
     polls.set(0);
-    assert!(!serial.complete);
-    for workers in [1, 2, 4] {
-        let intra = mk().run_until_intra(|_| Ok(()), stop_at_second, workers);
-        polls.set(0);
-        assert_eq!(
-            format!("{intra:?}"),
-            format!("{serial:?}"),
-            "workers = {workers}"
-        );
-    }
-}
-
-#[test]
-fn intra_sweep_reports_are_byte_identical_across_workers() {
-    // The tentpole guarantee: a sweep run under `--strategy intra` renders
-    // the exact same `TaskCheckReport` bytes as the serial strategy for
-    // every intra worker count and `--jobs` split, composed with
-    // `--quotient` and a 64KiB `--visited-budget`.
-    let base = CheckConfig::serial()
-        .with_quotient()
-        .with_visited_budget(64 * 1024);
-    let fine_ref = format!(
-        "{:?}",
-        check_snapshot_task_with(&[1, 2], 500_000, &base)
-            .unwrap()
-            .report
-    );
-    let coarse_ref = format!(
-        "{:?}",
-        check_snapshot_task_coarse_with(&[1, 2, 3], 4_000, &base)
-            .unwrap()
-            .report
-    );
-    for workers in [1usize, 2, 4, 8] {
-        for jobs in [1usize, 4] {
-            let config = base
-                .clone()
-                .with_jobs(jobs)
-                .with_strategy(StrategyKind::IntraCombo { workers });
-            let fine = check_snapshot_task_with(&[1, 2], 500_000, &config).unwrap();
-            assert_eq!(
-                format!("{:?}", fine.report),
-                fine_ref,
-                "intra workers={workers} jobs={jobs}"
-            );
-            let coarse = check_snapshot_task_coarse_with(&[1, 2, 3], 4_000, &config).unwrap();
-            assert_eq!(
-                format!("{:?}", coarse.report),
-                coarse_ref,
-                "intra workers={workers} jobs={jobs}"
-            );
-        }
-    }
+    assert!(!stopped.complete);
+    assert!(stopped.states < full.states);
+    let again = mk().run_until(|_| Ok(()), stop_at_second);
+    assert_eq!(format!("{again:?}"), format!("{stopped:?}"));
 }
 
 proptest! {
-    /// `ShardedVisited` must accept/reject exactly the set
+    /// A budget-less `TieredVisited` must accept/reject exactly the set
     /// `InMemoryVisited` does, whatever order rows arrive in and wherever
-    /// lookups interleave — sharding the hash index is invisible.
+    /// lookups interleave — the sharded row tier is invisible.
     #[test]
     fn sharded_visited_matches_inmemory_under_random_interleavings(
         ops in proptest::collection::vec((0u8..2, proptest::collection::vec(0u32..4, 6)), 1..120),
     ) {
         let mut reference = InMemoryVisited::new(6);
-        let mut sharded = ShardedVisited::new(6, None);
+        let mut tiered = TieredVisited::new(6, None);
         for (op, row) in &ops {
             if *op == 0 {
                 let expect = reference.lookup(row).unwrap();
-                let got = sharded.lookup(row).unwrap();
+                let got = tiered.lookup(row).unwrap();
                 prop_assert_eq!(got, expect, "lookup diverges on {:?}", row);
             } else {
                 let expect = reference.lookup(row).unwrap();
-                let got = sharded.lookup(row).unwrap();
+                let got = tiered.lookup(row).unwrap();
                 prop_assert_eq!(got, expect);
                 if expect.is_none() {
                     let a = reference.insert(row).unwrap();
-                    let b = sharded.insert(row).unwrap();
+                    let b = tiered.insert(row).unwrap();
                     prop_assert_eq!(a, b, "insert ids diverge on {:?}", row);
                 }
             }
         }
-        prop_assert_eq!(sharded.len(), reference.len());
+        prop_assert_eq!(tiered.len(), reference.len());
         for id in 0..reference.len() {
             let mut a = vec![0u32; 6];
             let mut b = vec![0u32; 6];
             reference.read_row(id, &mut a).unwrap();
-            sharded.read_row(id, &mut b).unwrap();
+            tiered.read_row(id, &mut b).unwrap();
             prop_assert_eq!(a, b, "row {} diverges", id);
         }
     }
