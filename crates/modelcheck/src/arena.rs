@@ -15,12 +15,13 @@
 //! on the cold paths (violation reporting, replay).
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use fa_memory::{Action, ProcId, Process, StepInput, Wiring};
 
 use crate::explorer::McState;
+use crate::store::StepBuildHasher;
 
 /// Slot id of a halted process's empty pending slot. Reserved: value tables
 /// never assign it.
@@ -131,7 +132,7 @@ impl<T: Eq + Hash> SlotInterner<T> {
 /// A transition-memo key: `[proc id, pending id, aux]`, where `aux` is the
 /// id of the register a `Read` observes, `0` for a `Write`, and the
 /// current output-log id for an `Output`. Hashed as two words through
-/// [`StepHasher`].
+/// the shared multiplicative hasher of [`crate::store`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct StepKey([u32; 3]);
 
@@ -143,40 +144,16 @@ impl Hash for StepKey {
     }
 }
 
-/// Multiplicative (Fx-style) hasher for [`StepKey`]s: a rotate, xor and
-/// multiply per word — a fraction of SipHash's cost on three small ids.
-#[derive(Clone, Copy, Debug, Default)]
-struct StepHasher(u64);
-
-impl Hasher for StepHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(u64::from(word));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves its best-mixed bits at the top; bucket
-        // indices come from the bottom.
-        self.0.rotate_left(26)
-    }
-}
-
 /// The transition memo: [`StepKey`] → `[proc' id, pending' id, extra]`,
 /// where `extra` is the id the step leaves in the one other slot it
 /// touches (the written register, the grown output log, or — for a read —
 /// the unchanged register id).
-type StepMemo = HashMap<StepKey, [u32; 3], BuildHasherDefault<StepHasher>>;
+type StepMemo = HashMap<StepKey, [u32; 3], StepBuildHasher>;
 
-/// The four slot tables of one exploration plus the row layout over them.
+/// The four slot tables plus the row layout over them. One set serves one
+/// exploration, or — on plain sweeps — every exploration a combo-pool
+/// worker runs (DESIGN §12): interning is by value and memo keys never name
+/// a processor or a wiring, so ids stay valid across combos.
 ///
 /// Row layout (`row_words()` ids): `memory` ids at `0..m`, process ids at
 /// `m..m+n`, pending-action ids at `m+n..m+2n` ([`HALTED`] once the process
@@ -235,8 +212,13 @@ where
         self.m + 3 * self.n
     }
 
+    /// `(registers, processes)` of the row layout.
+    pub(crate) fn dims(&self) -> (usize, usize) {
+        (self.m, self.n)
+    }
+
     /// Entries across all four tables — the live size of the interned value
-    /// universe this exploration has touched.
+    /// universe every exploration sharing these tables has touched.
     #[must_use]
     pub fn len_total(&self) -> usize {
         self.memory.len() + self.procs.len() + self.pending.len() + self.outputs.len()
@@ -297,7 +279,7 @@ where
     /// step. Rewrites `p`'s process and pending ids plus at most one
     /// register or output id; every other word is untouched.
     ///
-    /// A transition already seen in this exploration is patched straight
+    /// A transition these tables have already seen is patched straight
     /// from the memo: `Process::step` is deterministic and every slot table
     /// is injective, so the ids a full step would return are exactly the
     /// memoized ones, and a full step would intern nothing new. Only misses
@@ -509,12 +491,6 @@ where
     #[must_use]
     pub fn to_state(&self) -> McState<P> {
         self.tables.decode(self.row)
-    }
-
-    /// The raw id row (test/debug aid; ids are exploration-local).
-    #[must_use]
-    pub fn raw_row(&self) -> &'a [u32] {
-        self.row
     }
 }
 

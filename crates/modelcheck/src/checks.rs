@@ -35,7 +35,7 @@ use crate::canon;
 use crate::checkpoint::{
     self, CheckpointConfig, JournalHeader, JournalRecord, MemoryWatchdog, SweepJournal,
 };
-use crate::explorer::Explorer;
+use crate::explorer::{Explorer, Scratch};
 use crate::strategy::{run_pool, ComboOutcome, StrategyKind};
 use crate::telemetry::SweepTelemetry;
 use crate::wirings::ComboTable;
@@ -434,7 +434,9 @@ where
 
     // One combo exploration, handed to the pool: deterministic per index
     // (modulo the pool's `stop` probe), telemetry included.
-    let run_combo = |i: usize, stop: &dyn Fn() -> bool| -> ComboOutcome {
+    // `scratch` is the claiming worker's: its tables and buffers carry over
+    // from the worker's previous combos without changing any outcome.
+    let run_combo = |scratch: &mut Scratch<P>, i: usize, stop: &dyn Fn() -> bool| -> ComboOutcome {
         if let Some(done) = recovered.get(&i) {
             // Recorded by a prior run of this exact sweep: replay verbatim.
             if let Some(tel) = &telemetry {
@@ -475,7 +477,7 @@ where
             }
             s
         };
-        let result = explorer.run_until(&invariant, probe);
+        let result = explorer.run_in(&invariant, &probe, scratch);
         drop(expand_guard);
         if let Some(tel) = &telemetry {
             tel.combos_done.inc();
@@ -505,9 +507,12 @@ where
         outcome
     };
 
-    let slots = run_pool(config.strategy.pool_size(jobs), explore.len(), |k, stop| {
-        run_combo(explore[k], stop)
-    });
+    let slots = run_pool(
+        config.strategy.pool_size(jobs),
+        explore.len(),
+        Scratch::default,
+        |scratch, k, stop| run_combo(scratch, explore[k], stop),
+    );
 
     // Final checkpoint: everything journaled so far is durable before the
     // report is assembled (signal-driven aborts land here too, so a graceful
@@ -1399,6 +1404,152 @@ mod tests {
         );
     }
 
+    /// Transition-memo `(hits, misses)` summed over fresh per-combo
+    /// [`Explorer::run`]s of the coarse snapshot sweep's `combos`: the work
+    /// a sweep does when no tables carry over between combos.
+    fn fresh_memo_tallies(
+        inputs: &[u32],
+        cap: usize,
+        quotient: bool,
+        combos: impl Iterator<Item = usize>,
+    ) -> (u64, u64) {
+        let n = inputs.len();
+        let groups = group_assignment(inputs);
+        let table = ComboTable::new(n, n);
+        let tel = crate::ExplorerTelemetry::default();
+        for i in combos {
+            let procs: Vec<SnapshotProcess<u32>> =
+                inputs.iter().map(|&x| SnapshotProcess::new(x, n)).collect();
+            let mut explorer = Explorer::new(procs, n, Default::default(), table.combo(i))
+                .with_coarse_scans()
+                .with_max_states(cap)
+                .with_telemetry(tel.clone());
+            if quotient {
+                explorer = explorer.with_quotient();
+            }
+            explorer.run(|state| snapshot_invariant(state, inputs, &groups));
+        }
+        (tel.step_memo_hits.get(), tel.step_memo_misses.get())
+    }
+
+    /// The memo counters a telemetry-attached coarse snapshot sweep
+    /// publishes, as `(hits, misses)`.
+    fn sweep_memo_tallies(inputs: &[u32], cap: usize, config: &CheckConfig) -> (u64, u64) {
+        let registry = Arc::new(MetricRegistry::new());
+        let config = config.clone().with_telemetry(Arc::clone(&registry));
+        let outcome = check_snapshot_task_coarse_with(inputs, cap, &config).unwrap();
+        assert!(outcome.report.violation.is_none());
+        let snap = registry.sample(0, None);
+        (
+            snap.counter("mc.step_memo_hits"),
+            snap.counter("mc.step_memo_misses"),
+        )
+    }
+
+    #[test]
+    fn worker_tables_keep_the_step_count_and_cut_memo_misses_exactly() {
+        // Plain sweep: each pool worker's tables carry over between its
+        // combos, so later combos hit transitions earlier ones recorded.
+        // The steps taken (hits + misses) are the fresh per-combo total
+        // exactly; only the share that had to run `Process::step` falls.
+        const CAP: usize = 1_000;
+        let inputs = [1, 2, 3];
+        let total = ComboTable::new(3, 3).len();
+        let (hits, misses) = fresh_memo_tallies(&inputs, CAP, false, 0..total);
+        for jobs in [1, 2] {
+            let config = CheckConfig::default().with_jobs(jobs);
+            let (h, m) = sweep_memo_tallies(&inputs, CAP, &config);
+            assert_eq!(h + m, hits + misses, "jobs={jobs}: the same steps run");
+            assert!(m < misses, "jobs={jobs}: misses {m} !< fresh {misses}");
+        }
+
+        // Quotiented sweep over equal inputs: every representative combo
+        // has a nontrivial group, so every exploration gets fresh tables
+        // and the counters are the fresh per-combo sums exactly.
+        let inputs = [5, 5];
+        let classes = vec![0; 2];
+        let table = ComboTable::new(2, 2);
+        let reps = canon::combo_reps(2, 2, &classes).expect("small sweep");
+        let explored: Vec<usize> = (0..table.len()).filter(|&i| reps[i] == i).collect();
+        for &i in &explored {
+            let group = canon::Canonicalizer::for_system(&classes, &table.combo(i));
+            assert!(!group.is_trivial(), "combo {i} must keep fresh tables");
+        }
+        let fresh = fresh_memo_tallies(&inputs, CAP, true, explored.into_iter());
+        for jobs in [1, 2] {
+            let config = CheckConfig::default().with_jobs(jobs).with_quotient();
+            assert_eq!(
+                sweep_memo_tallies(&inputs, CAP, &config),
+                fresh,
+                "jobs={jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn violating_sweep_matches_fresh_per_combo_explorations() {
+        // A sweep whose first violating combo comes after combos that warm
+        // the worker's tables: the per-combo state counts and the violation
+        // string (schedule included) are what fresh explorations report.
+        const CAP: usize = 3_000;
+        let inputs = [1u32, 2, 3];
+        let mk = |combo: Vec<Arc<Wiring>>| {
+            let procs: Vec<SnapshotProcess<u32>> =
+                inputs.iter().map(|&x| SnapshotProcess::new(x, 3)).collect();
+            Explorer::new(procs, 3, Default::default(), combo)
+                .with_coarse_scans()
+                .with_max_states(CAP)
+        };
+        // Trips once global register 2 holds a write while register 0
+        // still holds none: only wirings that route an early write to
+        // register 2 get there.
+        let invariant = |state: &StateView<'_, SnapshotProcess<u32>>| {
+            let blank = fa_core::SnapRegister::default();
+            if *state.memory(2) != blank && *state.memory(0) == blank {
+                Err("register 2 written before register 0".to_string())
+            } else {
+                Ok(())
+            }
+        };
+        let table = ComboTable::new(3, 3);
+        for jobs in [1, 2] {
+            let outcome = run_sweep(
+                "snapshot_write_order",
+                3,
+                &CheckConfig::default().with_jobs(jobs),
+                0,
+                mk,
+                invariant,
+                "",
+            )
+            .expect("uncheckpointed sweeps never error");
+            let report = &outcome.report;
+            assert!(
+                report.combos > 1,
+                "the first violating combo follows others"
+            );
+            let violator = report.combos - 1;
+            for (i, &states) in outcome.telemetry.per_combo_states.iter().enumerate() {
+                let fresh = mk(table.combo(i)).run(invariant);
+                assert_eq!(states, fresh.states, "jobs={jobs} combo {i}");
+                assert_eq!(fresh.violation.is_some(), i == violator, "combo {i}");
+                if let Some(v) = fresh.violation {
+                    let expected = format!(
+                        "wirings {:?}: {} (schedule {:?})",
+                        table
+                            .combo(i)
+                            .iter()
+                            .map(ToString::to_string)
+                            .collect::<Vec<_>>(),
+                        v.message,
+                        v.schedule
+                    );
+                    assert_eq!(report.violation.as_deref(), Some(expected.as_str()));
+                }
+            }
+        }
+    }
+
     #[test]
     fn parallel_sweep_selects_lowest_violating_combo() {
         let serial = write_once_sweep(1);
@@ -1579,6 +1730,59 @@ mod tests {
         assert_eq!(snap.counter("ckpt.records"), 30);
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_partial_resume_starts_worker_tables_empty_mid_sweep() {
+        // A resume replays the journal's first combos and re-explores the
+        // rest, so each worker's tables first fill mid-sweep instead of at
+        // combo 0. The report must not notice.
+        const CAP: usize = 1_000;
+        const REPLAYED: usize = 12;
+        let inputs = [1, 2, 3];
+        let baseline = check_snapshot_task_coarse_with(&inputs, CAP, &CheckConfig::serial())
+            .expect("uncheckpointed sweeps never error");
+        for jobs in [1, 2] {
+            let dir = scratch_checkpoint_dir("partial");
+            let cp = CheckpointConfig::new(&dir);
+            check_snapshot_task_coarse_with(
+                &inputs,
+                CAP,
+                &CheckConfig::serial().with_checkpoint(cp.clone()),
+            )
+            .expect("checkpointed sweep");
+            // Keep the header plus the serial run's claim/done pairs of
+            // combos 0..REPLAYED.
+            let path = SweepJournal::journal_path(&dir);
+            let bytes = std::fs::read(&path).expect("read journal");
+            let mut cut = 0;
+            for _ in 0..1 + 2 * REPLAYED {
+                // Frame: u32 payload length, u64 checksum, payload.
+                let len = u32::from_le_bytes(bytes[cut..cut + 4].try_into().unwrap()) as usize;
+                cut += 12 + len;
+            }
+            std::fs::write(&path, &bytes[..cut]).expect("truncate journal");
+
+            let registry = Arc::new(MetricRegistry::new());
+            let config = CheckConfig::default()
+                .with_jobs(jobs)
+                .with_checkpoint(cp.with_resume())
+                .with_telemetry(Arc::clone(&registry));
+            let resumed =
+                check_snapshot_task_coarse_with(&inputs, CAP, &config).expect("resumed sweep");
+            assert_eq!(
+                format!("{:?}", resumed.report),
+                format!("{:?}", baseline.report),
+                "jobs={jobs}"
+            );
+            assert_eq!(
+                resumed.telemetry.per_combo_states,
+                baseline.telemetry.per_combo_states
+            );
+            let snap = registry.sample(0, None);
+            assert_eq!(snap.gauge("ckpt.recovered"), REPLAYED as u64);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -242,8 +242,77 @@ where
     pressure: Option<Arc<std::sync::atomic::AtomicBool>>,
 }
 
+/// What one thread keeps between the explorations it runs, so a combo-pool
+/// worker pays for its tables and buffers once rather than per combo
+/// (DESIGN §12). Reusing a scratch never changes a report.
+#[derive(Debug)]
+pub(crate) struct Scratch<P: Process>
+where
+    P: Clone + Eq + Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug,
+{
+    /// Slot tables and transition memo shared by the plain explorations
+    /// this scratch serves; `None` until the first one.
+    tables: Option<ArenaTables<P>>,
+    /// The budget-less visited store, cleared between explorations.
+    visited: InMemoryVisited,
+    /// The BFS tree, cleared between explorations.
+    tree: BfsTree,
+}
+
+impl<P> Default for Scratch<P>
+where
+    P: Process + Clone + Eq + Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug,
+{
+    fn default() -> Self {
+        Scratch {
+            tables: None,
+            visited: InMemoryVisited::new(0),
+            tree: BfsTree::default(),
+        }
+    }
+}
+
+/// The BFS tree as parallel vectors indexed by state id: each state's
+/// parent and the process whose step reached it (`None` at the root), and
+/// the group element mapping the stepped row onto the canonical row
+/// actually stored (0, the identity, when not quotienting).
+#[derive(Debug, Default)]
+struct BfsTree {
+    parents: Vec<Option<(usize, ProcId)>>,
+    gelems: Vec<u32>,
+}
+
+impl BfsTree {
+    fn clear(&mut self) {
+        self.parents.clear();
+        self.gelems.clear();
+    }
+
+    /// Records the next state id's edge.
+    fn push(&mut self, parent: Option<(usize, ProcId)>, gelem: u32) {
+        self.parents.push(parent);
+        self.gelems.push(gelem);
+    }
+
+    /// The `(process, group element)` edges from the root to state `at`.
+    fn path_to(&self, at: usize) -> Vec<(ProcId, u32)> {
+        let mut edges = Vec::new();
+        let mut cur = at;
+        while let Some((parent, p)) = self.parents[cur] {
+            edges.push((p, self.gelems[cur]));
+            cur = parent;
+        }
+        edges.reverse();
+        edges
+    }
+}
+
 /// Totals an exploration has already published as telemetry counter deltas.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct Flushed {
     states: usize,
     memo_hits: u64,
@@ -464,11 +533,59 @@ where
         F: Fn(&StateView<'_, P>) -> Result<(), String>,
         S: Fn() -> bool,
     {
+        self.run_in(&invariant, &stop, &mut Scratch::default())
+    }
+
+    /// [`Explorer::run_until`] over a caller-kept [`Scratch`]: the sweep
+    /// hands each pool worker's scratch to every combo it claims.
+    ///
+    /// The scratch's tables serve this exploration only when its ids cannot
+    /// show: no nontrivial quotient group (the canonical row is the
+    /// id-lexicographically least one, so shared ids would move the
+    /// representative), the production id cap (a test-injected cap counts
+    /// only this exploration's ids) and the same row layout. Any other
+    /// exploration gets fresh tables and leaves the scratch's alone. A
+    /// budgeted exploration keeps its own tiered store, which owns its
+    /// spill file.
+    pub(crate) fn run_in<F, S>(
+        &self,
+        invariant: &F,
+        stop: &S,
+        scratch: &mut Scratch<P>,
+    ) -> ExploreReport<P>
+    where
+        F: Fn(&StateView<'_, P>) -> Result<(), String>,
+        S: Fn() -> bool,
+    {
         let (m, n) = self.dims();
         let w = m + 3 * n;
         let canon = self.canonicalizer();
+        let mut fresh = None;
+        let tables = if canon.is_none() && self.id_cap == HALTED {
+            if !scratch.tables.as_ref().is_some_and(|t| t.dims() == (m, n)) {
+                scratch.tables = Some(ArenaTables::new(m, n, HALTED));
+            }
+            scratch.tables.as_mut().expect("just ensured")
+        } else {
+            fresh.insert(ArenaTables::new(m, n, self.id_cap))
+        };
+        let tree = &mut scratch.tree;
+        tree.clear();
         match self.visited_budget {
-            None => self.explore(&invariant, &stop, InMemoryVisited::new(w), canon.as_ref()),
+            None => {
+                if scratch.visited.row_words() != w {
+                    scratch.visited = InMemoryVisited::new(w);
+                }
+                scratch.visited.clear();
+                self.explore(
+                    invariant,
+                    stop,
+                    &mut scratch.visited,
+                    canon.as_ref(),
+                    tables,
+                    tree,
+                )
+            }
             Some(budget) => {
                 let mut store = TieredVisited::new(w, budget);
                 if let Some(dir) = &self.spill_dir {
@@ -480,7 +597,7 @@ where
                 if self.corrupt_spill {
                     store.corrupt_next_spill_for_tests();
                 }
-                self.explore(&invariant, &stop, store, canon.as_ref())
+                self.explore(invariant, stop, &mut store, canon.as_ref(), tables, tree)
             }
         }
     }
@@ -558,12 +675,17 @@ where
     /// canonicalize, look up, cap, insert, check the invariant. Store
     /// failures (spill-tier I/O errors or corruption) and id-space
     /// exhaustion abort with `complete: false`, never as "row not seen".
+    ///
+    /// `store` and `tree` arrive empty; `tables` may already hold other
+    /// explorations' values, which only changes which ids rows carry.
     fn explore<V, F, S>(
         &self,
         invariant: &F,
         stop: &S,
-        mut store: V,
+        store: &mut V,
         canon: Option<&Canonicalizer>,
+        tables: &mut ArenaTables<P>,
+        tree: &mut BfsTree,
     ) -> ExploreReport<P>
     where
         V: HashedStore,
@@ -572,12 +694,6 @@ where
     {
         let (m, n) = self.dims();
         let w = m + 3 * n;
-        let mut tables = ArenaTables::<P>::new(m, n, self.id_cap);
-        // Parent links and the group element mapping each stepped row onto
-        // the canonical row actually stored (identity when not quotienting)
-        // ride in parallel vectors indexed by state id.
-        let mut parents: Vec<Option<(usize, ProcId)>> = Vec::new();
-        let mut gelems: Vec<u32> = Vec::new();
         let mut terminal = 0usize;
         let mut complete = true;
         // Σ orbit sizes of visited canonical states — the full-space total
@@ -586,7 +702,14 @@ where
         let mut depth = 0usize;
         let mut since_poll = 0usize;
         let mut expansions = 0usize;
-        let mut flushed = Flushed::default();
+        // Counter deltas start from the tables' tallies at entry, so shared
+        // tables publish exactly this exploration's memo traffic.
+        let (memo_hits, memo_misses) = tables.memo_tallies();
+        let mut flushed = Flushed {
+            states: 0,
+            memo_hits,
+            memo_misses,
+        };
 
         let (complete, violation) = 'run: {
             let Ok(k0) = tables.encode(&self.initial) else {
@@ -609,15 +732,13 @@ where
             if store.insert(&root_row).is_err() {
                 break 'run (false, None);
             }
-            parents.push(None);
-            gelems.push(0);
-            if let Err(message) = invariant(&StateView::new(&tables, &root_row)) {
+            tree.push(None, 0);
+            if let Err(message) = invariant(&StateView::new(tables, &root_row)) {
                 // A violating root is reported complete, with the root
                 // counted terminal if it already is.
                 terminal = usize::from(self.initial.all_halted());
-                let v = self.assemble_violation(
-                    &tables, canon, invariant, &parents, &gelems, 0, &root_row, message,
-                );
+                let v =
+                    self.assemble_violation(tables, canon, invariant, tree, 0, &root_row, message);
                 break 'run (true, Some(v));
             }
             // Combos smaller than the poll interval would otherwise never
@@ -654,7 +775,7 @@ where
                         since_poll += 1;
                         if since_poll >= STOP_POLL_INTERVAL {
                             since_poll = 0;
-                            self.flush_telemetry(&mut flushed, &store, depth, &tables);
+                            self.flush_telemetry(&mut flushed, store, depth, tables);
                             crash_point("explorer.poll");
                             if stop() {
                                 break 'run (false, None);
@@ -711,11 +832,10 @@ where
                             break 'run (false, None);
                         };
                         estimate += orbit;
-                        parents.push(Some((cur, p)));
-                        gelems.push(gidx);
-                        if let Err(message) = invariant(&StateView::new(&tables, &row)) {
+                        tree.push(Some((cur, p)), gidx);
+                        if let Err(message) = invariant(&StateView::new(tables, &row)) {
                             let v = self.assemble_violation(
-                                &tables, canon, invariant, &parents, &gelems, id, &row, message,
+                                tables, canon, invariant, tree, id, &row, message,
                             );
                             break 'run (false, Some(v));
                         }
@@ -727,7 +847,7 @@ where
             (complete, None)
         };
 
-        self.flush_telemetry(&mut flushed, &store, depth, &tables);
+        self.flush_telemetry(&mut flushed, store, depth, tables);
         ExploreReport {
             states: store.len(),
             terminal_states: terminal,
@@ -739,7 +859,7 @@ where
     }
 
     /// Builds the [`Violation`] for state `at` (stored as row `vrow`) from
-    /// the parent-edge arrays: walks the edges back to the root, and — when
+    /// the BFS tree: walks the edges back to the root, and — when
     /// `canon` carries a nontrivial quotient group — untranslates the
     /// canonical run into a concrete schedule and state of the real system.
     #[allow(clippy::too_many_arguments)]
@@ -748,8 +868,7 @@ where
         tables: &ArenaTables<P>,
         canon: Option<&Canonicalizer>,
         invariant: &F,
-        parents: &[Option<(usize, ProcId)>],
-        gelems: &[u32],
+        tree: &BfsTree,
         at: usize,
         vrow: &[u32],
         message: String,
@@ -759,13 +878,7 @@ where
     {
         let (m, n) = self.dims();
         let w = m + 3 * n;
-        let mut edges: Vec<(ProcId, u32)> = Vec::new();
-        let mut cur = at;
-        while let Some((parent, p)) = parents[cur] {
-            edges.push((p, gelems[cur]));
-            cur = parent;
-        }
-        edges.reverse();
+        let edges = tree.path_to(at);
         let Some(c) = canon else {
             return Violation {
                 message,

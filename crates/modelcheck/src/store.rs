@@ -6,7 +6,10 @@
 //!
 //! Both stores assign state ids in insertion order (`0, 1, 2, ..`), so the
 //! explorer's BFS numbering — and therefore every report it assembles — is
-//! identical whichever store backs it. The tiered store keeps its hash
+//! identical whichever store backs it. Both find rows through the same
+//! `RowIndex`: row hash → newest id, plus a per-id link to the previous
+//! id whose row shares that full 64-bit hash, so storing a state allocates
+//! nothing beyond amortized vector growth. The tiered store keeps that
 //! index in memory permanently (only row payloads spill) and reads spilled
 //! shards back through a single-shard cache; BFS pops are nearly sequential
 //! in id order, so the cache absorbs almost all disk traffic. Spill
@@ -20,18 +23,94 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Hash of one row, matching the explorer's historical row hashing exactly
-/// (so in-memory runs before and after this module report identically).
+/// Multiplicative (Fx-style) hasher over small integer words: a rotate,
+/// xor and multiply per word — a fraction of SipHash's cost. It hashes the
+/// arena's transition-memo keys and visited rows, and keys the row index.
+/// Not collision-resistant, which is fine: every key is ids the program
+/// assigned, never outside input, and every user compares full keys.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct StepHasher(u64);
+
+impl Hasher for StepHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits at the top; bucket
+        // indices come from the bottom.
+        self.0.rotate_left(26)
+    }
+}
+
+/// `HashMap` hasher state for [`StepHasher`].
+pub(crate) type StepBuildHasher = BuildHasherDefault<StepHasher>;
+
+/// Hash of one row: [`StepHasher`] over the row's words, two per multiply.
+/// Rows of one store share their width, so no length is mixed in.
 pub(crate) fn hash_row(row: &[u32]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    row.hash(&mut h);
+    let mut h = StepHasher::default();
+    let mut pairs = row.chunks_exact(2);
+    for pair in &mut pairs {
+        h.write_u64(u64::from(pair[0]) | u64::from(pair[1]) << 32);
+    }
+    if let [last] = pairs.remainder() {
+        h.write_u32(*last);
+    }
     h.finish()
+}
+
+/// No row: the end of a [`RowIndex`] chain.
+const NO_ROW: usize = usize::MAX;
+
+/// The row index both stores share: row hash → the newest id with that
+/// hash, and per id the previous id with the same hash ([`NO_ROW`] ends
+/// the chain). Distinct rows almost never share a full 64-bit hash, so a
+/// chain is nearly always one id long — and unlike a `Vec` per hash, the
+/// index allocates nothing per state.
+#[derive(Debug, Default)]
+struct RowIndex {
+    newest: HashMap<u64, usize, StepBuildHasher>,
+    prev: Vec<usize>,
+}
+
+impl RowIndex {
+    /// Records the next id, `prev.len()`, under `hash`.
+    fn push(&mut self, hash: u64) {
+        let id = self.prev.len();
+        self.prev
+            .push(self.newest.insert(hash, id).unwrap_or(NO_ROW));
+    }
+
+    /// Ids stored under `hash`, newest first. Callers compare rows to pick
+    /// the one equal row, if any.
+    fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.newest.get(&hash).copied(), |&id| {
+            Some(self.prev[id]).filter(|&prev| prev != NO_ROW)
+        })
+    }
+
+    /// Forgets every id, keeping the allocations for reuse.
+    fn clear(&mut self) {
+        self.newest.clear();
+        self.prev.clear();
+    }
 }
 
 /// FNV-1a over a byte slice — the per-shard spill checksum, shared with
@@ -128,13 +207,12 @@ pub(crate) trait HashedStore: VisitedStore {
 /// entries) — the constant the explorer's byte gauge has always used.
 const STATE_OVERHEAD_BYTES: usize = 72;
 
-/// The hot all-in-memory store: a flat row arena plus a hash index, the
-/// verbatim extraction of the explorer's original inline visited set.
+/// The hot all-in-memory store: a flat row arena plus the row index.
 #[derive(Debug)]
 pub struct InMemoryVisited {
     w: usize,
     rows: Vec<u32>,
-    index: HashMap<u64, Vec<usize>>,
+    index: RowIndex,
 }
 
 impl InMemoryVisited {
@@ -144,25 +222,30 @@ impl InMemoryVisited {
         InMemoryVisited {
             w: row_words,
             rows: Vec::new(),
-            index: HashMap::new(),
+            index: RowIndex::default(),
         }
+    }
+
+    /// Empties the store — ids restart at 0 — keeping its allocations, so
+    /// one store can serve a worker's successive explorations.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        self.index.clear();
     }
 }
 
 impl HashedStore for InMemoryVisited {
     fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError> {
-        let Some(ids) = self.index.get(&hash) else {
-            return Ok(None);
-        };
-        Ok(ids
-            .iter()
-            .copied()
-            .find(|&i| self.rows[i * self.w..(i + 1) * self.w] == *row))
+        let w = self.w;
+        Ok(self
+            .index
+            .candidates(hash)
+            .find(|&i| self.rows[i * w..(i + 1) * w] == *row))
     }
 
     fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
         let id = self.len();
-        self.index.entry(hash).or_default().push(id);
+        self.index.push(hash);
         self.rows.extend_from_slice(row);
         Ok(id)
     }
@@ -289,7 +372,7 @@ impl DiskTier {
 /// nothing ever spills.
 #[derive(Debug)]
 pub struct TieredVisited {
-    index: HashMap<u64, Vec<usize>>,
+    index: RowIndex,
     w: usize,
     /// Rows per shard — fixed at construction so disk offsets are computable.
     shard_rows: usize,
@@ -330,7 +413,7 @@ impl TieredVisited {
         // spill granularity stays sane for both tiny and huge budgets.
         let shard_rows = (budget_bytes / row_bytes / 4).clamp(16, 4096);
         TieredVisited {
-            index: HashMap::new(),
+            index: RowIndex::default(),
             w: row_words,
             shard_rows,
             budget_rows: (budget_bytes / row_bytes).max(shard_rows),
@@ -495,10 +578,7 @@ impl Drop for TieredVisited {
 
 impl HashedStore for TieredVisited {
     fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError> {
-        let Some(ids) = self.index.get(&hash) else {
-            return Ok(None);
-        };
-        for &id in ids {
+        for id in self.index.candidates(hash) {
             if self.disk.row(&self.shards, self.shard_rows, self.w, id)? == row {
                 return Ok(Some(id));
             }
@@ -508,7 +588,7 @@ impl HashedStore for TieredVisited {
 
     fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
         let id = self.len;
-        self.index.entry(hash).or_default().push(id);
+        self.index.push(hash);
         let cap = self.shard_rows * self.w;
         let needs_new_tail = match self.shards.last() {
             None | Some(Shard::Disk { .. }) => true,
@@ -822,5 +902,70 @@ mod tests {
             assert_eq!(tiered.len(), reference.len());
             assert_eq!(tiered.spilled_shards(), 0, "no budget, no spills");
         }
+    }
+
+    /// Inserts `count` distinct rows all under one forced hash, then checks
+    /// that every one is found under it, that an absent row under the same
+    /// hash is not, and that no row is found under another hash.
+    fn assert_one_hash_chain<S: HashedStore>(store: &mut S, count: usize) {
+        const FORCED: u64 = 42;
+        let w = store.row_words();
+        for i in 0..count {
+            let r = row(i as u32, w);
+            assert_eq!(store.lookup_hashed(&r, FORCED).unwrap(), None, "row {i}");
+            assert_eq!(store.insert_hashed(&r, FORCED).unwrap(), i);
+        }
+        let mut out = vec![0u32; w];
+        for i in 0..count {
+            let r = row(i as u32, w);
+            assert_eq!(store.lookup_hashed(&r, FORCED).unwrap(), Some(i), "row {i}");
+            assert_eq!(
+                store.lookup_hashed(&r, FORCED + 1).unwrap(),
+                None,
+                "row {i}"
+            );
+            store.read_row(i, &mut out).unwrap();
+            assert_eq!(out, r);
+        }
+        let absent = row(count as u32 + 1, w);
+        assert_eq!(store.lookup_hashed(&absent, FORCED).unwrap(), None);
+    }
+
+    #[test]
+    fn store_inmemory_resolves_rows_sharing_one_full_hash() {
+        assert_one_hash_chain(&mut InMemoryVisited::new(5), 40);
+    }
+
+    #[test]
+    fn store_tiered_resolves_spilled_rows_sharing_one_full_hash() {
+        let mut t = TieredVisited::new(4, 0);
+        let count = 3 * t.shard_rows() + 5;
+        assert_one_hash_chain(&mut t, count);
+        // The chain's older members live in spilled shards: resolving them
+        // read the disk tier back.
+        assert_eq!(t.spilled_shards(), 3);
+    }
+
+    #[test]
+    fn store_cleared_inmemory_restarts_ids_and_forgets_every_row() {
+        let w = 3;
+        let mut s = InMemoryVisited::new(w);
+        // Rows under their own hashes and under the forced one, so stale
+        // chain links would show after the clear.
+        for i in 0..30u32 {
+            s.insert(&row(i, w)).unwrap();
+        }
+        for i in 100..120u32 {
+            s.insert_hashed(&row(i, w), 42).unwrap();
+        }
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.approx_bytes(), 0);
+        for i in (0..30u32).chain(100..120) {
+            assert_eq!(s.lookup(&row(i, w)).unwrap(), None, "row {i}");
+            assert_eq!(s.lookup_hashed(&row(i, w), 42).unwrap(), None, "row {i}");
+        }
+        // Ids restart at 0: the cleared store behaves as a fresh one.
+        assert_one_hash_chain(&mut s, 10);
     }
 }

@@ -29,6 +29,10 @@ pub struct ComboOutcome {
 /// Explores combos `0..total` on a pool of `jobs` threads and returns one
 /// slot per combo.
 ///
+/// Each worker calls `init` once and hands the state it returns to every
+/// combo it claims, so per-thread scratch (tables, buffers) outlives a
+/// single combo. `run_combo` must not let that state change its outcome.
+///
 /// Workers claim indices from a shared counter, lower a shared *best*
 /// (lowest violating index) with `fetch_min` on violations, and skip or
 /// stop combos above it through the `stop` probe handed to `run_combo`
@@ -37,9 +41,15 @@ pub struct ComboOutcome {
 /// that was never stopped — exactly the combos a serial sweep explores.
 /// Slots above `B` are `None` or hold stopped runs; assembly ignores them.
 /// The calling thread is worker 0, so one job spawns no thread.
-pub(crate) fn run_pool<F>(jobs: usize, total: usize, run_combo: F) -> Vec<Option<ComboOutcome>>
+pub(crate) fn run_pool<S, I, F>(
+    jobs: usize,
+    total: usize,
+    init: I,
+    run_combo: F,
+) -> Vec<Option<ComboOutcome>>
 where
-    F: Fn(usize, &dyn Fn() -> bool) -> ComboOutcome + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize, &dyn Fn() -> bool) -> ComboOutcome + Sync,
 {
     // Both atomics are Relaxed: they publish no other data (outcomes reach
     // the caller through the `OnceLock` slots and the scope's join).
@@ -47,20 +57,23 @@ where
     // Lowest combo index with a violation found so far (MAX = none yet).
     let best = AtomicUsize::new(usize::MAX);
     let slots: Vec<OnceLock<ComboOutcome>> = (0..total).map(|_| OnceLock::new()).collect();
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= total {
-            break;
+    let worker = || {
+        let mut scratch = init();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= total {
+                break;
+            }
+            // A violation at a lower index makes this combo irrelevant.
+            if i > best.load(Ordering::Relaxed) {
+                continue;
+            }
+            let outcome = run_combo(&mut scratch, i, &|| i > best.load(Ordering::Relaxed));
+            if outcome.violation.is_some() {
+                best.fetch_min(i, Ordering::Relaxed);
+            }
+            let _ = slots[i].set(outcome);
         }
-        // A violation at a lower index makes this combo irrelevant.
-        if i > best.load(Ordering::Relaxed) {
-            continue;
-        }
-        let outcome = run_combo(i, &|| i > best.load(Ordering::Relaxed));
-        if outcome.violation.is_some() {
-            best.fetch_min(i, Ordering::Relaxed);
-        }
-        let _ = slots[i].set(outcome);
     };
     std::thread::scope(|scope| {
         for _ in 1..jobs.min(total) {
@@ -114,8 +127,8 @@ mod tests {
     /// incomplete so tests can assert the prefix contract.
     fn runner(
         violations: &'static [usize],
-    ) -> impl Fn(usize, &dyn Fn() -> bool) -> ComboOutcome + Sync {
-        move |i, stop| {
+    ) -> impl Fn(&mut (), usize, &dyn Fn() -> bool) -> ComboOutcome + Sync {
+        move |(), i, stop| {
             let aborted = stop();
             ComboOutcome {
                 states: i + 1,
@@ -143,14 +156,19 @@ mod tests {
         // A pool of one runs on the calling thread in index order and skips
         // everything past the first violation.
         let caller = std::thread::current().id();
-        let slots = run_pool(1, 10, |i, stop| {
-            assert_eq!(
-                std::thread::current().id(),
-                caller,
-                "one job spawns no thread"
-            );
-            runner(&[4, 7])(i, stop)
-        });
+        let slots = run_pool(
+            1,
+            10,
+            || (),
+            |(), i, stop| {
+                assert_eq!(
+                    std::thread::current().id(),
+                    caller,
+                    "one job spawns no thread"
+                );
+                runner(&[4, 7])(&mut (), i, stop)
+            },
+        );
         assert!(slots[..=4].iter().all(Option::is_some));
         assert!(slots[5..].iter().all(Option::is_none));
         assert_eq!(
@@ -162,9 +180,9 @@ mod tests {
     #[test]
     fn pool_matches_serial_prefix_for_all_job_counts() {
         for violations in [&[][..], &[0][..], &[4, 7][..], &[9][..]] {
-            let reference = assembled_prefix(&run_pool(1, 10, runner(violations)));
+            let reference = assembled_prefix(&run_pool(1, 10, || (), runner(violations)));
             for jobs in [2, 4, 8] {
-                let slots = run_pool(jobs, 10, runner(violations));
+                let slots = run_pool(jobs, 10, || (), runner(violations));
                 assert_eq!(
                     assembled_prefix(&slots),
                     reference,
@@ -177,7 +195,7 @@ mod tests {
     #[test]
     fn pool_prefix_is_never_aborted() {
         for _ in 0..20 {
-            let slots = run_pool(8, 16, runner(&[5]));
+            let slots = run_pool(8, 16, || (), runner(&[5]));
             for slot in assembled_prefix(&slots) {
                 assert!(slot.complete, "prefix combos must never be aborted");
             }

@@ -15,7 +15,7 @@
 //! | `mc.visited_entries`   | gauge     | arena size of the sampled combo            |
 //! | `mc.visited_bytes_est` | gauge     | estimated bytes of keys + arena + index    |
 //! | `mc.visited_spilled`   | gauge     | visited shards spilled to the disk tier    |
-//! | `mc.interner_entries`  | gauge     | per-slot interner entries (all four maps)  |
+//! | `mc.interner_entries`  | gauge     | slot-table entries of the sampled worker   |
 //! | `mc.orbit_factor`      | gauge     | sweep quotient factor, ×1000 fixed-point   |
 //! | `mc.claim`             | span      | combo claim + wiring materialization       |
 //! | `mc.expand`            | span      | per-combo BFS exploration                  |
@@ -48,7 +48,10 @@ pub struct ExplorerTelemetry {
     pub visited_bytes: Gauge,
     /// `mc.visited_spilled`.
     pub visited_spilled: Gauge,
-    /// `mc.interner_entries`.
+    /// `mc.interner_entries` — entries across the sampled exploration's
+    /// slot tables. On plain sweeps a pool worker's tables serve all its
+    /// combos, so this is the worker's value universe so far, not one
+    /// combo's.
     pub interner_entries: Gauge,
     /// `mc.dedup` — sampled, see [`crate::Explorer`] docs.
     pub dedup: Span,

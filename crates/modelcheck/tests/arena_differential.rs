@@ -373,6 +373,38 @@ fn sweep_reports_are_byte_identical_across_jobs_and_strategies() {
 }
 
 #[test]
+fn sweep_per_combo_counts_match_fresh_explorations_and_the_reference() {
+    // Each pool worker carries its tables from combo to combo; every combo
+    // must still report what a fresh exploration and the reference do.
+    // (The violating counterpart, with a custom invariant, is the
+    // `violating_sweep_matches_fresh_per_combo_explorations` unit test.)
+    const CAP: usize = 1_500;
+    let inputs = [1, 2, 3];
+    let table = fa_modelcheck::wirings::ComboTable::new(3, 3);
+    let expected: Vec<usize> = (0..table.len())
+        .map(|i| {
+            let combo = table.combo(i);
+            let wirings: Vec<Wiring> = combo.iter().map(|w| (**w).clone()).collect();
+            let initial = McState::initial(snapshot_procs(&inputs), 3, Default::default());
+            let reference = support::explore(initial, &wirings, bounds(true, CAP), |_| Ok(()));
+            let fresh = Explorer::new(snapshot_procs(&inputs), 3, Default::default(), combo)
+                .with_coarse_scans()
+                .with_max_states(CAP)
+                .run(|_| Ok(()));
+            assert_matches_reference(&fresh, &reference);
+            fresh.states
+        })
+        .collect();
+    for jobs in [1, 2] {
+        let outcome =
+            check_snapshot_task_coarse_with(&inputs, CAP, &CheckConfig::default().with_jobs(jobs))
+                .unwrap();
+        assert_eq!(outcome.report.violation, None, "jobs={jobs}");
+        assert_eq!(outcome.telemetry.per_combo_states, expected, "jobs={jobs}");
+    }
+}
+
+#[test]
 fn stop_is_polled_on_the_same_cadence_for_every_worker_count() {
     use std::cell::Cell;
     let mk = || Explorer::new(snapshot_procs(&[1, 2]), 2, Default::default(), n2_wirings());
