@@ -50,7 +50,6 @@ mod consensus;
 pub mod durability;
 pub mod figure2;
 pub mod gst;
-mod intern;
 mod long_lived;
 pub mod lower_bound;
 pub mod metrics;
@@ -64,7 +63,6 @@ mod write_scan;
 
 pub use backoff::{BackoffArbiter, BackoffStats};
 pub use consensus::{ConsensusProcess, Stamped};
-pub use intern::{InputId, ViewInterner};
 pub use long_lived::LongLivedSnapshotProcess;
 pub use renaming::RenamingProcess;
 pub use snapshot::{EngineStep, SnapRegister, SnapshotEngine, SnapshotProcess};

@@ -25,8 +25,7 @@
 //! needs to return, and two semantically equal views always share a
 //! representation — which is what makes the per-representation `Eq`/`Hash`
 //! fast paths sound. The one shrinking operation, [`View::intersection`],
-//! re-normalizes its result. Sparse domains can be densified first through a
-//! [`ViewInterner`](crate::ViewInterner) to recover the fast path.
+//! re-normalizes its result.
 
 use core::fmt;
 use std::cmp::Ordering;

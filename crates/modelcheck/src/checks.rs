@@ -236,8 +236,9 @@ pub struct QuotientStats {
     pub full_states_estimate: u64,
     /// Distinct representative combos explored in the attempted prefix.
     pub combos_explored: usize,
-    /// Visited shards spilled to the disk tier across explored combos
-    /// (always 0 without a [`CheckConfig::visited_budget`]).
+    /// Visited shards spilled to the disk tier across explored combos: 0
+    /// unless a [`CheckConfig::visited_budget`] or memory pressure
+    /// ([`CheckConfig::memory_limit`]) forced rows out.
     pub spilled_shards: usize,
 }
 

@@ -22,7 +22,7 @@ use fa_memory::{Action, ProcId, Process, StepInput, Wiring};
 use crate::arena::{ArenaTables, StateView, HALTED};
 use crate::canon::{compose, invert, Canonicalizer};
 use crate::checkpoint::crash_point;
-use crate::store::{hash_row, HashedStore, InMemoryVisited, TieredVisited, VisitedStore};
+use crate::store::{hash_row, TieredVisited, VisitedStore};
 use crate::telemetry::ExplorerTelemetry;
 
 /// A process's poised-action slot: `None` once the process has halted.
@@ -214,8 +214,9 @@ where
     /// when the exploration completed, since reachable orbits are then
     /// covered exactly once (see [`crate::canon`]).
     pub full_states_estimate: Option<u64>,
-    /// Visited-set shards spilled to the disk tier (always 0 without a
-    /// [`Explorer::with_visited_budget`] budget).
+    /// Visited-set shards spilled to the disk tier (0 unless a
+    /// [`Explorer::with_visited_budget`] budget or the
+    /// [`Explorer::with_memory_pressure`] flag forced rows out).
     pub spilled_shards: usize,
 }
 
@@ -255,8 +256,8 @@ where
     /// Slot tables and transition memo shared by the plain explorations
     /// this scratch serves; `None` until the first one.
     tables: Option<ArenaTables<P>>,
-    /// The budget-less visited store, cleared between explorations.
-    visited: InMemoryVisited,
+    /// The visited store, reset for each exploration.
+    visited: TieredVisited,
     /// The BFS tree, cleared between explorations.
     tree: BfsTree,
 }
@@ -270,7 +271,7 @@ where
     fn default() -> Self {
         Scratch {
             tables: None,
-            visited: InMemoryVisited::new(0),
+            visited: TieredVisited::new(0, None),
             tree: BfsTree::default(),
         }
     }
@@ -451,8 +452,7 @@ where
     }
 
     /// Test hook: corrupts the first spilled visited shard so read-back
-    /// must fail loudly. Only meaningful together with
-    /// [`Explorer::with_visited_budget`].
+    /// must fail loudly.
     #[doc(hidden)]
     #[must_use]
     pub fn with_corrupted_spill_for_tests(mut self) -> Self {
@@ -462,8 +462,7 @@ where
 
     /// Routes visited-store spill shards into `dir` (a checkpoint
     /// directory) in durable mode — fsync on shard seal, loud failure if
-    /// the directory vanishes — instead of the system temp dir. Only
-    /// meaningful together with [`Explorer::with_visited_budget`].
+    /// the directory vanishes — instead of the system temp dir.
     #[must_use]
     pub fn with_spill_dir(mut self, dir: std::path::PathBuf) -> Self {
         self.spill_dir = Some(dir);
@@ -471,8 +470,8 @@ where
     }
 
     /// Attaches the memory watchdog's pressure flag: while raised, the
-    /// tiered visited store force-spills every sealed shard regardless of
-    /// budget. A no-op without [`Explorer::with_visited_budget`].
+    /// visited store spills every full shard, with or without a
+    /// [`Explorer::with_visited_budget`] budget.
     #[must_use]
     pub fn with_memory_pressure(mut self, flag: Arc<std::sync::atomic::AtomicBool>) -> Self {
         self.pressure = Some(flag);
@@ -526,8 +525,7 @@ where
     /// earlier-indexed violation.
     ///
     /// States are id rows (see [`crate::arena`]), stepping patches a copied
-    /// row in place, and the visited set — in memory, or tiered under
-    /// [`Explorer::with_visited_budget`] — hashes rows directly.
+    /// row in place, and the visited set hashes rows directly.
     pub fn run_until<F, S>(&self, invariant: F, stop: S) -> ExploreReport<P>
     where
         F: Fn(&StateView<'_, P>) -> Result<(), String>,
@@ -544,9 +542,10 @@ where
     /// id-lexicographically least one, so shared ids would move the
     /// representative), the production id cap (a test-injected cap counts
     /// only this exploration's ids) and the same row layout. Any other
-    /// exploration gets fresh tables and leaves the scratch's alone. A
-    /// budgeted exploration keeps its own tiered store, which owns its
-    /// spill file.
+    /// exploration gets fresh tables and leaves the scratch's alone. The
+    /// scratch's visited store is reset to this exploration's row width,
+    /// budget, spill directory and pressure flag, and its spill file is
+    /// deleted when the exploration ends.
     pub(crate) fn run_in<F, S>(
         &self,
         invariant: &F,
@@ -569,37 +568,29 @@ where
         } else {
             fresh.insert(ArenaTables::new(m, n, self.id_cap))
         };
-        let tree = &mut scratch.tree;
-        tree.clear();
-        match self.visited_budget {
-            None => {
-                if scratch.visited.row_words() != w {
-                    scratch.visited = InMemoryVisited::new(w);
-                }
-                scratch.visited.clear();
-                self.explore(
-                    invariant,
-                    stop,
-                    &mut scratch.visited,
-                    canon.as_ref(),
-                    tables,
-                    tree,
-                )
-            }
-            Some(budget) => {
-                let mut store = TieredVisited::new(w, budget);
-                if let Some(dir) = &self.spill_dir {
-                    store = store.with_spill_dir(dir.clone());
-                }
-                if let Some(flag) = &self.pressure {
-                    store.set_pressure(Arc::clone(flag));
-                }
-                if self.corrupt_spill {
-                    store.corrupt_next_spill_for_tests();
-                }
-                self.explore(invariant, stop, &mut store, canon.as_ref(), tables, tree)
-            }
+        scratch.tree.clear();
+        let store = &mut scratch.visited;
+        store.reset(w, self.visited_budget);
+        if let Some(dir) = &self.spill_dir {
+            store.set_spill_dir(dir.clone());
         }
+        if let Some(flag) = &self.pressure {
+            store.set_pressure(Arc::clone(flag));
+        }
+        if self.corrupt_spill {
+            store.corrupt_next_spill_for_tests();
+        }
+        let report = self.explore(
+            invariant,
+            stop,
+            store,
+            canon.as_ref(),
+            tables,
+            &mut scratch.tree,
+        );
+        // No spill file outlives the exploration that wrote it.
+        store.reset(w, None);
+        report
     }
 
     /// [`Explorer::run`] under its old intra-combo name; `_workers` is
@@ -634,10 +625,10 @@ where
     /// globally monotone across combos and pool threads), gauges as the current
     /// readings. Runs on the stop-poll boundary and at the exit, so the
     /// per-step path touches no atomics.
-    fn flush_telemetry<V: VisitedStore>(
+    fn flush_telemetry(
         &self,
         flushed: &mut Flushed,
-        store: &V,
+        store: &TieredVisited,
         depth: usize,
         tables: &ArenaTables<P>,
     ) {
@@ -663,9 +654,9 @@ where
         tel.interner_entries.set(tables.len_total() as u64);
     }
 
-    /// The BFS engine, generic over visited-set storage. The store only
-    /// decides where rows live, never which ids exist, so every store
-    /// reports identically.
+    /// The BFS engine. The visited store only decides where rows live,
+    /// never which ids exist, so a budget or memory pressure changes no
+    /// report beyond its spill count.
     ///
     /// Level `d` is the id range the store held when level `d - 1` was
     /// done — the FIFO queue of a serial BFS, cut at depth boundaries. The
@@ -678,17 +669,16 @@ where
     ///
     /// `store` and `tree` arrive empty; `tables` may already hold other
     /// explorations' values, which only changes which ids rows carry.
-    fn explore<V, F, S>(
+    fn explore<F, S>(
         &self,
         invariant: &F,
         stop: &S,
-        store: &mut V,
+        store: &mut TieredVisited,
         canon: Option<&Canonicalizer>,
         tables: &mut ArenaTables<P>,
         tree: &mut BfsTree,
     ) -> ExploreReport<P>
     where
-        V: HashedStore,
         F: Fn(&StateView<'_, P>) -> Result<(), String>,
         S: Fn() -> bool,
     {
@@ -1328,9 +1318,9 @@ mod tests {
     #[test]
     fn one_engine_reports_identically_over_every_store() {
         use fa_core::SnapshotProcess;
-        // `run` (in-memory) and `run` under a spilling budget (tiered) are
-        // the same engine over different stores: same states, same order,
-        // same verdicts, byte for byte.
+        // `run` with every row resident and `run` under a budget that
+        // spills every full shard: same states, same order, same verdicts,
+        // byte for byte.
         let mk = || {
             let procs: Vec<SnapshotProcess<u8>> =
                 vec![SnapshotProcess::new(1, 2), SnapshotProcess::new(2, 2)];

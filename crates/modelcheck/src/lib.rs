@@ -19,9 +19,10 @@
 //! * [`canon`] — symmetry-quotient canonicalization: orbit-representative
 //!   arena rows under the system's processor/register automorphism group,
 //!   with exact orbit sizes for full-space accounting.
-//! * [`store`] — the visited-set stores behind [`VisitedStore`]:
-//!   all-in-memory, or tiered with cold shards spilled to a checksummed
-//!   append-only disk file under a memory budget.
+//! * [`store`] — the visited set, one [`TieredVisited`]: resident rows in
+//!   one flat vector, with the oldest full shards spilled to a checksummed
+//!   append-only disk file (and dropped from memory) under a memory budget
+//!   or memory pressure.
 //! * [`checks`] — ready-made checks: the snapshot task (E3), adaptive
 //!   renaming, consensus safety, and solo-termination (the wait-freedom
 //!   certificate).

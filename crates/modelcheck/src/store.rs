@@ -1,25 +1,26 @@
-//! Visited-set storage for the arena BFS: a [`VisitedStore`] trait with a
-//! hot in-memory table ([`InMemoryVisited`], the flat fast path for runs
-//! without a budget) and a tiered implementation ([`TieredVisited`]) that
-//! spills cold row shards to an append-only file-backed tier once a
-//! configurable memory budget is exceeded (DESIGN §13).
+//! Visited-set storage for the arena BFS: one store, [`TieredVisited`],
+//! that keeps its rows resident in one flat vector and, once a
+//! configurable memory budget is exceeded or the memory watchdog raises
+//! its pressure flag, spills the oldest full row shards to an
+//! append-only, checksummed file (DESIGN §13).
 //!
-//! Both stores assign state ids in insertion order (`0, 1, 2, ..`), so the
-//! explorer's BFS numbering — and therefore every report it assembles — is
-//! identical whichever store backs it. Both find rows through the same
-//! `RowIndex`: row hash → newest id, plus a per-id link to the previous
-//! id whose row shares that full 64-bit hash, so storing a state allocates
-//! nothing beyond amortized vector growth. The tiered store keeps that
-//! index in memory permanently (only row payloads spill) and reads spilled
-//! shards back through a single-shard cache; BFS pops are nearly sequential
-//! in id order, so the cache absorbs almost all disk traffic. Spill
-//! decisions depend only on the insertion sequence.
+//! Ids are assigned in insertion order (`0, 1, 2, ..`) whatever the
+//! budget, so the explorer's BFS numbering — and therefore every report it
+//! assembles — is identical whether rows stay resident or spill. Rows are
+//! found through a `RowIndex`: row hash → newest id, plus a per-id link to
+//! the previous id whose row shares that full 64-bit hash, so storing a
+//! state allocates nothing beyond amortized vector growth. The index stays
+//! in memory (only row payloads spill). A resident row is one subtraction
+//! and an offset away; a spilled shard is read back through a single-shard
+//! cache, and since BFS pops are nearly sequential in id order, the cache
+//! absorbs almost all disk traffic. Spill decisions depend only on the
+//! insertion sequence and the pressure flag.
 //!
-//! Durability is *not* a goal — the spill file is a temp file deleted on
-//! drop. Integrity is: every spilled shard carries a checksum, and any
-//! truncated or corrupted read surfaces as a loud [`StoreError`] that the
-//! explorer converts into `complete: false` rather than silently
-//! mis-deduplicating.
+//! Durability is *not* a goal — the spill file is a temp file deleted when
+//! the store is reset or dropped. Integrity is: every spilled shard carries
+//! a checksum, and any truncated or corrupted read surfaces as a loud
+//! [`StoreError`] that the explorer converts into `complete: false` rather
+//! than silently mis-deduplicating.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -79,11 +80,11 @@ pub(crate) fn hash_row(row: &[u32]) -> u64 {
 /// No row: the end of a [`RowIndex`] chain.
 const NO_ROW: usize = usize::MAX;
 
-/// The row index both stores share: row hash → the newest id with that
-/// hash, and per id the previous id with the same hash ([`NO_ROW`] ends
-/// the chain). Distinct rows almost never share a full 64-bit hash, so a
-/// chain is nearly always one id long — and unlike a `Vec` per hash, the
-/// index allocates nothing per state.
+/// The row index: row hash → the newest id with that hash, and per id the
+/// previous id with the same hash ([`NO_ROW`] ends the chain). Distinct
+/// rows almost never share a full 64-bit hash, so a chain is nearly always
+/// one id long — and unlike a `Vec` per hash, the index allocates nothing
+/// per state.
 #[derive(Debug, Default)]
 struct RowIndex {
     newest: HashMap<u64, usize, StepBuildHasher>,
@@ -91,19 +92,26 @@ struct RowIndex {
 }
 
 impl RowIndex {
-    /// Records the next id, `prev.len()`, under `hash`.
+    /// Number of ids recorded.
+    fn len(&self) -> usize {
+        self.prev.len()
+    }
+
+    /// Records the next id, `len()`, under `hash`.
     fn push(&mut self, hash: u64) {
         let id = self.prev.len();
         self.prev
             .push(self.newest.insert(hash, id).unwrap_or(NO_ROW));
     }
 
-    /// Ids stored under `hash`, newest first. Callers compare rows to pick
-    /// the one equal row, if any.
-    fn candidates(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(self.newest.get(&hash).copied(), |&id| {
-            Some(self.prev[id]).filter(|&prev| prev != NO_ROW)
-        })
+    /// The newest id stored under `hash`, if any.
+    fn newest(&self, hash: u64) -> Option<usize> {
+        self.newest.get(&hash).copied()
+    }
+
+    /// The next older id stored under `id`'s hash, if any.
+    fn older(&self, id: usize) -> Option<usize> {
+        Some(self.prev[id]).filter(|&prev| prev != NO_ROW)
     }
 
     /// Forgets every id, keeping the allocations for reuse.
@@ -162,8 +170,9 @@ impl From<std::io::Error> for StoreError {
 }
 
 /// Deduplicating storage of fixed-width `u32` rows with dense insertion-order
-/// ids. The BFS uses exactly this surface; swapping implementations must
-/// never change which ids exist or what they decode to.
+/// ids: the surface of [`TieredVisited`], kept as a trait while the
+/// benchmark replays stores through it under their old names
+/// ([`InMemoryVisited`], [`ShardedVisited`]).
 pub trait VisitedStore: std::fmt::Debug {
     /// Width of every row, in `u32` words.
     fn row_words(&self) -> usize;
@@ -186,8 +195,8 @@ pub trait VisitedStore: std::fmt::Debug {
     /// Copies row `id` into `out` (length `row_words()`).
     fn read_row(&mut self, id: usize, out: &mut [u32]) -> Result<(), StoreError>;
 
-    /// Number of shards spilled to the disk tier so far (0 for in-memory
-    /// stores).
+    /// Number of shards spilled to the disk tier so far (0 while every row
+    /// is resident).
     fn spilled_shards(&self) -> usize;
 
     /// Estimated resident bytes: row payload held in memory plus per-state
@@ -196,91 +205,9 @@ pub trait VisitedStore: std::fmt::Debug {
     fn approx_bytes(&self) -> usize;
 }
 
-/// [`VisitedStore::lookup`] and [`VisitedStore::insert`] with the row's
-/// [`hash_row`] supplied, so the explorer hashes each successor once.
-pub(crate) trait HashedStore: VisitedStore {
-    fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError>;
-    fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError>;
-}
-
 /// Estimated per-state bookkeeping bytes (parents, depths, hash-index
 /// entries) — the constant the explorer's byte gauge has always used.
 const STATE_OVERHEAD_BYTES: usize = 72;
-
-/// The hot all-in-memory store: a flat row arena plus the row index.
-#[derive(Debug)]
-pub struct InMemoryVisited {
-    w: usize,
-    rows: Vec<u32>,
-    index: RowIndex,
-}
-
-impl InMemoryVisited {
-    /// Creates an empty store for rows of `row_words` words.
-    #[must_use]
-    pub fn new(row_words: usize) -> Self {
-        InMemoryVisited {
-            w: row_words,
-            rows: Vec::new(),
-            index: RowIndex::default(),
-        }
-    }
-
-    /// Empties the store — ids restart at 0 — keeping its allocations, so
-    /// one store can serve a worker's successive explorations.
-    pub(crate) fn clear(&mut self) {
-        self.rows.clear();
-        self.index.clear();
-    }
-}
-
-impl HashedStore for InMemoryVisited {
-    fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError> {
-        let w = self.w;
-        Ok(self
-            .index
-            .candidates(hash)
-            .find(|&i| self.rows[i * w..(i + 1) * w] == *row))
-    }
-
-    fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
-        let id = self.len();
-        self.index.push(hash);
-        self.rows.extend_from_slice(row);
-        Ok(id)
-    }
-}
-
-impl VisitedStore for InMemoryVisited {
-    fn row_words(&self) -> usize {
-        self.w
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len() / self.w.max(1)
-    }
-
-    fn lookup(&mut self, row: &[u32]) -> Result<Option<usize>, StoreError> {
-        self.lookup_hashed(row, hash_row(row))
-    }
-
-    fn insert(&mut self, row: &[u32]) -> Result<usize, StoreError> {
-        self.insert_hashed(row, hash_row(row))
-    }
-
-    fn read_row(&mut self, id: usize, out: &mut [u32]) -> Result<(), StoreError> {
-        out.copy_from_slice(&self.rows[id * self.w..(id + 1) * self.w]);
-        Ok(())
-    }
-
-    fn spilled_shards(&self) -> usize {
-        0
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.rows.len() * 4 + self.len() * STATE_OVERHEAD_BYTES
-    }
-}
 
 /// Distinguishes concurrent explorations' spill files within one process.
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -291,54 +218,34 @@ pub(crate) fn unique_id() -> u64 {
     SPILL_COUNTER.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One fixed-capacity run of consecutive rows. Shards are resident until
-/// full and cold, then move to the disk tier wholesale.
-#[derive(Debug)]
-enum Shard {
-    /// Rows held in memory (the tail shard, or full shards not yet spilled).
-    Ram(Vec<u32>),
-    /// Rows spilled to the file at this byte offset (checksum included).
-    Disk { offset: u64 },
-}
-
-/// The disk half of the tiered store: the spill file handle, its length,
-/// and the single-shard read-back cache.
+/// The disk half of the tiered store: the spill file, one byte offset per
+/// spilled shard, and the single-shard read-back cache. Dropping the tier
+/// (a store reset does) deletes the file.
 #[derive(Debug, Default)]
 struct DiskTier {
     file: Option<File>,
+    path: Option<PathBuf>,
     file_len: u64,
+    /// Where each spilled shard starts (its checksum first), in id order.
+    offsets: Vec<u64>,
     /// Single-shard read-back cache: `(shard index, decoded rows)`.
     cache: Option<(usize, Vec<u32>)>,
 }
 
 impl DiskTier {
-    /// Row `id` of `shards` (each `shard_rows` rows of `w` words), read
-    /// back through the cache — checksum verified — when its shard has
-    /// spilled.
-    fn row<'a>(
-        &'a mut self,
-        shards: &'a [Shard],
-        shard_rows: usize,
-        w: usize,
-        id: usize,
-    ) -> Result<&'a [u32], StoreError> {
+    /// Spilled row `id` (shards of `shard_rows` rows of `w` words), read
+    /// back through the cache — checksum verified.
+    fn row(&mut self, shard_rows: usize, w: usize, id: usize) -> Result<&[u32], StoreError> {
         let (s, r) = (id / shard_rows, id % shard_rows);
-        let rows: &[u32] = match &shards[s] {
-            Shard::Ram(rows) => rows,
-            Shard::Disk { offset } => self.load_shard(s, *offset, shard_rows * w * 4)?,
-        };
+        let rows = self.load_shard(s, shard_rows * w * 4)?;
         Ok(&rows[r * w..(r + 1) * w])
     }
 
-    /// The rows of shard `s` (on disk at `offset`, `payload_bytes` long),
-    /// loaded into the cache unless already there.
-    fn load_shard(
-        &mut self,
-        s: usize,
-        offset: u64,
-        payload_bytes: usize,
-    ) -> Result<&[u32], StoreError> {
+    /// The rows of shard `s` (`payload_bytes` long on disk), loaded into
+    /// the cache unless already there.
+    fn load_shard(&mut self, s: usize, payload_bytes: usize) -> Result<&[u32], StoreError> {
         if !self.cache.as_ref().is_some_and(|(c, _)| *c == s) {
+            let offset = self.offsets[s];
             let file = self.file.as_mut().ok_or_else(|| {
                 StoreError::Corrupt(format!("shard {s} marked spilled but no spill file exists"))
             })?;
@@ -364,27 +271,43 @@ impl DiskTier {
     }
 }
 
-/// The tiered store: resident shards up to a byte budget, then the oldest
-/// *full* shards spill — append-only, checksummed — to a temp file. The
-/// tail shard (still filling) and the hash index never spill, so lookups
-/// stay one hash probe plus (rarely) one cached shard read. Spill
-/// decisions depend only on the insertion sequence. Without a budget
-/// nothing ever spills.
+impl Drop for DiskTier {
+    fn drop(&mut self) {
+        self.file = None;
+        if let Some(path) = &self.path {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+/// The visited store. Rows `base..len()` are resident in one flat vector,
+/// starting `head` words in; while resident rows exceed the budget (0
+/// while the pressure flag is raised), the oldest *full* shard spills —
+/// append-only, checksummed — to a temp file and `head` steps past it, so
+/// a spill costs O(shard). Once the spilled prefix outweighs a quarter of
+/// the resident rows the vector drops it (one move of the resident rows,
+/// amortized O(1) per spilled word), and a vector left far larger than its
+/// rows gives its memory back. The still-filling tail and the row index
+/// never spill, so a lookup is one hash probe plus a resident compare or
+/// (rarely) one cached shard read. Without a budget nothing spills unless
+/// the pressure flag is raised.
 #[derive(Debug)]
 pub struct TieredVisited {
     index: RowIndex,
     w: usize,
-    /// Rows per shard — fixed at construction so disk offsets are computable.
+    /// Rows per shard — fixed per configuration so disk offsets are
+    /// computable.
     shard_rows: usize,
     /// Resident row budget derived from the byte budget.
     budget_rows: usize,
-    shards: Vec<Shard>,
-    len: usize,
+    /// Spilled rows not yet dropped (`head` words), then the resident
+    /// rows, ids `base..len()`, `w` words each.
+    rows: Vec<u32>,
+    /// Where resident row `base` starts in `rows`.
+    head: usize,
+    /// The first resident id: `spilled_shards() * shard_rows`.
+    base: usize,
     disk: DiskTier,
-    path: Option<PathBuf>,
-    /// Lowest shard index still resident — shards spill strictly in order.
-    next_to_spill: usize,
-    spilled: usize,
     /// Test hook: corrupt the next spilled shard's payload on disk.
     corrupt_next_spill: bool,
     /// Spill into this directory (checkpointed sweeps) instead of the
@@ -402,9 +325,9 @@ pub type ShardedVisited = TieredVisited;
 
 impl TieredVisited {
     /// Creates a store for rows of `row_words` words that keeps at most
-    /// roughly `budget_bytes` of row payload resident; `None` never spills.
-    /// Tiny budgets are honored by spilling every shard as soon as it
-    /// fills.
+    /// roughly `budget_bytes` of row payload resident; `None` spills only
+    /// under memory pressure. Tiny budgets are honored by spilling every
+    /// shard as soon as it fills.
     #[must_use]
     pub fn new(row_words: usize, budget_bytes: impl Into<Option<usize>>) -> Self {
         let budget_bytes = budget_bytes.into().unwrap_or(usize::MAX);
@@ -417,26 +340,39 @@ impl TieredVisited {
             w: row_words,
             shard_rows,
             budget_rows: (budget_bytes / row_bytes).max(shard_rows),
-            shards: Vec::new(),
-            len: 0,
+            rows: Vec::new(),
+            head: 0,
+            base: 0,
             disk: DiskTier::default(),
-            path: None,
-            next_to_spill: 0,
-            spilled: 0,
             corrupt_next_spill: false,
             spill_dir: None,
             pressure: None,
         }
     }
 
+    /// Empties the store and reconfigures it as [`TieredVisited::new`]
+    /// would: ids restart at 0, the spill file is deleted, and the spill
+    /// directory, pressure flag and test hook are dropped. The row vector
+    /// and the index keep their allocations, so one store can serve a
+    /// worker's successive explorations.
+    pub(crate) fn reset(&mut self, row_words: usize, budget_bytes: Option<usize>) {
+        let mut index = std::mem::take(&mut self.index);
+        let mut rows = std::mem::take(&mut self.rows);
+        index.clear();
+        rows.clear();
+        *self = TieredVisited {
+            index,
+            rows,
+            ..TieredVisited::new(row_words, budget_bytes)
+        };
+    }
+
     /// Routes spill shards into `dir` (a checkpoint directory) instead of
     /// the system temp dir, and makes the spill tier durable: every sealed
     /// shard is fsync'd, and a vanished directory surfaces as a loud
     /// [`StoreError`] instead of silent dedup loss.
-    #[must_use]
-    pub fn with_spill_dir(mut self, dir: PathBuf) -> Self {
+    pub fn set_spill_dir(&mut self, dir: PathBuf) {
         self.spill_dir = Some(dir);
-        self
     }
 
     /// Attaches a memory-pressure flag (from the watchdog): while raised,
@@ -448,7 +384,7 @@ impl TieredVisited {
     /// Path of the spill file, once anything has spilled.
     #[must_use]
     pub fn spill_path(&self) -> Option<&Path> {
-        self.path.as_deref()
+        self.disk.path.as_deref()
     }
 
     /// Rows per spill shard (fixed at construction).
@@ -465,8 +401,47 @@ impl TieredVisited {
         self.corrupt_next_spill = true;
     }
 
+    /// [`VisitedStore::lookup`] with the row's [`hash_row`] supplied, so
+    /// the explorer hashes each successor once.
+    pub(crate) fn lookup_hashed(
+        &mut self,
+        row: &[u32],
+        hash: u64,
+    ) -> Result<Option<usize>, StoreError> {
+        let mut candidate = self.index.newest(hash);
+        while let Some(id) = candidate {
+            if self.row(id)? == row {
+                return Ok(Some(id));
+            }
+            candidate = self.index.older(id);
+        }
+        Ok(None)
+    }
+
+    /// [`VisitedStore::insert`] with the row's [`hash_row`] supplied.
+    pub(crate) fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
+        let id = self.index.len();
+        self.index.push(hash);
+        self.rows.extend_from_slice(row);
+        self.maybe_spill()?;
+        Ok(id)
+    }
+
+    /// Row `id`: a resident row is one subtraction and an offset away; a
+    /// spilled one is read back through the disk tier.
+    fn row(&mut self, id: usize) -> Result<&[u32], StoreError> {
+        let w = self.w;
+        match id.checked_sub(self.base) {
+            Some(r) => {
+                let start = self.head + r * w;
+                Ok(&self.rows[start..start + w])
+            }
+            None => self.disk.row(self.shard_rows, w, id),
+        }
+    }
+
     fn resident_rows(&self) -> usize {
-        self.len - self.spilled * self.shard_rows
+        self.index.len() - self.base
     }
 
     /// In durable mode, errors loudly when the configured spill directory
@@ -500,25 +475,19 @@ impl TieredVisited {
             .create_new(true)
             .open(&path)?;
         self.disk.file = Some(file);
-        self.path = Some(path);
+        self.disk.path = Some(path);
         Ok(())
     }
 
+    /// Writes the oldest resident shard, which must be full, to the spill
+    /// file and steps `head` past it.
     fn spill_oldest(&mut self) -> Result<(), StoreError> {
         crate::checkpoint::crash_point("store.spill");
         self.ensure_file()?;
         self.check_spill_dir()?;
-        let s = self.next_to_spill;
-        let Shard::Ram(rows) = &self.shards[s] else {
-            unreachable!("shards spill in order; {s} already on disk");
-        };
-        debug_assert_eq!(
-            rows.len(),
-            self.shard_rows * self.w,
-            "only full shards spill"
-        );
-        let mut payload: Vec<u8> = Vec::with_capacity(rows.len() * 4);
-        for v in rows {
+        let words = self.shard_rows * self.w;
+        let mut payload: Vec<u8> = Vec::with_capacity(words * 4);
+        for v in &self.rows[self.head..self.head + words] {
             payload.extend_from_slice(&v.to_le_bytes());
         }
         let checksum = fnv1a(&payload);
@@ -537,10 +506,27 @@ impl TieredVisited {
             file.sync_data()?;
         }
         self.disk.file_len = offset + 8 + payload.len() as u64;
-        self.shards[s] = Shard::Disk { offset };
-        self.next_to_spill += 1;
-        self.spilled += 1;
+        self.disk.offsets.push(offset);
+        self.head += words;
+        self.base += self.shard_rows;
         Ok(())
+    }
+
+    /// Drops the spilled prefix of `rows` once it outweighs a quarter of
+    /// the resident rows, and shrinks a vector left more than four times
+    /// larger than its rows (or one shard) to twice that. A budgeted store
+    /// thus holds at most about 1.25× its resident rows, and a store that
+    /// pressure just emptied hands its memory back.
+    fn compact(&mut self) {
+        if self.head == 0 || self.head * 4 < self.rows.len() - self.head {
+            return;
+        }
+        self.rows.drain(..self.head);
+        self.head = 0;
+        let floor = self.rows.len().max(self.shard_rows * self.w);
+        if self.rows.capacity() > 4 * floor {
+            self.rows.shrink_to(2 * floor);
+        }
     }
 
     fn maybe_spill(&mut self) -> Result<(), StoreError> {
@@ -549,61 +535,12 @@ impl TieredVisited {
             .as_ref()
             .is_some_and(|p| p.load(Ordering::Relaxed));
         let budget_rows = if under_pressure { 0 } else { self.budget_rows };
-        while self.resident_rows() > budget_rows {
-            let s = self.next_to_spill;
-            if s >= self.shards.len() {
-                break;
-            }
-            let Shard::Ram(rows) = &self.shards[s] else {
-                break;
-            };
-            if rows.len() < self.shard_rows * self.w {
-                // Never spill the still-filling tail shard.
-                break;
-            }
+        // Only full shards spill: the still-filling tail stays resident.
+        while self.resident_rows() > budget_rows && self.resident_rows() >= self.shard_rows {
             self.spill_oldest()?;
         }
+        self.compact();
         Ok(())
-    }
-}
-
-impl Drop for TieredVisited {
-    fn drop(&mut self) {
-        self.disk.file = None;
-        if let Some(path) = &self.path {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-impl HashedStore for TieredVisited {
-    fn lookup_hashed(&mut self, row: &[u32], hash: u64) -> Result<Option<usize>, StoreError> {
-        for id in self.index.candidates(hash) {
-            if self.disk.row(&self.shards, self.shard_rows, self.w, id)? == row {
-                return Ok(Some(id));
-            }
-        }
-        Ok(None)
-    }
-
-    fn insert_hashed(&mut self, row: &[u32], hash: u64) -> Result<usize, StoreError> {
-        let id = self.len;
-        self.index.push(hash);
-        let cap = self.shard_rows * self.w;
-        let needs_new_tail = match self.shards.last() {
-            None | Some(Shard::Disk { .. }) => true,
-            Some(Shard::Ram(rows)) => rows.len() >= cap,
-        };
-        if needs_new_tail {
-            self.shards.push(Shard::Ram(Vec::with_capacity(cap)));
-        }
-        let Some(Shard::Ram(tail)) = self.shards.last_mut() else {
-            unreachable!("a resident tail shard was just ensured");
-        };
-        tail.extend_from_slice(row);
-        self.len += 1;
-        self.maybe_spill()?;
-        Ok(id)
     }
 }
 
@@ -613,7 +550,7 @@ impl VisitedStore for TieredVisited {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     fn lookup(&mut self, row: &[u32]) -> Result<Option<usize>, StoreError> {
@@ -625,16 +562,60 @@ impl VisitedStore for TieredVisited {
     }
 
     fn read_row(&mut self, id: usize, out: &mut [u32]) -> Result<(), StoreError> {
-        out.copy_from_slice(self.disk.row(&self.shards, self.shard_rows, self.w, id)?);
+        out.copy_from_slice(self.row(id)?);
         Ok(())
     }
 
     fn spilled_shards(&self) -> usize {
-        self.spilled
+        self.disk.offsets.len()
     }
 
     fn approx_bytes(&self) -> usize {
-        self.resident_rows() * self.w * 4 + self.len * STATE_OVERHEAD_BYTES
+        self.rows.len() * 4 + self.index.len() * STATE_OVERHEAD_BYTES
+    }
+}
+
+/// The budget-less store under its old name. Kept only until the
+/// benchmark stops naming it.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct InMemoryVisited(TieredVisited);
+
+impl InMemoryVisited {
+    /// `TieredVisited::new(row_words, None)`.
+    #[must_use]
+    pub fn new(row_words: usize) -> Self {
+        InMemoryVisited(TieredVisited::new(row_words, None))
+    }
+}
+
+impl VisitedStore for InMemoryVisited {
+    fn row_words(&self) -> usize {
+        self.0.row_words()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn lookup(&mut self, row: &[u32]) -> Result<Option<usize>, StoreError> {
+        self.0.lookup(row)
+    }
+
+    fn insert(&mut self, row: &[u32]) -> Result<usize, StoreError> {
+        self.0.insert(row)
+    }
+
+    fn read_row(&mut self, id: usize, out: &mut [u32]) -> Result<(), StoreError> {
+        self.0.read_row(id, out)
+    }
+
+    fn spilled_shards(&self) -> usize {
+        self.0.spilled_shards()
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.0.approx_bytes()
     }
 }
 
@@ -652,7 +633,7 @@ mod tests {
     #[test]
     fn store_inmemory_assigns_dense_ids_and_finds_rows() {
         let w = 5;
-        let mut s = InMemoryVisited::new(w);
+        let mut s = TieredVisited::new(w, None);
         for i in 0..50u32 {
             let r = row(i, w);
             assert_eq!(s.lookup(&r).unwrap(), None);
@@ -673,13 +654,11 @@ mod tests {
     fn store_tiered_spills_everything_under_a_zero_budget() {
         let w = 4;
         let mut t = TieredVisited::new(w, 0);
-        let mut m = InMemoryVisited::new(w);
         let total = 10 * t.shard_rows() + 3;
         for i in 0..total {
             let r = row(i as u32, w);
             assert_eq!(t.lookup(&r).unwrap(), None);
-            assert_eq!(m.lookup(&r).unwrap(), None);
-            assert_eq!(t.insert(&r).unwrap(), m.insert(&r).unwrap());
+            assert_eq!(t.insert(&r).unwrap(), i);
         }
         assert_eq!(t.len(), total);
         assert_eq!(
@@ -688,17 +667,13 @@ mod tests {
             "every full shard spills at budget 0"
         );
         assert!(t.spill_path().is_some());
-        // Every row — resident or spilled — looks up and reads back equally
-        // in both stores.
-        let mut a = vec![0u32; w];
-        let mut b = vec![0u32; w];
+        // Every row — resident or spilled — looks up and reads back.
+        let mut out = vec![0u32; w];
         for i in 0..total {
             let r = row(i as u32, w);
             assert_eq!(t.lookup(&r).unwrap(), Some(i));
-            assert_eq!(m.lookup(&r).unwrap(), Some(i));
-            t.read_row(i, &mut a).unwrap();
-            m.read_row(i, &mut b).unwrap();
-            assert_eq!(a, b);
+            t.read_row(i, &mut out).unwrap();
+            assert_eq!(out, r);
         }
         assert_eq!(t.lookup(&row(total as u32 + 7, w)).unwrap(), None);
         let path = t.spill_path().unwrap().to_path_buf();
@@ -785,7 +760,8 @@ mod tests {
     fn store_tiered_routes_spills_into_configured_dir() {
         let w = 4;
         let dir = scratch_dir("route");
-        let mut t = TieredVisited::new(w, 0).with_spill_dir(dir.clone());
+        let mut t = TieredVisited::new(w, 0);
+        t.set_spill_dir(dir.clone());
         let total = 3 * t.shard_rows();
         for i in 0..total {
             t.insert(&row(i as u32, w)).unwrap();
@@ -806,7 +782,8 @@ mod tests {
     fn store_tiered_vanished_spill_dir_fails_loudly() {
         let w = 4;
         let dir = scratch_dir("vanish");
-        let mut t = TieredVisited::new(w, 0).with_spill_dir(dir.clone());
+        let mut t = TieredVisited::new(w, 0);
+        t.set_spill_dir(dir.clone());
         let total = 2 * t.shard_rows();
         for i in 0..total {
             t.insert(&row(i as u32, w)).unwrap();
@@ -851,63 +828,150 @@ mod tests {
         assert_eq!(out, row(0, w));
     }
 
+    #[test]
+    fn store_pressure_spill_frees_the_resident_rows() {
+        let w = 4;
+        let mut t = TieredVisited::new(w, None);
+        let pressure = Arc::new(AtomicBool::new(false));
+        t.set_pressure(Arc::clone(&pressure));
+        let shard_words = t.shard_rows() * w;
+        let total = 8 * t.shard_rows() as u32;
+        for i in 0..total {
+            t.insert(&row(i, w)).unwrap();
+        }
+        let (bytes_before, capacity_before) = (t.approx_bytes(), t.rows.capacity());
+        assert!(capacity_before >= 8 * shard_words);
+        pressure.store(true, Ordering::Relaxed);
+        t.insert(&row(total, w)).unwrap();
+        assert_eq!(t.spilled_shards(), 8);
+        // The spilled rows left memory: only the one-row tail is held, in
+        // a vector shrunk to two shards.
+        assert_eq!(t.rows.len(), w);
+        assert!(t.rows.capacity() <= 2 * shard_words);
+        assert_eq!(
+            bytes_before - t.approx_bytes(),
+            (8 * shard_words - w) * 4 - STATE_OVERHEAD_BYTES
+        );
+        // Continued pressure spills each shard as it fills, with no
+        // further reallocation.
+        let capacity = t.rows.capacity();
+        for i in total + 1..total + 3 * t.shard_rows() as u32 {
+            t.insert(&row(i, w)).unwrap();
+        }
+        assert_eq!(t.spilled_shards(), 11);
+        assert_eq!(t.rows.capacity(), capacity);
+        let mut out = vec![0u32; w];
+        for i in (0..total + 3 * t.shard_rows() as u32).step_by(97) {
+            t.read_row(i as usize, &mut out).unwrap();
+            assert_eq!(out, row(i, w), "row {i}");
+            assert_eq!(t.lookup(&row(i, w)).unwrap(), Some(i as usize));
+        }
+    }
+
+    #[test]
+    fn store_budgeted_spills_keep_the_row_vector_bounded() {
+        let w = 4;
+        // A budget of eight full-size shards.
+        let mut t = TieredVisited::new(w, 8 * 4096 * w * 4);
+        assert_eq!(t.shard_rows(), 4096);
+        let budget_words = t.budget_rows * w;
+        let total = 6 * t.budget_rows as u32;
+        for i in 0..total {
+            t.insert(&row(i, w)).unwrap();
+            // Spilled rows linger at most a quarter of the resident rows.
+            assert!(t.rows.len() <= budget_words + budget_words / 4, "row {i}");
+        }
+        assert_eq!(t.spilled_shards(), 40);
+        assert!(t.rows.capacity() <= 4 * budget_words);
+        let mut out = vec![0u32; w];
+        for i in (0..total).step_by(89) {
+            t.read_row(i as usize, &mut out).unwrap();
+            assert_eq!(out, row(i, w), "row {i}");
+            assert_eq!(t.lookup(&row(i, w)).unwrap(), Some(i as usize));
+        }
+    }
+
+    /// A visited set that shares no store code: rows by value, ids in
+    /// insertion order.
+    #[derive(Default)]
+    struct MapReference {
+        ids: HashMap<Vec<u32>, usize>,
+        rows: Vec<Vec<u32>>,
+    }
+
+    impl MapReference {
+        fn lookup(&self, row: &[u32]) -> Option<usize> {
+            self.ids.get(row).copied()
+        }
+
+        fn insert(&mut self, row: &[u32]) -> usize {
+            let id = self.rows.len();
+            self.ids.insert(row.to_vec(), id);
+            self.rows.push(row.to_vec());
+            id
+        }
+    }
+
     /// A deterministic pseudo-random op stream (the no-new-deps stand-in
     /// for a proptest): under any interleaving of inserts and lookups of
-    /// colliding candidates, a budget-less [`TieredVisited`] accepts and
-    /// rejects exactly the set [`InMemoryVisited`] does, with identical ids.
+    /// colliding candidates, the store — all resident, or spilling every
+    /// full shard — accepts and rejects exactly the rows a map reference
+    /// does, with identical ids and rows.
     #[test]
-    fn sharded_matches_inmemory_under_random_interleavings() {
-        for (seed, w) in [(1u64, 3usize), (7, 5), (42, 8)] {
-            let mut rng = seed;
-            let mut next = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
-            let mut tiered = TieredVisited::new(w, None);
-            let mut reference = InMemoryVisited::new(w);
-            let mut out_a = vec![0u32; w];
-            let mut out_b = vec![0u32; w];
-            for _ in 0..600 {
-                // Small candidate pool so lookups hit both present and
-                // absent rows, and inserts see plenty of duplicates.
-                let candidate = row((next() % 97) as u32, w);
-                match next() % 3 {
-                    0 => {
-                        let a = tiered.lookup(&candidate).unwrap();
-                        let b = reference.lookup(&candidate).unwrap();
-                        assert_eq!(a, b, "seed {seed} w {w}");
-                    }
-                    1 => {
-                        // Insert only if absent, mirroring the explorer's
-                        // lookup-then-insert discipline.
-                        if reference.lookup(&candidate).unwrap().is_none() {
-                            assert_eq!(tiered.lookup(&candidate).unwrap(), None);
-                            let a = tiered.insert(&candidate).unwrap();
-                            let b = reference.insert(&candidate).unwrap();
-                            assert_eq!(a, b, "seed {seed} w {w}");
+    fn store_matches_a_map_reference_under_random_interleavings() {
+        for budget in [None, Some(0)] {
+            for (seed, w) in [(1u64, 3usize), (7, 5), (42, 8)] {
+                let mut rng = seed;
+                let mut next = move || {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng
+                };
+                let mut store = TieredVisited::new(w, budget);
+                let mut reference = MapReference::default();
+                let mut out = vec![0u32; w];
+                for _ in 0..600 {
+                    // Small candidate pool so lookups hit both present and
+                    // absent rows, and inserts see plenty of duplicates.
+                    let candidate = row((next() % 97) as u32, w);
+                    match next() % 3 {
+                        0 => {
+                            let got = store.lookup(&candidate).unwrap();
+                            assert_eq!(got, reference.lookup(&candidate), "seed {seed} w {w}");
                         }
-                    }
-                    _ => {
-                        if !reference.is_empty() {
-                            let id = (next() % reference.len() as u64) as usize;
-                            tiered.read_row(id, &mut out_a).unwrap();
-                            reference.read_row(id, &mut out_b).unwrap();
-                            assert_eq!(out_a, out_b, "seed {seed} w {w}");
+                        1 => {
+                            // Insert only if absent, mirroring the explorer's
+                            // lookup-then-insert discipline.
+                            if reference.lookup(&candidate).is_none() {
+                                assert_eq!(store.lookup(&candidate).unwrap(), None);
+                                let got = store.insert(&candidate).unwrap();
+                                assert_eq!(got, reference.insert(&candidate), "seed {seed} w {w}");
+                            }
+                        }
+                        _ => {
+                            if !reference.rows.is_empty() {
+                                let id = (next() % reference.rows.len() as u64) as usize;
+                                store.read_row(id, &mut out).unwrap();
+                                assert_eq!(out, reference.rows[id], "seed {seed} w {w}");
+                            }
                         }
                     }
                 }
+                assert_eq!(store.len(), reference.rows.len());
+                assert_eq!(
+                    store.spilled_shards() > 0,
+                    budget.is_some(),
+                    "seed {seed} w {w}: only the zero budget spills"
+                );
             }
-            assert_eq!(tiered.len(), reference.len());
-            assert_eq!(tiered.spilled_shards(), 0, "no budget, no spills");
         }
     }
 
     /// Inserts `count` distinct rows all under one forced hash, then checks
     /// that every one is found under it, that an absent row under the same
     /// hash is not, and that no row is found under another hash.
-    fn assert_one_hash_chain<S: HashedStore>(store: &mut S, count: usize) {
+    fn assert_one_hash_chain(store: &mut TieredVisited, count: usize) {
         const FORCED: u64 = 42;
         let w = store.row_words();
         for i in 0..count {
@@ -933,7 +997,7 @@ mod tests {
 
     #[test]
     fn store_inmemory_resolves_rows_sharing_one_full_hash() {
-        assert_one_hash_chain(&mut InMemoryVisited::new(5), 40);
+        assert_one_hash_chain(&mut TieredVisited::new(5, None), 40);
     }
 
     #[test]
@@ -949,23 +1013,52 @@ mod tests {
     #[test]
     fn store_cleared_inmemory_restarts_ids_and_forgets_every_row() {
         let w = 3;
-        let mut s = InMemoryVisited::new(w);
+        let mut s = TieredVisited::new(w, None);
         // Rows under their own hashes and under the forced one, so stale
-        // chain links would show after the clear.
+        // chain links would show after the reset.
         for i in 0..30u32 {
             s.insert(&row(i, w)).unwrap();
         }
         for i in 100..120u32 {
             s.insert_hashed(&row(i, w), 42).unwrap();
         }
-        s.clear();
+        s.reset(w, None);
         assert!(s.is_empty());
         assert_eq!(s.approx_bytes(), 0);
         for i in (0..30u32).chain(100..120) {
             assert_eq!(s.lookup(&row(i, w)).unwrap(), None, "row {i}");
             assert_eq!(s.lookup_hashed(&row(i, w), 42).unwrap(), None, "row {i}");
         }
-        // Ids restart at 0: the cleared store behaves as a fresh one.
+        // Ids restart at 0: the reset store behaves as a fresh one.
         assert_one_hash_chain(&mut s, 10);
+    }
+
+    #[test]
+    fn store_reset_deletes_the_spill_file_and_reconfigures() {
+        let w = 4;
+        let mut s = TieredVisited::new(w, 0);
+        s.set_pressure(Arc::new(AtomicBool::new(true)));
+        s.corrupt_next_spill_for_tests();
+        for i in 0..3 * s.shard_rows() {
+            s.insert(&row(i as u32, w)).unwrap();
+        }
+        assert_eq!(s.spilled_shards(), 3);
+        let path = s.spill_path().unwrap().to_path_buf();
+        assert!(path.exists());
+        // A wider row and no budget: the reset store is a fresh
+        // `TieredVisited::new(w + 1, None)` — no spill file, no pressure
+        // flag, no pending corruption.
+        s.reset(w + 1, None);
+        assert!(!path.exists(), "reset deletes the spill file");
+        assert!(s.spill_path().is_none());
+        assert_eq!((s.row_words(), s.len(), s.spilled_shards()), (w + 1, 0, 0));
+        assert_eq!(s.shard_rows(), TieredVisited::new(w + 1, None).shard_rows());
+        for i in 0..2 * s.shard_rows() {
+            assert_eq!(s.insert(&row(i as u32, w + 1)).unwrap(), i);
+        }
+        assert_eq!(s.spilled_shards(), 0);
+        let mut out = vec![0u32; w + 1];
+        s.read_row(0, &mut out).unwrap();
+        assert_eq!(out, row(0, w + 1));
     }
 }

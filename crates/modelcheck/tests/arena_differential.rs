@@ -7,6 +7,7 @@
 
 mod support;
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use fa_core::{ConsensusProcess, RenamingProcess, SnapRegister, SnapshotProcess, ViewValue};
@@ -16,8 +17,8 @@ use fa_modelcheck::checks::{
     CheckConfig,
 };
 use fa_modelcheck::{
-    ArenaTables, ExploreReport, Explorer, InMemoryVisited, McState, StateView, StrategyKind,
-    TieredVisited, VisitedStore,
+    ArenaTables, ExploreReport, Explorer, McState, StateView, StrategyKind, TieredVisited,
+    VisitedStore,
 };
 use proptest::prelude::*;
 use support::{Bounds, Reference};
@@ -439,40 +440,51 @@ fn stop_is_polled_on_the_same_cadence_for_every_worker_count() {
     assert_eq!(format!("{again:?}"), format!("{stopped:?}"));
 }
 
+/// Replays `ops` (`0` = look up, `1` = look up and insert if absent)
+/// against a `TieredVisited` under `budget` and a map reference that
+/// shares no store code: both must accept and reject the same rows, under
+/// the same ids, and read back the same rows.
+fn store_matches_map_reference(
+    ops: &[(u8, Vec<u32>)],
+    budget: Option<usize>,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let mut ids: HashMap<Vec<u32>, usize> = HashMap::new();
+    let mut rows: Vec<Vec<u32>> = Vec::new();
+    let mut store = TieredVisited::new(6, budget);
+    for (op, row) in ops {
+        let expect = ids.get(row).copied();
+        let got = store.lookup(row).unwrap();
+        prop_assert_eq!(got, expect, "lookup diverges on {:?}", row);
+        if *op == 1 && expect.is_none() {
+            let id = store.insert(row).unwrap();
+            prop_assert_eq!(id, rows.len(), "insert ids diverge on {:?}", row);
+            ids.insert(row.clone(), id);
+            rows.push(row.clone());
+        }
+    }
+    prop_assert_eq!(store.len(), rows.len());
+    let mut out = vec![0u32; 6];
+    for (id, row) in rows.iter().enumerate() {
+        store.read_row(id, &mut out).unwrap();
+        prop_assert_eq!(&out, row, "row {} diverges", id);
+    }
+    if budget.is_none() {
+        prop_assert_eq!(store.spilled_shards(), 0);
+    }
+    Ok(())
+}
+
 proptest! {
-    /// A budget-less `TieredVisited` must accept/reject exactly the set
-    /// `InMemoryVisited` does, whatever order rows arrive in and wherever
-    /// lookups interleave — the sharded row tier is invisible.
+    /// The visited store must accept/reject exactly the rows a map does,
+    /// whatever order rows arrive in and wherever lookups interleave —
+    /// all resident, or with every full shard spilled at budget 0: where
+    /// rows live is invisible.
     #[test]
-    fn sharded_visited_matches_inmemory_under_random_interleavings(
+    fn visited_store_matches_a_map_reference_under_random_interleavings(
         ops in proptest::collection::vec((0u8..2, proptest::collection::vec(0u32..4, 6)), 1..120),
     ) {
-        let mut reference = InMemoryVisited::new(6);
-        let mut tiered = TieredVisited::new(6, None);
-        for (op, row) in &ops {
-            if *op == 0 {
-                let expect = reference.lookup(row).unwrap();
-                let got = tiered.lookup(row).unwrap();
-                prop_assert_eq!(got, expect, "lookup diverges on {:?}", row);
-            } else {
-                let expect = reference.lookup(row).unwrap();
-                let got = tiered.lookup(row).unwrap();
-                prop_assert_eq!(got, expect);
-                if expect.is_none() {
-                    let a = reference.insert(row).unwrap();
-                    let b = tiered.insert(row).unwrap();
-                    prop_assert_eq!(a, b, "insert ids diverge on {:?}", row);
-                }
-            }
-        }
-        prop_assert_eq!(tiered.len(), reference.len());
-        for id in 0..reference.len() {
-            let mut a = vec![0u32; 6];
-            let mut b = vec![0u32; 6];
-            reference.read_row(id, &mut a).unwrap();
-            tiered.read_row(id, &mut b).unwrap();
-            prop_assert_eq!(a, b, "row {} diverges", id);
-        }
+        store_matches_map_reference(&ops, None)?;
+        store_matches_map_reference(&ops, Some(0))?;
     }
 }
 
