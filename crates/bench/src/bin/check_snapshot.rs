@@ -10,6 +10,8 @@
 //! * `--smoke` — print only the deterministic report lines (no timing) for
 //!   a reduced 2-proc fine + 3-proc coarse sweep; CI diffs this output
 //!   across `--jobs` values to catch nondeterministic violation selection.
+//!   Exits 0 when only the state cap cut a sweep short, 2 when a signal or
+//!   the memory watchdog did.
 //! * `--n4` — additionally run the 4-processor coarse-scan sweep (E18):
 //!   all 13824 wiring combinations, bounded per combination.
 //! * `--progress` / `--telemetry-jsonl PATH` / `--telemetry-cadence-ms N` —
@@ -22,7 +24,7 @@
 //!   disk tier past the budget (human-readable sizes: `64MiB`, `2GB`);
 //!   reports are byte-identical to in-memory.
 //! * `--checkpoint-dir DIR` / `--checkpoint-every SIZE` / `--resume` —
-//!   crash-safe checkpointing: combo claims/outcomes are journaled under
+//!   crash-safe checkpointing: finished combo outcomes are journaled under
 //!   DIR (one subdirectory per sweep), fsynced every SIZE bytes (default
 //!   64KiB), and `--resume` replays recorded outcomes instead of
 //!   re-exploring. A killed run resumed any number of times produces a
@@ -37,10 +39,11 @@
 
 use std::fs;
 use std::io::Write as _;
+use std::sync::atomic::Ordering;
 
 use fa_bench::{
     check_config_from_cli, cli_flag, print_table, report_exit_code, signals, sweep_summary,
-    TelemetrySession, EXIT_VIOLATION,
+    TelemetrySession, EXIT_CLEAN, EXIT_INCOMPLETE, EXIT_VIOLATION,
 };
 use fa_memory::Wiring;
 use fa_modelcheck::checks::{
@@ -85,9 +88,11 @@ fn report_line(r: &TaskCheckReport) -> String {
 }
 
 /// The deterministic smoke check: report lines only, byte-identical across
-/// `--jobs` values. Exits 0 unless a violation is found (the bounded n=3
-/// sweep is legitimately incomplete, which CI treats as success here).
-fn smoke(config: &CheckConfig) {
+/// `--jobs` values. Returns the exit code: 2 when the abort flag was raised
+/// (a signal or the memory watchdog cut the sweeps short), else 0 — the
+/// bounded n=3 sweep is legitimately incomplete, which CI treats as
+/// success here. A violation panics.
+fn smoke(config: &CheckConfig) -> i32 {
     let fine =
         check_snapshot_task_with(&[1, 2], 500_000, &scoped(config, "fine_n2")).expect("check runs");
     println!("smoke fine n=2: {}", report_line(&fine.report));
@@ -104,6 +109,15 @@ fn smoke(config: &CheckConfig) {
         "{:?}",
         coarse.report.violation
     );
+    let aborted = config
+        .abort
+        .as_ref()
+        .is_some_and(|flag| flag.load(Ordering::Relaxed));
+    if aborted {
+        EXIT_INCOMPLETE
+    } else {
+        EXIT_CLEAN
+    }
 }
 
 fn main() {
@@ -117,9 +131,9 @@ fn main() {
     // checkpoint, so `--resume` picks up where it left off.
     config = config.with_abort(signals::install_abort_handler());
     if cli_flag("--smoke") {
-        smoke(&config);
+        let exit = smoke(&config);
         session.finish();
-        return;
+        std::process::exit(exit);
     }
     // Exit-code ledger over every sweep: violation (3) dominates incomplete
     // (2) dominates clean (0); severity and numeric order agree.

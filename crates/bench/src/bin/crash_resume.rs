@@ -12,9 +12,12 @@
 //! --visited-budget` sweep whose spill shards live under the checkpoint dir
 //! (so recovery also has stale shards to clean). Per arm the harness also
 //! measures checkpoint overhead (checkpointed uninterrupted run vs. plain
-//! run, best-of-K wall clock); full mode gates the *plain* arm at 5% —
-//! the spill arm additionally buys fsync-on-shard-seal durability, whose
-//! cost scales with shard count, not with journal bookkeeping.
+//! run, best-of-K wall clock); full mode gates the *plain* arm at 5%. The
+//! spill arm is reported but not gated: its shards are never fsync'd, so
+//! checkpointing adds the same journal to it, but its wall clock is
+//! dominated by writing and re-reading ~390 k spilled shards, and its
+//! uninterrupted n=4 baseline alone spreads 3.4–5.1 s over 18 runs on a
+//! 2-vCPU host, far wider than a 5% gate can resolve.
 //!
 //! * `--smoke` — CI shape: n=3 coarse sweep, 3 kills per arm, overhead
 //!   reported but not gated (shared-runner wall clocks are noisy).
@@ -310,10 +313,9 @@ fn parent_main() {
                 arm.name
             ));
         }
-        // The overhead gate applies to the plain arm only: the spill arm
-        // fsyncs every sealed shard under the checkpoint dir (durability it
-        // does not have without `--checkpoint-dir`), so its wall clock is
-        // dominated by fsync cost, not journal bookkeeping.
+        // The overhead gate applies to the plain arm only: the spill arm's
+        // wall clock is dominated by shard I/O, whose run-to-run spread
+        // (about ±20% on 2 vCPUs) swamps the journal's cost.
         if !smoke && arm.extra.is_empty() && overhead_pct > 5.0 {
             failures.push(format!(
                 "{}: checkpoint overhead {overhead_pct:.2}% exceeds the 5% gate",
@@ -410,8 +412,8 @@ fn child_args(
 
 /// Picks how to kill the `k`-th child: even turns get a seeded SIGKILL
 /// delay scaled to the baseline wall clock, odd turns cycle through the
-/// deterministic `FA_CRASH_AT` sites (spill arms also crash inside the
-/// shard-seal fsync).
+/// deterministic `FA_CRASH_AT` sites (spill arms also crash as a shard
+/// spills).
 fn next_plan(r: &mut impl Rng, k: usize, baseline: Duration, spill: bool) -> Plan {
     if k % 2 == 0 {
         let ms = baseline.as_millis().clamp(50, 600_000) as u64;
@@ -424,16 +426,10 @@ fn next_plan(r: &mut impl Rng, k: usize, baseline: Duration, spill: bool) -> Pla
                 "journal.done",
                 "explorer.poll",
                 "store.spill",
-                "journal.claim",
                 "journal.sync",
             ]
         } else {
-            &[
-                "journal.done",
-                "explorer.poll",
-                "journal.claim",
-                "journal.sync",
-            ]
+            &["journal.done", "explorer.poll", "journal.sync"]
         };
         let site = sites[(k / 2) % sites.len()];
         let hit = match site {

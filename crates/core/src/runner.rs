@@ -1,6 +1,6 @@
 //! Convenience harnesses: one-call runners for the paper's algorithms.
 //!
-//! These wrap the [`Executor`](fa_memory::Executor) plumbing (wirings,
+//! These wrap the [`Executor`] plumbing (wirings,
 //! memory, schedule, budget) behind small config structs so examples, tests
 //! and benches don't repeat it. Everything is seeded and deterministic.
 

@@ -10,7 +10,7 @@
 //!   priority scheduling with `d` random priority-change points) wrapped in
 //!   [`fa_memory::CrashingScheduler`] for failure injection; depth 0 falls
 //!   back to the uniform random adversary.
-//! * **Oracles** ([`oracle`]) — the [`Oracle`](oracle::Oracle) trait lifts
+//! * **Oracles** ([`oracle`]) — the [`Oracle`] trait lifts
 //!   the invariants previously duplicated across `tests/` into reusable
 //!   per-step checkers: snapshot comparability + self-inclusion and
 //!   view/level monotonicity, renaming uniqueness and the `M(M+1)/2` name

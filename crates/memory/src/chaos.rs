@@ -17,8 +17,8 @@
 //!   supervisor: worker panics are caught (never poisoning the run), worker
 //!   heartbeats are monitored against a wall-clock deadline, and every
 //!   processor ends in a structured
-//!   [`ProcOutcome`](crate::threaded::ProcOutcome) — the run always returns
-//!   a [`ThreadedReport`](crate::threaded::ThreadedReport) with whatever the
+//!   [`ProcOutcome`] — the run always returns
+//!   a [`ThreadedReport`] with whatever the
 //!   survivors produced, never a hang.
 //!
 //! A poised crash parks its thread *before* the register lock is taken, so

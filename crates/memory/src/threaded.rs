@@ -69,7 +69,7 @@ pub enum ProcOutcome {
         /// covers forever with its pending (never-landing) write.
         covering: Option<usize>,
     },
-    /// The process panicked inside [`Process::step`](crate::Process::step);
+    /// The process panicked inside [`Process::step`];
     /// the panic was caught and contained.
     Panicked {
         /// The panic payload, rendered.
@@ -185,7 +185,7 @@ where
 /// lock-cell registers do not track writer identity.
 ///
 /// This is a fault-free run on the chaos machinery
-/// ([`run_chaos_probed`](crate::chaos::run_chaos_probed) with an empty
+/// ([`run_chaos_probed`] with an empty
 /// [`FaultPlan`] and no deadline): worker panics are caught rather than
 /// propagated, and surface as [`MemoryError::ProcessPanicked`] once every
 /// surviving worker has finished.

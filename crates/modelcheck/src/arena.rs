@@ -34,7 +34,7 @@ pub(crate) const HALTED: u32 = u32::MAX;
 pub type ArenaState = Box<[u32]>;
 
 /// The id space of some slot table ran out (ids are dense `u32`s, with
-/// [`HALTED`] reserved). Explorations surface this as a graceful incomplete
+/// `HALTED` reserved). Explorations surface this as a graceful incomplete
 /// abort — never a panic in a worker thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IdSpaceExhausted {
@@ -58,7 +58,7 @@ pub(crate) struct SlotInterner<T> {
     table: &'static str,
     ids: HashMap<Arc<T>, u32>,
     values: Vec<Arc<T>>,
-    /// Ids are assigned strictly below this cap, so [`HALTED`] (`u32::MAX`)
+    /// Ids are assigned strictly below this cap, so `HALTED` (`u32::MAX`)
     /// is never assigned under any cap. Tests inject tiny caps to force the
     /// exhaustion path.
     cap: u32,
@@ -83,7 +83,7 @@ impl<T: Eq + Hash> SlotInterner<T> {
     /// # Panics
     ///
     /// Panics if `id` was never assigned by this table (including
-    /// [`HALTED`], which callers must special-case).
+    /// `HALTED`, which callers must special-case).
     pub(crate) fn get(&self, id: u32) -> &Arc<T> {
         &self.values[id as usize]
     }
@@ -156,7 +156,7 @@ type StepMemo = HashMap<StepKey, [u32; 3], StepBuildHasher>;
 /// a processor or a wiring, so ids stay valid across combos.
 ///
 /// Row layout (`row_words()` ids): `memory` ids at `0..m`, process ids at
-/// `m..m+n`, pending-action ids at `m+n..m+2n` ([`HALTED`] once the process
+/// `m..m+n`, pending-action ids at `m+n..m+2n` (`HALTED` once the process
 /// halted), output-log ids at `m+2n..m+3n`.
 #[derive(Debug)]
 pub struct ArenaTables<P: Process>
@@ -184,7 +184,7 @@ where
 {
     /// Fresh tables for a system of `n` processes over `m` registers, with
     /// each table's id space capped at `id_cap` (production explorations use
-    /// [`HALTED`]; tests inject tiny caps).
+    /// `HALTED`; tests inject tiny caps).
     #[must_use]
     pub fn new(m: usize, n: usize, id_cap: u32) -> Self {
         ArenaTables {
@@ -457,7 +457,7 @@ where
     }
 
     /// Whether every process has halted — a scan of `n` ids against the
-    /// [`HALTED`] sentinel, no value access at all.
+    /// `HALTED` sentinel, no value access at all.
     #[must_use]
     pub fn all_halted(&self) -> bool {
         let (m, n) = (self.tables.m, self.tables.n);

@@ -1,5 +1,5 @@
-//! Crash-safe sweep checkpointing: an append-only journal of combo claims
-//! and outcomes, recovery that tolerates torn and corrupt tails, fault
+//! Crash-safe sweep checkpointing: an append-only journal of finished
+//! combo outcomes, recovery that tolerates torn and corrupt tails, fault
 //! injection for exercising every write boundary, and a memory watchdog
 //! for graceful degradation instead of OOM death.
 //!
@@ -16,21 +16,23 @@
 //! The first record is always a [`JournalHeader`] naming the check, the
 //! sweep size, and a fingerprint of the sweep configuration; resuming
 //! against a journal whose header does not match fails loudly rather than
-//! assembling a report from someone else's combos. Subsequent records log
-//! combo *claims* (exploration started) and combo *completions* (the full
-//! [`ComboOutcome`], recorded only for runs whose stop probe never fired).
-//! Live progress is the telemetry plane's job (`mc.states_total`,
-//! `mc.frontier_depth`), not the journal's.
+//! assembling a report from someone else's combos. Every later record is
+//! one combo *completion* (the full [`ComboOutcome`], recorded only for
+//! runs whose stop probe never fired): the only thing a resume reads.
+//! Tags 2 (an older build's per-combo claim) and 4 (its progress record)
+//! are retired: decoding rejects them, so such a frame ends the valid
+//! prefix and the combos after it are re-explored. Live progress is the
+//! telemetry plane's job (`mc.states_total`, `mc.frontier_depth`), not the
+//! journal's.
 //!
 //! # Why combo granularity is enough
 //!
 //! Per-combo BFS is deterministic: the same wiring combo with the same
 //! caps always yields the same `ComboOutcome` (this is the property the
-//! combo pool in [`crate::strategy`] already leans on). A resumed
-//! sweep therefore replays recorded outcomes verbatim and re-explores only
-//! combos that were claimed but never completed — and the assembled
-//! `TaskCheckReport` is byte-identical to an uninterrupted run no matter
-//! how many times the process was killed. Outcomes of aborted runs (stop
+//! combo pool in [`crate::strategy`] already leans on). A resumed sweep
+//! therefore replays recorded outcomes verbatim and re-explores every combo
+//! without one — and the assembled `TaskCheckReport` is byte-identical to
+//! an uninterrupted run no matter how many times the process was killed. Outcomes of aborted runs (stop
 //! probe fired: a lower violation cancelled the combo, a signal arrived,
 //! or the watchdog tripped) are never journaled, because replaying them
 //! would freeze a nondeterministic partial result into the report.
@@ -42,6 +44,11 @@
 //! after the header, and once more when the sweep finishes. A crash can
 //! therefore lose at most the final epoch of records — recovery truncates
 //! the torn tail and the affected combos are simply re-explored.
+//!
+//! Visited-store spill shards are *not* made durable: only the exploration
+//! that wrote a shard ever reads it back, in the same process, and
+//! [`SweepJournal::open_resume`] deletes every shard a crashed run left
+//! behind unread. The checkpoint directory is only where they live.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -69,7 +76,7 @@ pub const DEFAULT_SYNC_EVERY_BYTES: u64 = 64 * 1024;
 pub const CRASH_ENV: &str = "FA_CRASH_AT";
 
 /// How a sweep checkpoints itself. Carried on
-/// [`crate::CheckConfig::with_checkpoint`]; excluded from config equality.
+/// [`crate::CheckConfig::with_checkpoint`].
 #[derive(Clone, Debug)]
 pub struct CheckpointConfig {
     /// Directory holding the journal and (while running) spill shards.
@@ -154,15 +161,10 @@ pub struct JournalHeader {
 pub enum JournalRecord {
     /// Sweep identity; always the first record.
     Header(JournalHeader),
-    /// Exploration of `combo` started.
-    ComboClaim {
-        /// Full combo index (the sweep-order index, not a compacted one).
-        combo: u64,
-    },
     /// Exploration of `combo` finished without its stop probe firing;
     /// `outcome` is safe to replay verbatim on resume.
     ComboDone {
-        /// Full combo index.
+        /// Full combo index (the sweep-order index, not a compacted one).
         combo: u64,
         /// The deterministic outcome of the combo's exploration.
         outcome: ComboOutcome,
@@ -170,10 +172,10 @@ pub enum JournalRecord {
 }
 
 const TAG_HEADER: u8 = 1;
-const TAG_CLAIM: u8 = 2;
 const TAG_DONE: u8 = 3;
-// Tag 4 was an older build's per-combo progress record. It is retired, not
-// free: decoding rejects it, so such a frame ends the valid prefix.
+// Tags 2 and 4 were an older build's per-combo claim and progress records.
+// They are retired, not free: decoding rejects them, so such a frame ends
+// the valid prefix.
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -287,10 +289,6 @@ fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             put_u64(&mut out, h.total_combos);
             put_u64(&mut out, h.fingerprint);
         }
-        JournalRecord::ComboClaim { combo } => {
-            out.push(TAG_CLAIM);
-            put_u64(&mut out, *combo);
-        }
         JournalRecord::ComboDone { combo, outcome } => {
             out.push(TAG_DONE);
             put_u64(&mut out, *combo);
@@ -313,9 +311,6 @@ fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
             total_combos: c.take_u64()?,
             fingerprint: c.take_u64()?,
         }),
-        TAG_CLAIM => JournalRecord::ComboClaim {
-            combo: c.take_u64()?,
-        },
         TAG_DONE => {
             let combo = c.take_u64()?;
             let states = usize::try_from(c.take_u64()?).map_err(|_| "states overflow")?;
@@ -362,16 +357,18 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// A checksum-valid frame carrying an older build's progress record for
-/// `combo` (the retired tag 4), as a journal written before its retirement
-/// may hold.
+/// Checksum-valid frames of an older build's retired records for `combo`,
+/// as a journal written before their retirement may hold: a claim (tag 2)
+/// and a progress record (tag 4).
 #[cfg(test)]
-pub(crate) fn retired_progress_frame(combo: u64) -> Vec<u8> {
-    let mut payload = vec![4u8];
+pub(crate) fn retired_frames(combo: u64) -> [Vec<u8>; 2] {
+    let mut claim = vec![2u8];
+    claim.extend_from_slice(&combo.to_le_bytes());
+    let mut progress = vec![4u8];
     for v in [combo, 65_536, 7] {
-        payload.extend_from_slice(&v.to_le_bytes());
+        progress.extend_from_slice(&v.to_le_bytes());
     }
-    frame(&payload)
+    [frame(&claim), frame(&progress)]
 }
 
 /// Scans journal bytes, returning every intact record in order plus the
@@ -408,10 +405,11 @@ pub struct Recovery {
     /// The sweep identity the journal was written under.
     pub header: JournalHeader,
     /// Combos whose deterministic outcomes were durably recorded; a
-    /// resumed sweep replays these verbatim.
+    /// resumed sweep replays these verbatim and re-explores every other.
     pub completed: HashMap<usize, ComboOutcome>,
-    /// Combos claimed but never completed — the in-flight set a resumed
-    /// sweep re-explores from scratch.
+    /// Always empty: the journal records no claims, so nothing is known to
+    /// be in flight. Kept only until the benchmark stops reading it.
+    #[doc(hidden)]
     pub in_flight: Vec<usize>,
     /// Bytes dropped from the journal tail (torn or corrupt frames).
     pub truncated_bytes: u64,
@@ -446,13 +444,11 @@ fn build_recovery(
         }
     };
     let mut completed: HashMap<usize, ComboOutcome> = HashMap::new();
-    let mut claimed: Vec<u64> = Vec::new();
     for rec in iter {
         match rec {
             JournalRecord::Header(_) => {
                 return Err(JournalError::Corrupt("duplicate header record".into()))
             }
-            JournalRecord::ComboClaim { combo } => claimed.push(combo),
             JournalRecord::ComboDone { combo, outcome } => {
                 let combo = usize::try_from(combo)
                     .map_err(|_| JournalError::Corrupt("combo index overflow".into()))?;
@@ -460,17 +456,10 @@ fn build_recovery(
             }
         }
     }
-    let mut in_flight: Vec<usize> = claimed
-        .into_iter()
-        .filter_map(|c| usize::try_from(c).ok())
-        .filter(|c| !completed.contains_key(c))
-        .collect();
-    in_flight.sort_unstable();
-    in_flight.dedup();
     Ok(Recovery {
         header,
         completed,
-        in_flight,
+        in_flight: Vec::new(),
         truncated_bytes,
         stale_spill_files,
     })
@@ -847,14 +836,11 @@ mod tests {
 
     fn sample_records() -> Vec<JournalRecord> {
         let mut records = vec![JournalRecord::Header(sample_header())];
-        for i in 0..20usize {
-            records.push(JournalRecord::ComboClaim { combo: i as u64 });
-            if i < 15 {
-                records.push(JournalRecord::ComboDone {
-                    combo: i as u64,
-                    outcome: sample_outcome(i),
-                });
-            }
+        for i in 0..15usize {
+            records.push(JournalRecord::ComboDone {
+                combo: i as u64,
+                outcome: sample_outcome(i),
+            });
         }
         records
     }
@@ -870,7 +856,10 @@ mod tests {
 
     #[test]
     fn checkpoint_decode_rejects_trailing_bytes() {
-        let mut payload = encode_record(&JournalRecord::ComboClaim { combo: 7 });
+        let mut payload = encode_record(&JournalRecord::ComboDone {
+            combo: 7,
+            outcome: sample_outcome(7),
+        });
         payload.push(0);
         assert!(decode_record(&payload).is_err());
     }
@@ -934,24 +923,26 @@ mod tests {
     #[test]
     fn checkpoint_scan_stops_at_a_retired_record_tag() {
         // Version skew: a checksum-valid frame whose tag this build cannot
-        // decode (the retired progress tag 4) ends the valid prefix, and the
-        // scan returns exactly the records before it.
+        // decode (the retired claim tag 2 or progress tag 4) ends the valid
+        // prefix, and the scan returns exactly the records before it.
         let records = sample_records();
-        let skewed = retired_progress_frame(3);
-        assert!(decode_record(&skewed[FRAME_HEADER_BYTES..]).is_err());
-        for keep in [1, 7, records.len()] {
-            let mut bytes = Vec::new();
-            for rec in &records[..keep] {
-                bytes.extend_from_slice(&encode_frame(rec));
+        for skewed in retired_frames(3) {
+            let tag = skewed[FRAME_HEADER_BYTES];
+            assert!(decode_record(&skewed[FRAME_HEADER_BYTES..]).is_err());
+            for keep in [1, 7, records.len()] {
+                let mut bytes = Vec::new();
+                for rec in &records[..keep] {
+                    bytes.extend_from_slice(&encode_frame(rec));
+                }
+                let prefix_len = bytes.len() as u64;
+                bytes.extend_from_slice(&skewed);
+                for rec in &records[keep..] {
+                    bytes.extend_from_slice(&encode_frame(rec));
+                }
+                let (back, valid_len) = scan_records(&bytes);
+                assert_eq!(back, records[..keep], "tag={tag} keep={keep}");
+                assert_eq!(valid_len, prefix_len, "tag={tag} keep={keep}");
             }
-            let prefix_len = bytes.len() as u64;
-            bytes.extend_from_slice(&skewed);
-            for rec in &records[keep..] {
-                bytes.extend_from_slice(&encode_frame(rec));
-            }
-            let (back, valid_len) = scan_records(&bytes);
-            assert_eq!(back, records[..keep], "keep={keep}");
-            assert_eq!(valid_len, prefix_len, "keep={keep}");
         }
     }
 
@@ -960,18 +951,13 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let header = sample_header();
         let mut journal = SweepJournal::create(&dir, &header, 1024).expect("create");
-        for i in 0..10u64 {
+        for i in 0..6u64 {
             journal
-                .append(&JournalRecord::ComboClaim { combo: i })
-                .expect("claim");
-            if i < 6 {
-                journal
-                    .append(&JournalRecord::ComboDone {
-                        combo: i,
-                        outcome: sample_outcome(i as usize),
-                    })
-                    .expect("done");
-            }
+                .append(&JournalRecord::ComboDone {
+                    combo: i,
+                    outcome: sample_outcome(i as usize),
+                })
+                .expect("done");
         }
         journal.sync().expect("sync");
         drop(journal);
@@ -982,7 +968,6 @@ mod tests {
         for i in 0..6usize {
             assert_eq!(recovery.completed[&i], sample_outcome(i));
         }
-        assert_eq!(recovery.in_flight, vec![6, 7, 8, 9]);
         assert_eq!(recovery.truncated_bytes, 0);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1002,7 +987,11 @@ mod tests {
 
         // Tear the file: append half of a frame, as an interrupted write
         // would.
-        let frame = encode_frame(&JournalRecord::ComboClaim { combo: 1 });
+        let done1 = JournalRecord::ComboDone {
+            combo: 1,
+            outcome: sample_outcome(1),
+        };
+        let frame = encode_frame(&done1);
         let path = SweepJournal::journal_path(&dir);
         let intact_len = fs::metadata(&path).expect("meta").len();
         let mut file = OpenOptions::new().append(true).open(&path).expect("open");
@@ -1012,17 +1001,14 @@ mod tests {
         let (mut resumed, recovery) = SweepJournal::open_resume(&dir, 1024).expect("resume");
         assert_eq!(recovery.truncated_bytes, (frame.len() / 2) as u64);
         assert_eq!(recovery.completed.len(), 1);
-        assert!(recovery.in_flight.is_empty());
         assert_eq!(fs::metadata(&path).expect("meta").len(), intact_len);
 
         // The truncated journal accepts appends cleanly afterwards.
-        resumed
-            .append(&JournalRecord::ComboClaim { combo: 1 })
-            .expect("append after truncate");
+        resumed.append(&done1).expect("append after truncate");
         resumed.sync().expect("sync");
         drop(resumed);
         let (_again, recovery2) = SweepJournal::open_resume(&dir, 1024).expect("resume again");
-        assert_eq!(recovery2.in_flight, vec![1]);
+        assert_eq!(recovery2.completed[&1], sample_outcome(1));
         assert_eq!(recovery2.truncated_bytes, 0);
         fs::remove_dir_all(&dir).ok();
     }
@@ -1031,7 +1017,11 @@ mod tests {
     fn checkpoint_resume_without_header_fails_loudly() {
         let dir = temp_dir("noheader");
         let path = SweepJournal::journal_path(&dir);
-        fs::write(&path, encode_frame(&JournalRecord::ComboClaim { combo: 0 })).expect("write");
+        let done = JournalRecord::ComboDone {
+            combo: 0,
+            outcome: sample_outcome(0),
+        };
+        fs::write(&path, encode_frame(&done)).expect("write");
         let err = SweepJournal::open_resume(&dir, 1024).expect_err("must fail");
         assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
         fs::remove_dir_all(&dir).ok();

@@ -28,7 +28,7 @@ use std::time::Instant;
 use fa_core::{ConsensusProcess, RenamingProcess, SnapshotProcess, View};
 use fa_memory::{Process, Wiring};
 use fa_obs::{MetricRegistry, SweepEvent};
-use fa_tasks::{check_group_solution, AdaptiveRenaming, GroupAssignment, GroupId, Snapshot, Task};
+use fa_tasks::{check_group_solution, AdaptiveRenaming, GroupAssignment, GroupId, Snapshot};
 
 use crate::arena::StateView;
 use crate::canon;
@@ -47,9 +47,6 @@ use crate::wirings::ComboTable;
 const COMBO_QUOTIENT_LIMIT: usize = 1_000_000;
 
 /// Sweep execution knobs, threaded through the `check_*_with` harnesses.
-///
-/// Equality deliberately ignores the telemetry attachment: two configs are
-/// equal iff they produce the same deterministic sweep.
 #[derive(Clone, Debug, Default)]
 pub struct CheckConfig {
     /// Worker threads for the combo sweep. `None` (the default) uses the
@@ -73,38 +70,27 @@ pub struct CheckConfig {
     /// Resident-byte budget for each exploration's visited set; beyond it,
     /// cold row shards spill to a checksummed disk tier (see
     /// [`crate::store`]). `None` keeps everything in memory. Never changes
-    /// the deterministic report (hence excluded from equality, like
-    /// telemetry) — spill failures surface as `complete: false`.
+    /// the deterministic report — spill failures surface as
+    /// `complete: false`.
     pub visited_budget: Option<usize>,
-    /// Crash-safe checkpointing (see [`crate::checkpoint`]): combo claims
-    /// and outcomes are journaled under a directory, spill shards are routed
+    /// Crash-safe checkpointing (see [`crate::checkpoint`]): finished combo
+    /// outcomes are journaled under a directory, spill shards are placed
     /// beside the journal, and with [`CheckpointConfig::resume`] a prior
     /// journal's recorded outcomes are replayed verbatim instead of
-    /// re-explored. Never changes the deterministic report (hence excluded
-    /// from equality, like telemetry).
+    /// re-explored. Never changes the deterministic report.
     pub checkpoint: Option<CheckpointConfig>,
     /// External abort flag the sweep polls alongside each combo's stop
-    /// probe (signal handlers raise it to request a graceful stop). An
-    /// aborted sweep reports `complete: false` and journals nothing for the
-    /// cut-short combos, so a resume re-explores exactly those. Excluded
-    /// from equality.
+    /// probe (signal handlers raise it to request a graceful stop; the
+    /// memory watchdog raises it at the limit). An aborted sweep reports
+    /// `complete: false` and journals nothing for the cut-short combos, so
+    /// a resume re-explores exactly those.
     pub abort: Option<Arc<AtomicBool>>,
     /// RSS hard limit in bytes for the memory watchdog (see
     /// [`MemoryWatchdog`]): at 80% the visited tier is forced to spill, at
     /// the limit the sweep aborts gracefully to `complete: false` instead
-    /// of dying to the OOM killer. Excluded from equality.
+    /// of dying to the OOM killer.
     pub memory_limit: Option<u64>,
 }
-
-impl PartialEq for CheckConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.jobs == other.jobs
-            && self.strategy == other.strategy
-            && self.quotient == other.quotient
-    }
-}
-
-impl Eq for CheckConfig {}
 
 impl CheckConfig {
     /// A serial sweep (`jobs = 1`).
@@ -449,8 +435,6 @@ where
         let claim_guard = telemetry.as_ref().map(|t| t.claim.enter());
         let combo = table.combo(i);
         drop(claim_guard);
-        journal_append(&JournalRecord::ComboClaim { combo: i as u64 });
-        checkpoint::crash_point("journal.claim");
         let mut explorer = make_explorer(combo.clone());
         if config.quotient {
             explorer = explorer.with_quotient();
@@ -670,45 +654,12 @@ pub fn check_snapshot_task_with(
     max_states_per_combo: usize,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, String> {
-    let n = inputs.len();
-    assert!(n >= 2, "the model requires at least two processors");
-    let groups = group_assignment(inputs);
-    run_sweep(
-        "snapshot_task",
-        n,
-        config,
-        harness_scope(inputs, &[max_states_per_combo as u64]),
-        |combo| {
-            let procs: Vec<SnapshotProcess<u32>> =
-                inputs.iter().map(|&x| SnapshotProcess::new(x, n)).collect();
-            Explorer::new(procs, n, Default::default(), combo).with_max_states(max_states_per_combo)
-        },
-        |state| snapshot_invariant(state, inputs, &groups),
-        "",
-    )
+    snapshot_sweep(inputs, None, false, max_states_per_combo, config)
 }
 
-/// Like [`check_snapshot_task`] but at PlusCal *label* granularity (whole
-/// scans atomic) — the exact configuration of the paper's TLC run, which is
-/// what makes the full 3-processor sweep exhaustible.
-///
-/// # Errors
-///
-/// Reserved for harness misuse (violations are reported in the report).
-///
-/// # Panics
-///
-/// Panics if `inputs.len() < 2`.
-pub fn check_snapshot_task_coarse(
-    inputs: &[u32],
-    max_states_per_combo: usize,
-) -> Result<TaskCheckReport, String> {
-    check_snapshot_task_coarse_with(inputs, max_states_per_combo, &CheckConfig::default())
-        .map(|o| o.report)
-}
-
-/// [`check_snapshot_task_coarse`] with explicit sweep configuration,
-/// returning telemetry alongside the report.
+/// Like [`check_snapshot_task_with`] but at PlusCal *label* granularity
+/// (whole scans atomic) — the exact configuration of the paper's TLC run,
+/// which is what makes the full 3-processor sweep exhaustible.
 ///
 /// # Errors
 ///
@@ -722,30 +673,63 @@ pub fn check_snapshot_task_coarse_with(
     max_states_per_combo: usize,
     config: &CheckConfig,
 ) -> Result<CheckOutcome, String> {
+    snapshot_sweep(inputs, None, true, max_states_per_combo, config)
+}
+
+/// The one Figure 3 sweep behind every snapshot harness. `level: None`
+/// runs the paper's algorithm (termination level `n`) under the full
+/// invariant; `Some(l)` runs the ablation at level `l` under the task
+/// invariant alone, and tags its check name, scope and violations with the
+/// level. `coarse` makes whole scans atomic.
+fn snapshot_sweep(
+    inputs: &[u32],
+    level: Option<usize>,
+    coarse: bool,
+    max_states_per_combo: usize,
+    config: &CheckConfig,
+) -> Result<CheckOutcome, String> {
     let n = inputs.len();
     assert!(n >= 2, "the model requires at least two processors");
     let groups = group_assignment(inputs);
+    let cap = max_states_per_combo as u64;
+    let (check, caps) = match level {
+        None if coarse => ("snapshot_task_coarse", vec![cap]),
+        None => ("snapshot_task", vec![cap]),
+        Some(l) => ("snapshot_task_at_level", vec![l as u64, cap]),
+    };
+    let prefix = level.map_or_else(String::new, |l| format!("level {l}, "));
+    let terminate_level = level.unwrap_or(n);
     run_sweep(
-        "snapshot_task_coarse",
+        check,
         n,
         config,
-        harness_scope(inputs, &[max_states_per_combo as u64]),
+        harness_scope(inputs, &caps),
         |combo| {
-            let procs: Vec<SnapshotProcess<u32>> =
-                inputs.iter().map(|&x| SnapshotProcess::new(x, n)).collect();
-            Explorer::new(procs, n, Default::default(), combo)
-                .with_coarse_scans()
-                .with_max_states(max_states_per_combo)
+            let procs: Vec<SnapshotProcess<u32>> = inputs
+                .iter()
+                .map(|&x| SnapshotProcess::with_terminate_level(x, n, terminate_level))
+                .collect();
+            let explorer = Explorer::new(procs, n, Default::default(), combo)
+                .with_max_states(max_states_per_combo);
+            if coarse {
+                explorer.with_coarse_scans()
+            } else {
+                explorer
+            }
         },
-        |state| snapshot_invariant(state, inputs, &groups),
-        "",
+        |state| snapshot_invariant(state, inputs, &groups, level.is_none()),
+        &prefix,
     )
 }
 
+/// The invariants listed on [`check_snapshot_task`]. `comparable: false`
+/// drops only the pairwise clause, for ablations at a lowered level: they
+/// may break it while the task itself is still group-solved.
 fn snapshot_invariant(
     state: &StateView<'_, SnapshotProcess<u32>>,
     inputs: &[u32],
     groups: &GroupAssignment,
+    comparable: bool,
 ) -> Result<(), String> {
     let outputs = state.first_outputs();
     let all_inputs: View<u32> = inputs.iter().copied().collect();
@@ -753,13 +737,15 @@ fn snapshot_invariant(
     // whole pairwise-comparability clause collapses to one batch chain check
     // over the raw masks (SIMD-friendly, no per-pair deep compares). The
     // containment clauses below then only need the per-output checks.
-    let masks: Option<Vec<u64>> = outputs
-        .iter()
-        .flatten()
-        .map(View::as_small)
-        .map(|s| s.map(fa_core::SmallView::mask))
-        .collect();
-    let batch_comparable = masks.as_deref().map(fa_core::SmallView::chain_comparable);
+    let pairs_hold = !comparable || {
+        let masks: Option<Vec<u64>> = outputs
+            .iter()
+            .flatten()
+            .map(View::as_small)
+            .map(|s| s.map(fa_core::SmallView::mask))
+            .collect();
+        masks.as_deref().map(fa_core::SmallView::chain_comparable) == Some(true)
+    };
     for (i, out) in outputs.iter().enumerate() {
         let Some(view) = out else { continue };
         if !view.contains(&inputs[i]) {
@@ -768,7 +754,7 @@ fn snapshot_invariant(
         if !view.is_subset(&all_inputs) {
             return Err(format!("output of p{i} contains non-input values"));
         }
-        if batch_comparable == Some(true) {
+        if pairs_hold {
             continue;
         }
         for (j, other) in outputs.iter().enumerate() {
@@ -1010,7 +996,9 @@ pub fn check_snapshot_wait_freedom<W: Into<Arc<Wiring>>>(
 /// Sanity check used by the ablation experiment: running the snapshot
 /// algorithm with a *lowered* termination level and checking the snapshot
 /// task. Level `n` (the paper) and `n−1` (footnote 4) pass; level 1
-/// (a double collect) is expected to fail for some wiring at `n ≥ 3`.
+/// (a double collect) is expected to fail for some wiring at `n ≥ 3`. The
+/// pairwise-comparability clause of [`check_snapshot_task`] is not checked
+/// here, only the task.
 ///
 /// # Errors
 ///
@@ -1024,91 +1012,14 @@ pub fn check_snapshot_task_at_level(
     terminate_level: usize,
     max_states_per_combo: usize,
 ) -> Result<TaskCheckReport, String> {
-    check_snapshot_task_at_level_with(
+    snapshot_sweep(
         inputs,
-        terminate_level,
+        Some(terminate_level),
+        false,
         max_states_per_combo,
         &CheckConfig::default(),
     )
     .map(|o| o.report)
-}
-
-/// [`check_snapshot_task_at_level`] with explicit sweep configuration,
-/// returning telemetry alongside the report.
-///
-/// # Errors
-///
-/// Reserved for harness misuse (violations are reported in the report).
-///
-/// # Panics
-///
-/// Panics if `inputs.len() < 2` or `terminate_level == 0`.
-pub fn check_snapshot_task_at_level_with(
-    inputs: &[u32],
-    terminate_level: usize,
-    max_states_per_combo: usize,
-    config: &CheckConfig,
-) -> Result<CheckOutcome, String> {
-    let n = inputs.len();
-    assert!(n >= 2, "the model requires at least two processors");
-    let groups = group_assignment(inputs);
-    let prefix = format!("level {terminate_level}, ");
-    run_sweep(
-        "snapshot_task_at_level",
-        n,
-        config,
-        harness_scope(
-            inputs,
-            &[terminate_level as u64, max_states_per_combo as u64],
-        ),
-        |combo| {
-            let procs: Vec<SnapshotProcess<u32>> = inputs
-                .iter()
-                .map(|&x| SnapshotProcess::with_terminate_level(x, n, terminate_level))
-                .collect();
-            Explorer::new(procs, n, Default::default(), combo).with_max_states(max_states_per_combo)
-        },
-        |state| snapshot_invariant_generic(state, inputs, &groups),
-        &prefix,
-    )
-}
-
-fn snapshot_invariant_generic(
-    state: &StateView<'_, SnapshotProcess<u32>>,
-    inputs: &[u32],
-    groups: &GroupAssignment,
-) -> Result<(), String> {
-    // The *task* requirement only (group solvability at terminal states plus
-    // basic sanity of emitted outputs); used for ablations where the strong
-    // pairwise-comparability invariant of the paper's algorithm may not hold
-    // even when the task is still group-solved.
-    let outputs = state.first_outputs();
-    let all_inputs: View<u32> = inputs.iter().copied().collect();
-    for (i, out) in outputs.iter().enumerate() {
-        let Some(view) = out else { continue };
-        if !view.contains(&inputs[i]) {
-            return Err(format!("output of p{i} misses its own input"));
-        }
-        if !view.is_subset(&all_inputs) {
-            return Err(format!("output of p{i} contains non-input values"));
-        }
-    }
-    if state.all_halted() {
-        let opt_outputs: Vec<Option<std::collections::BTreeSet<GroupId>>> = outputs
-            .iter()
-            .map(|o| o.as_ref().map(|v| view_to_groups(v, inputs)))
-            .collect();
-        check_group_solution(&Snapshot, groups, &opt_outputs)
-            .map_err(|e| format!("terminal group-solvability violation: {e}"))?;
-    }
-    Ok(())
-}
-
-/// Convenience: the strict task used by this module, re-exported for report
-/// formatting in experiment binaries.
-#[must_use]
-pub fn snapshot_task_name() -> &'static str {
-    Snapshot.name()
 }
 
 #[cfg(test)]
@@ -1428,7 +1339,7 @@ mod tests {
             if quotient {
                 explorer = explorer.with_quotient();
             }
-            explorer.run(|state| snapshot_invariant(state, inputs, &groups));
+            explorer.run(|state| snapshot_invariant(state, inputs, &groups, true));
         }
         (tel.step_memo_hits.get(), tel.step_memo_misses.get())
     }
@@ -1655,8 +1566,8 @@ mod tests {
         assert!(!interrupted.report.complete);
         assert!(interrupted.report.violation.is_none());
 
-        // Run 2 resumes: the journal holds claims but no outcomes, so the
-        // whole sweep re-explores and matches the uninterrupted baseline.
+        // Run 2 resumes: the journal holds only its header, so the whole
+        // sweep re-explores and matches the uninterrupted baseline.
         let config = CheckConfig::serial().with_checkpoint(cp.clone().with_resume());
         let resumed = write_once_sweep_with(&config).expect("resumed sweep");
         assert_eq!(resumed.report, baseline.report);
@@ -1678,59 +1589,110 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn checkpoint_resume_past_a_retired_record_tag_is_byte_identical() {
-        // A journal from an older build may hold a checksum-valid frame with
-        // the retired progress tag (4) mid-stream. Recovery keeps the records
-        // before it, drops the rest, and the resumed sweep re-explores the
-        // combos that follow: same report as an uninterrupted sweep.
-        let dir = scratch_checkpoint_dir("skew");
-        let baseline = write_once_sweep(1);
-        let cp = CheckpointConfig::new(&dir);
-        write_once_sweep_with(&CheckConfig::serial().with_checkpoint(cp.clone()))
-            .expect("checkpointed sweep");
-
-        // Header plus claim/done pairs for combos 0..10, then the skewed
-        // frame, then the rest of the original journal.
-        let path = SweepJournal::journal_path(&dir);
-        let bytes = std::fs::read(&path).expect("read journal");
+    /// Byte length of a journal's first `frames` frames (each a u32
+    /// payload length, a u64 checksum, then the payload).
+    fn frames_len(bytes: &[u8], frames: usize) -> usize {
         let mut cut = 0;
-        for _ in 0..1 + 2 * 10 {
-            // Frame: u32 payload length, u64 checksum, payload.
+        for _ in 0..frames {
             let len = u32::from_le_bytes(bytes[cut..cut + 4].try_into().unwrap()) as usize;
             cut += 12 + len;
         }
-        let mut skewed = bytes[..cut].to_vec();
-        skewed.extend_from_slice(&checkpoint::retired_progress_frame(10));
-        skewed.extend_from_slice(&bytes[cut..]);
-        std::fs::write(&path, &skewed).expect("write skewed journal");
-        let recovery = crate::inspect_journal(&dir).expect("intact header");
-        assert_eq!(
-            recovery.completed.len(),
-            10,
-            "the skewed frame ends the prefix"
-        );
-        assert_eq!(recovery.truncated_bytes, (skewed.len() - cut) as u64);
+        cut
+    }
 
-        let registry = Arc::new(MetricRegistry::new());
-        let config = CheckConfig::serial()
-            .with_checkpoint(cp.with_resume())
-            .with_telemetry(Arc::clone(&registry));
-        let resumed = write_once_sweep_with(&config).expect("resumed sweep");
-        assert_eq!(
-            format!("{:?}", resumed.report),
-            format!("{:?}", baseline.report)
-        );
-        assert_eq!(
-            resumed.telemetry.per_combo_states,
-            baseline.telemetry.per_combo_states
-        );
-        let snap = registry.sample(0, None);
-        assert_eq!(snap.gauge("ckpt.recovered"), 10);
-        // Combos 10..=24 re-explored: one claim + one done each.
-        assert_eq!(snap.counter("ckpt.records"), 30);
+    #[test]
+    fn checkpoint_resume_past_a_retired_record_tag_is_byte_identical() {
+        // A journal from an older build may hold a checksum-valid frame with
+        // a retired tag mid-stream: a claim (2), which that build wrote
+        // before every combo, or a progress record (4). Recovery keeps the
+        // records before it, drops the rest, and the resumed sweep
+        // re-explores the combos that follow: same report as an
+        // uninterrupted sweep.
+        let baseline = write_once_sweep(1);
+        for retired in checkpoint::retired_frames(10) {
+            let tag = retired[12];
+            let dir = scratch_checkpoint_dir("skew");
+            let cp = CheckpointConfig::new(&dir);
+            write_once_sweep_with(&CheckConfig::serial().with_checkpoint(cp.clone()))
+                .expect("checkpointed sweep");
 
-        std::fs::remove_dir_all(&dir).ok();
+            // Header plus the outcomes of combos 0..10, then the retired
+            // frame, then the rest of the original journal.
+            let path = SweepJournal::journal_path(&dir);
+            let bytes = std::fs::read(&path).expect("read journal");
+            let cut = frames_len(&bytes, 1 + 10);
+            let mut skewed = bytes[..cut].to_vec();
+            skewed.extend_from_slice(&retired);
+            skewed.extend_from_slice(&bytes[cut..]);
+            std::fs::write(&path, &skewed).expect("write skewed journal");
+            let recovery = crate::inspect_journal(&dir).expect("intact header");
+            assert_eq!(
+                recovery.completed.len(),
+                10,
+                "tag {tag}: the retired frame ends the prefix"
+            );
+            assert_eq!(recovery.truncated_bytes, (skewed.len() - cut) as u64);
+
+            let registry = Arc::new(MetricRegistry::new());
+            let config = CheckConfig::serial()
+                .with_checkpoint(cp.with_resume())
+                .with_telemetry(Arc::clone(&registry));
+            let resumed = write_once_sweep_with(&config).expect("resumed sweep");
+            assert_eq!(
+                format!("{:?}", resumed.report),
+                format!("{:?}", baseline.report),
+                "tag {tag}"
+            );
+            assert_eq!(
+                resumed.telemetry.per_combo_states,
+                baseline.telemetry.per_combo_states
+            );
+            let snap = registry.sample(0, None);
+            assert_eq!(snap.gauge("ckpt.recovered"), 10);
+            // Combos 10..=24 re-explored: one record each.
+            assert_eq!(snap.counter("ckpt.records"), 15);
+
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn checkpoint_journal_headers_are_pinned() {
+        // The header names the harness and fingerprints its sweep; a
+        // journal written by an earlier build resumes only while both stay
+        // put. Each snapshot harness is one `snapshot_sweep`, so this pins
+        // that the fold kept every check name and scope.
+        const IN: &[u32] = &[1, 2];
+        type Sweep<'a> = &'a dyn Fn(&CheckConfig) -> Result<CheckOutcome, String>;
+        let harnesses: [(&str, u64, Sweep); 6] = [
+            ("snapshot_task", 0xfbc6_ee6e_3d4d_4b20, &|c| {
+                check_snapshot_task_with(IN, 100, c)
+            }),
+            ("snapshot_task_coarse", 0x1894_89b1_98d2_2fca, &|c| {
+                check_snapshot_task_coarse_with(IN, 100, c)
+            }),
+            ("snapshot_task_at_level", 0xa984_bc6a_131f_e9ba, &|c| {
+                snapshot_sweep(IN, Some(1), false, 100, c)
+            }),
+            ("snapshot_task_at_level", 0xd8d1_da2b_cefd_ecb0, &|c| {
+                snapshot_sweep(IN, Some(2), false, 100, c)
+            }),
+            ("renaming", 0xc2e8_5c20_c4c0_51f5, &|c| {
+                check_renaming_with(IN, 100, c)
+            }),
+            ("consensus_safety", 0x6192_5bae_ba70_a6b7, &|c| {
+                check_consensus_safety_with(IN, 100, 40, c)
+            }),
+        ];
+        for (check, fingerprint, sweep) in harnesses {
+            let dir = scratch_checkpoint_dir("header");
+            sweep(&CheckConfig::serial().with_checkpoint(CheckpointConfig::new(&dir)))
+                .expect("checkpointed sweep");
+            let header = crate::inspect_journal(&dir).expect("intact header").header;
+            assert_eq!(header.check, check);
+            assert_eq!(header.fingerprint, fingerprint, "{check}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -1752,16 +1714,11 @@ mod tests {
                 &CheckConfig::serial().with_checkpoint(cp.clone()),
             )
             .expect("checkpointed sweep");
-            // Keep the header plus the serial run's claim/done pairs of
-            // combos 0..REPLAYED.
+            // Keep the header plus the serial run's outcomes of combos
+            // 0..REPLAYED.
             let path = SweepJournal::journal_path(&dir);
             let bytes = std::fs::read(&path).expect("read journal");
-            let mut cut = 0;
-            for _ in 0..1 + 2 * REPLAYED {
-                // Frame: u32 payload length, u64 checksum, payload.
-                let len = u32::from_le_bytes(bytes[cut..cut + 4].try_into().unwrap()) as usize;
-                cut += 12 + len;
-            }
+            let cut = frames_len(&bytes, 1 + REPLAYED);
             std::fs::write(&path, &bytes[..cut]).expect("truncate journal");
 
             let registry = Arc::new(MetricRegistry::new());
@@ -1814,9 +1771,9 @@ mod tests {
             .with_telemetry(Arc::clone(&registry));
         let first = write_once_sweep_with(&config).expect("checkpointed sweep");
         let snap = registry.sample(0, None);
-        // One claim + one done per explored combo (25: stops at the first
-        // violating combo, index 24), all appended this run.
-        assert_eq!(snap.counter("ckpt.records"), 50);
+        // One record per explored combo (25: stops at the first violating
+        // combo, index 24), all appended this run.
+        assert_eq!(snap.counter("ckpt.records"), 25);
         assert!(snap.gauge("ckpt.journal_bytes") > 0);
         assert_eq!(snap.gauge("ckpt.recovered"), 0);
 

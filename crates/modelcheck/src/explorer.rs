@@ -460,9 +460,10 @@ where
         self
     }
 
-    /// Routes visited-store spill shards into `dir` (a checkpoint
-    /// directory) in durable mode — fsync on shard seal, loud failure if
-    /// the directory vanishes — instead of the system temp dir.
+    /// Places visited-store spill shards in `dir` (a checkpoint directory)
+    /// instead of the system temp dir. A location only: shards are not
+    /// fsync'd (a resume deletes them unread), but the exploration fails
+    /// loudly if the directory vanishes.
     #[must_use]
     pub fn with_spill_dir(mut self, dir: std::path::PathBuf) -> Self {
         self.spill_dir = Some(dir);
@@ -519,7 +520,7 @@ where
     }
 
     /// Like [`Explorer::run`], but polls `stop` on entry and then every
-    /// [`STOP_POLL_INTERVAL`] expansions; when it returns `true` the
+    /// `STOP_POLL_INTERVAL` expansions; when it returns `true` the
     /// exploration aborts with `complete: false` and no violation. Parallel
     /// sweeps use this to cancel workers made redundant by an
     /// earlier-indexed violation.

@@ -27,9 +27,9 @@
 //!   renaming, consensus safety, and solo-termination (the wait-freedom
 //!   certificate).
 //! * [`checkpoint`] — crash-safe resumable sweeps: an append-only
-//!   checksummed journal of combo claims/outcomes, recovery that truncates
-//!   torn tails and replays recorded outcomes verbatim, a memory watchdog
-//!   for graceful degradation, and env-driven crash injection.
+//!   checksummed journal of finished combo outcomes, recovery that
+//!   truncates torn tails and replays recorded outcomes verbatim, a memory
+//!   watchdog for graceful degradation, and env-driven crash injection.
 //! * [`atomicity`] — the witness search for E5: an execution in which a
 //!   returned snapshot never equalled the set of inputs present in memory.
 //! * [`wirings`] — enumeration of wiring combinations with the

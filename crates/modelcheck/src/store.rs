@@ -16,11 +16,14 @@
 //! absorbs almost all disk traffic. Spill decisions depend only on the
 //! insertion sequence and the pressure flag.
 //!
-//! Durability is *not* a goal — the spill file is a temp file deleted when
-//! the store is reset or dropped. Integrity is: every spilled shard carries
-//! a checksum, and any truncated or corrupted read surfaces as a loud
-//! [`StoreError`] that the explorer converts into `complete: false` rather
-//! than silently mis-deduplicating.
+//! Durability is *not* a goal, even in a checkpoint directory — the spill
+//! file is a temp file deleted when the store is reset or dropped, only the
+//! exploration that wrote it reads it back, and a resumed sweep deletes
+//! whatever a crashed run left behind unread. Integrity is: every spilled
+//! shard carries a checksum, and any truncated or corrupted read (a shard
+//! lost to a failed writeback included) surfaces as a loud [`StoreError`]
+//! that the explorer converts into `complete: false` rather than silently
+//! mis-deduplicating.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -311,8 +314,7 @@ pub struct TieredVisited {
     /// Test hook: corrupt the next spilled shard's payload on disk.
     corrupt_next_spill: bool,
     /// Spill into this directory (checkpointed sweeps) instead of the
-    /// system temp dir. Implies durable mode: fsync on every shard seal
-    /// and a loud error if the directory vanishes mid-run.
+    /// system temp dir; a loud error if it vanishes mid-run.
     spill_dir: Option<PathBuf>,
     /// Memory-pressure flag from the watchdog: while raised, every sealed
     /// shard spills immediately regardless of budget.
@@ -367,10 +369,11 @@ impl TieredVisited {
         };
     }
 
-    /// Routes spill shards into `dir` (a checkpoint directory) instead of
-    /// the system temp dir, and makes the spill tier durable: every sealed
-    /// shard is fsync'd, and a vanished directory surfaces as a loud
-    /// [`StoreError`] instead of silent dedup loss.
+    /// Places spill shards in `dir` (a checkpoint directory) instead of
+    /// the system temp dir. Only the location changes — shards are never
+    /// fsync'd, since nothing reads them after a crash — except that a
+    /// vanished directory surfaces as a loud [`StoreError`] instead of
+    /// silent dedup loss.
     pub fn set_spill_dir(&mut self, dir: PathBuf) {
         self.spill_dir = Some(dir);
     }
@@ -444,8 +447,8 @@ impl TieredVisited {
         self.index.len() - self.base
     }
 
-    /// In durable mode, errors loudly when the configured spill directory
-    /// has vanished mid-run (e.g. the checkpoint dir was deleted).
+    /// Errors loudly when the configured spill directory has vanished
+    /// mid-run (e.g. the checkpoint dir was deleted).
     fn check_spill_dir(&self) -> Result<(), StoreError> {
         if let Some(dir) = &self.spill_dir {
             if !dir.is_dir() {
@@ -500,11 +503,6 @@ impl TieredVisited {
         file.seek(SeekFrom::Start(offset))?;
         file.write_all(&checksum.to_le_bytes())?;
         file.write_all(&payload)?;
-        if self.spill_dir.is_some() {
-            // Durable mode: the shard is sealed — make it survive a crash
-            // before anything depends on it being on disk.
-            file.sync_data()?;
-        }
         self.disk.file_len = offset + 8 + payload.len() as u64;
         self.disk.offsets.push(offset);
         self.head += words;

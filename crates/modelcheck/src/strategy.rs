@@ -3,7 +3,7 @@
 //! A sweep is a loop over independent combo explorations with one shared
 //! rule: the report must cover exactly the serial prefix `0..=B`, where `B`
 //! is the lowest violating combo index (all combos when none violates).
-//! One claim loop, [`run_pool`], explores that prefix on any number of
+//! One claim loop, `run_pool`, explores that prefix on any number of
 //! threads; a serial sweep is a pool of one. `--jobs` is the only
 //! parallelism: each combo's BFS runs on the one thread that claimed it.
 

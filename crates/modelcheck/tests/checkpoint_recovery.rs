@@ -48,30 +48,22 @@ fn outcome(states: usize, violation: Option<&str>) -> ComboOutcome {
     }
 }
 
-/// Writes a journal with a claim/done history over 8 combos (one of them a
-/// violation, one claimed but never finished) and returns, per record
-/// appended, the journal length *after* that record — the set of valid
-/// frame boundaries — plus the completed map the full journal encodes.
+/// Writes a journal of finished outcomes for 7 of 8 combos (one of them a
+/// violation; combo 7 never finished) and returns, per record appended,
+/// the journal length *after* that record — the set of valid frame
+/// boundaries — plus the completed map the full journal encodes.
 fn build_fixture(dir: &Path) -> (Vec<u64>, HashMap<usize, ComboOutcome>) {
     let mut journal = SweepJournal::create(dir, &header(), 64).expect("create journal");
     let mut boundaries = vec![journal.bytes_written()];
     let mut completed = HashMap::new();
     let records: Vec<JournalRecord> = (0..7usize)
-        .flat_map(|i| {
-            let done = match i {
+        .map(|i| JournalRecord::ComboDone {
+            combo: i as u64,
+            outcome: match i {
                 5 => outcome(42, Some("combo 5: covering violated")),
                 _ => outcome(100 + i, None),
-            };
-            vec![
-                JournalRecord::ComboClaim { combo: i as u64 },
-                JournalRecord::ComboDone {
-                    combo: i as u64,
-                    outcome: done,
-                },
-            ]
+            },
         })
-        // Combo 7: claimed, crashed before its outcome landed.
-        .chain([JournalRecord::ComboClaim { combo: 7 }])
         .collect();
     for rec in &records {
         journal.append(rec).expect("append record");
@@ -156,15 +148,13 @@ fn check_prefix(
     damage: u64,
 ) {
     assert_eq!(recovery.header, header(), "header must survive intact");
-    // Records are appended claim-then-done per combo, so the k-th record
-    // boundary tells us which dones a prefix of `len >= boundary` holds.
-    let intact = boundaries[1..]
+    // Every record after the header is one combo's outcome, so the number
+    // of record boundaries at or before the damage is the number of
+    // outcomes a prefix of that length holds.
+    let expected_dones = boundaries[1..]
         .iter()
         .filter(|&&b| b <= damage.max(boundaries[0]))
         .count();
-    // Records alternate Claim, Done, ..., final lone Claim: dones are the
-    // even positions (1-based), i.e. records 2, 4, 6, ...
-    let expected_dones = intact / 2;
     assert!(
         recovery.completed.len() >= expected_dones,
         "recovery lost records before the damage at {damage}: {} < {expected_dones}",
