@@ -29,8 +29,9 @@
 //!   64KiB), and `--resume` replays recorded outcomes instead of
 //!   re-exploring. A killed run resumed any number of times produces a
 //!   byte-identical report.
-//! * `--memory-limit SIZE` — RSS watchdog: force-spill the visited tier at
-//!   80%, checkpoint and abort gracefully at the limit.
+//! * `--memory-limit SIZE` — RSS watchdog: at the limit, checkpoint and
+//!   abort gracefully (exit 2). It never changes what is spilled or
+//!   reported; `--visited-budget` is what bounds the visited set.
 //!
 //! Exit codes: 0 clean, 2 finished-but-incomplete (budget/abort; resumable
 //! when checkpointed), 3 violation found. SIGINT/SIGTERM request a graceful

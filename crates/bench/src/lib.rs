@@ -176,9 +176,8 @@ pub fn cli_checkpoint() -> Option<CheckpointConfig> {
     Some(cp)
 }
 
-/// The RSS hard limit requested via `--memory-limit SIZE` (`None` when
-/// absent: no watchdog). At 80% of the limit the sweep's visited tier is
-/// forced to spill; at the limit the sweep aborts gracefully to
+/// The RSS limit requested via `--memory-limit SIZE` (`None` when absent:
+/// no watchdog). At the limit the sweep aborts gracefully to
 /// `complete: false` instead of dying to the OOM killer.
 ///
 /// # Panics

@@ -731,14 +731,12 @@ pub fn crash_point(site: &str) {
 // Memory watchdog
 // ---------------------------------------------------------------------------
 
-/// Polls the process RSS and degrades gracefully instead of OOM-dying:
-/// past the *soft* limit (80% of hard) it raises a pressure flag the
-/// tiered visited store honors by force-spilling sealed shards; past the
-/// *hard* limit it raises the sweep's abort flag, which winds the sweep
-/// down to a checkpointed `complete: false` report.
+/// Polls the process RSS and, once it reaches the limit, raises the
+/// sweep's abort flag, which winds the sweep down to a checkpointed
+/// `complete: false` report. It never changes what an exploration keeps
+/// resident: only [`crate::CheckConfig::visited_budget`] does that.
 #[derive(Debug)]
 pub struct MemoryWatchdog {
-    pressure: Arc<AtomicBool>,
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -748,30 +746,30 @@ impl MemoryWatchdog {
     const POLL: std::time::Duration = std::time::Duration::from_millis(50);
 
     /// Starts the watchdog thread. `abort` is the sweep's abort flag,
-    /// raised when RSS reaches `hard_limit_bytes`. On platforms where the
-    /// RSS gauge reads 0 (unsupported), the watchdog never trips.
+    /// raised when RSS reaches `limit_bytes`; the thread then says so on
+    /// stderr and exits. On platforms where the RSS gauge reads 0
+    /// (unsupported), the watchdog never trips.
     #[must_use]
-    pub fn start(hard_limit_bytes: u64, abort: Arc<AtomicBool>) -> Self {
-        let pressure = Arc::new(AtomicBool::new(false));
+    pub fn start(limit_bytes: u64, abort: Arc<AtomicBool>) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
-        let soft_limit = hard_limit_bytes / 10 * 8;
         let handle = {
-            let pressure = Arc::clone(&pressure);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("fa-mc-watchdog".into())
                 .spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
                         let rss = fa_obs::read_rss_bytes();
-                        if rss > 0 {
-                            if rss >= hard_limit_bytes {
-                                pressure.store(true, Ordering::Relaxed);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            if rss >= soft_limit {
-                                pressure.store(true, Ordering::Relaxed);
-                            }
+                        if rss > 0 && rss >= limit_bytes {
+                            abort.store(true, Ordering::Relaxed);
+                            let mib = |bytes: u64| bytes as f64 / f64::from(1u32 << 20);
+                            eprintln!(
+                                "memory_watchdog: RSS {:.1} MiB reached the {:.1} MiB limit; \
+                                 stopping the sweep (a checkpointed sweep resumes with \
+                                 --resume; --visited-budget bounds the visited set)",
+                                mib(rss),
+                                mib(limit_bytes)
+                            );
+                            break;
                         }
                         std::thread::sleep(Self::POLL);
                     }
@@ -779,16 +777,9 @@ impl MemoryWatchdog {
                 .expect("spawn watchdog thread")
         };
         MemoryWatchdog {
-            pressure,
             stop,
             handle: Some(handle),
         }
-    }
-
-    /// The pressure flag explorers thread into their visited stores.
-    #[must_use]
-    pub fn pressure(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.pressure)
     }
 }
 
@@ -1079,7 +1070,6 @@ mod tests {
     fn checkpoint_watchdog_trips_abort_on_tiny_hard_limit() {
         let abort = Arc::new(AtomicBool::new(false));
         let watchdog = MemoryWatchdog::start(1, Arc::clone(&abort));
-        let pressure = watchdog.pressure();
         // The RSS gauge reads real memory (>= 1 byte) on Linux; give the
         // poll thread a moment. On platforms without an RSS gauge this
         // test degrades to checking the watchdog shuts down cleanly.
@@ -1091,7 +1081,6 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(10));
             }
             assert!(abort.load(Ordering::Relaxed), "watchdog never tripped");
-            assert!(pressure.load(Ordering::Relaxed));
         }
         drop(watchdog);
     }
@@ -1102,6 +1091,6 @@ mod tests {
         let watchdog = MemoryWatchdog::start(u64::MAX, Arc::clone(&abort));
         std::thread::sleep(std::time::Duration::from_millis(120));
         assert!(!abort.load(Ordering::Relaxed));
-        assert!(!watchdog.pressure().load(Ordering::Relaxed));
+        drop(watchdog);
     }
 }

@@ -85,10 +85,11 @@ pub struct CheckConfig {
     /// `complete: false` and journals nothing for the cut-short combos, so
     /// a resume re-explores exactly those.
     pub abort: Option<Arc<AtomicBool>>,
-    /// RSS hard limit in bytes for the memory watchdog (see
-    /// [`MemoryWatchdog`]): at 80% the visited tier is forced to spill, at
-    /// the limit the sweep aborts gracefully to `complete: false` instead
-    /// of dying to the OOM killer.
+    /// RSS limit in bytes for the memory watchdog (see
+    /// [`MemoryWatchdog`]): at the limit the sweep aborts gracefully to
+    /// `complete: false` instead of dying to the OOM killer. It never
+    /// changes what an exploration spills; only
+    /// [`CheckConfig::visited_budget`] bounds the resident visited rows.
     pub memory_limit: Option<u64>,
 }
 
@@ -159,7 +160,7 @@ impl CheckConfig {
         self
     }
 
-    /// Sets the RSS hard limit for the memory watchdog (see
+    /// Sets the RSS limit for the memory watchdog (see
     /// [`CheckConfig::memory_limit`]).
     #[must_use]
     pub fn with_memory_limit(mut self, bytes: u64) -> Self {
@@ -223,8 +224,8 @@ pub struct QuotientStats {
     /// Distinct representative combos explored in the attempted prefix.
     pub combos_explored: usize,
     /// Visited shards spilled to the disk tier across explored combos: 0
-    /// unless a [`CheckConfig::visited_budget`] or memory pressure
-    /// ([`CheckConfig::memory_limit`]) forced rows out.
+    /// unless a [`CheckConfig::visited_budget`] forced rows out. Fixed by
+    /// the budget and each combo's insert order, like every other count.
     pub spilled_shards: usize,
 }
 
@@ -390,8 +391,7 @@ where
     let abort: Arc<AtomicBool> = config.abort.clone().unwrap_or_default();
     let watchdog = config
         .memory_limit
-        .map(|hard| MemoryWatchdog::start(hard, Arc::clone(&abort)));
-    let pressure = watchdog.as_ref().map(MemoryWatchdog::pressure);
+        .map(|limit| MemoryWatchdog::start(limit, Arc::clone(&abort)));
 
     // First journal append failure, if any: it aborts the sweep (durability
     // is gone, so keeping going would checkpoint nothing) and surfaces as a
@@ -447,9 +447,6 @@ where
         }
         if let Some(dir) = &spill_dir {
             explorer = explorer.with_spill_dir(dir.clone());
-        }
-        if let Some(flag) = &pressure {
-            explorer = explorer.with_memory_pressure(Arc::clone(flag));
         }
         // Whether this exploration was ever told to stop: cut-short outcomes
         // depend on scheduling, so they must never be journaled as done.
@@ -1551,42 +1548,57 @@ mod tests {
 
     #[test]
     fn checkpoint_sweep_aborted_then_resumed_is_byte_identical() {
-        let dir = scratch_checkpoint_dir("resume");
         let baseline = write_once_sweep(1);
+        // Run 1 is stopped two ways: by an abort flag raised before the
+        // sweep starts, which cuts every combo short, and by a 1-byte
+        // memory limit, whose watchdog raises the same flag once its first
+        // poll lands. Either way no cut-short combo is journaled as done
+        // (aborted outcomes are nondeterministic).
+        let stops = [
+            (
+                "abort",
+                CheckConfig::serial().with_abort(Arc::new(AtomicBool::new(true))),
+            ),
+            ("memory", CheckConfig::serial().with_memory_limit(1)),
+        ];
+        for (name, stop) in stops {
+            let dir = scratch_checkpoint_dir(&format!("resume-{name}"));
+            let cp = CheckpointConfig::new(&dir);
+            let interrupted = write_once_sweep_with(&stop.with_checkpoint(cp.clone()))
+                .expect("checkpointed sweep");
+            // The watchdog may land after the sweep reached the violating
+            // combo 24; a stop never reports any other violation.
+            if name == "abort" {
+                assert!(!interrupted.report.complete);
+                assert!(interrupted.report.violation.is_none());
+            } else if let Some(v) = &interrupted.report.violation {
+                assert_eq!(Some(v), baseline.report.violation.as_ref(), "{name}");
+            }
 
-        // Run 1: the abort flag is raised before the sweep starts, so every
-        // combo is cut short, reported incomplete, and — crucially — never
-        // journaled as done (aborted outcomes are nondeterministic).
-        let abort = Arc::new(AtomicBool::new(true));
-        let cp = CheckpointConfig::new(&dir);
-        let config = CheckConfig::serial()
-            .with_checkpoint(cp.clone())
-            .with_abort(abort);
-        let interrupted = write_once_sweep_with(&config).expect("checkpointed sweep");
-        assert!(!interrupted.report.complete);
-        assert!(interrupted.report.violation.is_none());
+            // Run 2 resumes: the journal holds the header plus whatever
+            // combos finished before the stop, so the rest re-explores and
+            // the report matches the uninterrupted baseline.
+            let config = CheckConfig::serial().with_checkpoint(cp.clone().with_resume());
+            let resumed = write_once_sweep_with(&config).expect("resumed sweep");
+            assert_eq!(resumed.report, baseline.report, "{name}");
+            assert_eq!(
+                resumed.telemetry.per_combo_states, baseline.telemetry.per_combo_states,
+                "{name}"
+            );
 
-        // Run 2 resumes: the journal holds only its header, so the whole
-        // sweep re-explores and matches the uninterrupted baseline.
-        let config = CheckConfig::serial().with_checkpoint(cp.clone().with_resume());
-        let resumed = write_once_sweep_with(&config).expect("resumed sweep");
-        assert_eq!(resumed.report, baseline.report);
-        assert_eq!(
-            resumed.telemetry.per_combo_states,
-            baseline.telemetry.per_combo_states
-        );
+            // Run 3 resumes again: now every outcome up to the violation is
+            // recorded; replay is pure journal reads and still
+            // byte-identical.
+            let config = CheckConfig::serial().with_checkpoint(cp.with_resume());
+            let replayed = write_once_sweep_with(&config).expect("replayed sweep");
+            assert_eq!(replayed.report, baseline.report, "{name}");
+            assert_eq!(
+                replayed.telemetry.per_combo_states, baseline.telemetry.per_combo_states,
+                "{name}"
+            );
 
-        // Run 3 resumes again: now every outcome up to the violation is
-        // recorded; replay is pure journal reads and still byte-identical.
-        let config = CheckConfig::serial().with_checkpoint(cp.with_resume());
-        let replayed = write_once_sweep_with(&config).expect("replayed sweep");
-        assert_eq!(replayed.report, baseline.report);
-        assert_eq!(
-            replayed.telemetry.per_combo_states,
-            baseline.telemetry.per_combo_states
-        );
-
-        std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// Byte length of a journal's first `frames` frames (each a u32

@@ -215,8 +215,8 @@ where
     /// covered exactly once (see [`crate::canon`]).
     pub full_states_estimate: Option<u64>,
     /// Visited-set shards spilled to the disk tier (0 unless a
-    /// [`Explorer::with_visited_budget`] budget or the
-    /// [`Explorer::with_memory_pressure`] flag forced rows out).
+    /// [`Explorer::with_visited_budget`] budget forced rows out). Fixed
+    /// by the budget and the insert order.
     pub spilled_shards: usize,
 }
 
@@ -240,7 +240,6 @@ where
     visited_budget: Option<usize>,
     corrupt_spill: bool,
     spill_dir: Option<std::path::PathBuf>,
-    pressure: Option<Arc<std::sync::atomic::AtomicBool>>,
 }
 
 /// What one thread keeps between the explorations it runs, so a combo-pool
@@ -373,7 +372,6 @@ where
             visited_budget: None,
             corrupt_spill: false,
             spill_dir: None,
-            pressure: None,
         }
     }
 
@@ -470,15 +468,6 @@ where
         self
     }
 
-    /// Attaches the memory watchdog's pressure flag: while raised, the
-    /// visited store spills every full shard, with or without a
-    /// [`Explorer::with_visited_budget`] budget.
-    #[must_use]
-    pub fn with_memory_pressure(mut self, flag: Arc<std::sync::atomic::AtomicBool>) -> Self {
-        self.pressure = Some(flag);
-        self
-    }
-
     /// Initial-state symmetry classes: `classes[i] == classes[j]` iff
     /// processors `i` and `j` start value-equal (same process state, same
     /// poised action) — the processor-permutation constraint of the sound
@@ -545,7 +534,7 @@ where
     /// only this exploration's ids) and the same row layout. Any other
     /// exploration gets fresh tables and leaves the scratch's alone. The
     /// scratch's visited store is reset to this exploration's row width,
-    /// budget, spill directory and pressure flag, and its spill file is
+    /// budget and spill directory, and its spill file is
     /// deleted when the exploration ends.
     pub(crate) fn run_in<F, S>(
         &self,
@@ -574,9 +563,6 @@ where
         store.reset(w, self.visited_budget);
         if let Some(dir) = &self.spill_dir {
             store.set_spill_dir(dir.clone());
-        }
-        if let Some(flag) = &self.pressure {
-            store.set_pressure(Arc::clone(flag));
         }
         if self.corrupt_spill {
             store.corrupt_next_spill_for_tests();
@@ -656,8 +642,8 @@ where
     }
 
     /// The BFS engine. The visited store only decides where rows live,
-    /// never which ids exist, so a budget or memory pressure changes no
-    /// report beyond its spill count.
+    /// never which ids exist, so a budget changes no report beyond its
+    /// spill count.
     ///
     /// Level `d` is the id range the store held when level `d - 1` was
     /// done — the FIFO queue of a serial BFS, cut at depth boundaries. The

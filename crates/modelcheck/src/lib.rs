@@ -21,15 +21,16 @@
 //!   with exact orbit sizes for full-space accounting.
 //! * [`store`] — the visited set, one [`TieredVisited`]: resident rows in
 //!   one flat vector, with the oldest full shards spilled to a checksummed
-//!   append-only disk file (and dropped from memory) under a memory budget
-//!   or memory pressure.
+//!   append-only disk file (and dropped from memory) under a memory
+//!   budget.
 //! * [`checks`] — ready-made checks: the snapshot task (E3), adaptive
 //!   renaming, consensus safety, and solo-termination (the wait-freedom
 //!   certificate).
 //! * [`checkpoint`] — crash-safe resumable sweeps: an append-only
 //!   checksummed journal of finished combo outcomes, recovery that
 //!   truncates torn tails and replays recorded outcomes verbatim, a memory
-//!   watchdog for graceful degradation, and env-driven crash injection.
+//!   watchdog that stops a sweep at an RSS limit, and env-driven crash
+//!   injection.
 //! * [`atomicity`] — the witness search for E5: an execution in which a
 //!   returned snapshot never equalled the set of inputs present in memory.
 //! * [`wirings`] — enumeration of wiring combinations with the

@@ -1,8 +1,7 @@
 //! Visited-set storage for the arena BFS: one store, [`TieredVisited`],
 //! that keeps its rows resident in one flat vector and, once a
-//! configurable memory budget is exceeded or the memory watchdog raises
-//! its pressure flag, spills the oldest full row shards to an
-//! append-only, checksummed file (DESIGN §13).
+//! configurable memory budget is exceeded, spills the oldest full row
+//! shards to an append-only, checksummed file (DESIGN §13).
 //!
 //! Ids are assigned in insertion order (`0, 1, 2, ..`) whatever the
 //! budget, so the explorer's BFS numbering — and therefore every report it
@@ -14,7 +13,8 @@
 //! and an offset away; a spilled shard is read back through a single-shard
 //! cache, and since BFS pops are nearly sequential in id order, the cache
 //! absorbs almost all disk traffic. Spill decisions depend only on the
-//! insertion sequence and the pressure flag.
+//! insertion sequence and the budget, so the spill count is as
+//! deterministic as every other count in a report.
 //!
 //! Durability is *not* a goal, even in a checkpoint directory — the spill
 //! file is a temp file deleted when the store is reset or dropped, only the
@@ -30,8 +30,7 @@ use std::fs::{File, OpenOptions};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Multiplicative (Fx-style) hasher over small integer words: a rotate,
 /// xor and multiply per word — a fraction of SipHash's cost. It hashes the
@@ -284,16 +283,14 @@ impl Drop for DiskTier {
 }
 
 /// The visited store. Rows `base..len()` are resident in one flat vector,
-/// starting `head` words in; while resident rows exceed the budget (0
-/// while the pressure flag is raised), the oldest *full* shard spills —
-/// append-only, checksummed — to a temp file and `head` steps past it, so
-/// a spill costs O(shard). Once the spilled prefix outweighs a quarter of
-/// the resident rows the vector drops it (one move of the resident rows,
-/// amortized O(1) per spilled word), and a vector left far larger than its
-/// rows gives its memory back. The still-filling tail and the row index
-/// never spill, so a lookup is one hash probe plus a resident compare or
-/// (rarely) one cached shard read. Without a budget nothing spills unless
-/// the pressure flag is raised.
+/// starting `head` words in; while resident rows exceed the budget, the
+/// oldest *full* shard spills — append-only, checksummed — to a temp file
+/// and `head` steps past it, so a spill costs O(shard). Once the spilled
+/// prefix outweighs a quarter of the resident rows the vector drops it
+/// (one move of the resident rows, amortized O(1) per spilled word). The
+/// still-filling tail and the row index never spill, so a lookup is one
+/// hash probe plus a resident compare or (rarely) one cached shard read.
+/// Without a budget nothing spills.
 #[derive(Debug)]
 pub struct TieredVisited {
     index: RowIndex,
@@ -316,9 +313,6 @@ pub struct TieredVisited {
     /// Spill into this directory (checkpointed sweeps) instead of the
     /// system temp dir; a loud error if it vanishes mid-run.
     spill_dir: Option<PathBuf>,
-    /// Memory-pressure flag from the watchdog: while raised, every sealed
-    /// shard spills immediately regardless of budget.
-    pressure: Option<Arc<AtomicBool>>,
 }
 
 /// The store the intra-combo strategy used, now the tiered store itself.
@@ -327,9 +321,9 @@ pub type ShardedVisited = TieredVisited;
 
 impl TieredVisited {
     /// Creates a store for rows of `row_words` words that keeps at most
-    /// roughly `budget_bytes` of row payload resident; `None` spills only
-    /// under memory pressure. Tiny budgets are honored by spilling every
-    /// shard as soon as it fills.
+    /// roughly `budget_bytes` of row payload resident; `None` never
+    /// spills. Tiny budgets are honored by spilling every shard as soon as
+    /// it fills.
     #[must_use]
     pub fn new(row_words: usize, budget_bytes: impl Into<Option<usize>>) -> Self {
         let budget_bytes = budget_bytes.into().unwrap_or(usize::MAX);
@@ -348,13 +342,12 @@ impl TieredVisited {
             disk: DiskTier::default(),
             corrupt_next_spill: false,
             spill_dir: None,
-            pressure: None,
         }
     }
 
     /// Empties the store and reconfigures it as [`TieredVisited::new`]
     /// would: ids restart at 0, the spill file is deleted, and the spill
-    /// directory, pressure flag and test hook are dropped. The row vector
+    /// directory and test hook are dropped. The row vector
     /// and the index keep their allocations, so one store can serve a
     /// worker's successive explorations.
     pub(crate) fn reset(&mut self, row_words: usize, budget_bytes: Option<usize>) {
@@ -376,12 +369,6 @@ impl TieredVisited {
     /// silent dedup loss.
     pub fn set_spill_dir(&mut self, dir: PathBuf) {
         self.spill_dir = Some(dir);
-    }
-
-    /// Attaches a memory-pressure flag (from the watchdog): while raised,
-    /// every sealed shard spills immediately regardless of budget.
-    pub fn set_pressure(&mut self, flag: Arc<AtomicBool>) {
-        self.pressure = Some(flag);
     }
 
     /// Path of the spill file, once anything has spilled.
@@ -511,30 +498,19 @@ impl TieredVisited {
     }
 
     /// Drops the spilled prefix of `rows` once it outweighs a quarter of
-    /// the resident rows, and shrinks a vector left more than four times
-    /// larger than its rows (or one shard) to twice that. A budgeted store
-    /// thus holds at most about 1.25× its resident rows, and a store that
-    /// pressure just emptied hands its memory back.
+    /// the resident rows, so a budgeted store holds at most about 1.25×
+    /// its resident rows.
     fn compact(&mut self) {
         if self.head == 0 || self.head * 4 < self.rows.len() - self.head {
             return;
         }
         self.rows.drain(..self.head);
         self.head = 0;
-        let floor = self.rows.len().max(self.shard_rows * self.w);
-        if self.rows.capacity() > 4 * floor {
-            self.rows.shrink_to(2 * floor);
-        }
     }
 
     fn maybe_spill(&mut self) -> Result<(), StoreError> {
-        let under_pressure = self
-            .pressure
-            .as_ref()
-            .is_some_and(|p| p.load(Ordering::Relaxed));
-        let budget_rows = if under_pressure { 0 } else { self.budget_rows };
-        // Only full shards spill: the still-filling tail stays resident.
-        while self.resident_rows() > budget_rows && self.resident_rows() >= self.shard_rows {
+        // Only full shards spill, since `budget_rows >= shard_rows`.
+        while self.resident_rows() > self.budget_rows {
             self.spill_oldest()?;
         }
         self.compact();
@@ -804,69 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn store_tiered_pressure_flag_force_spills_sealed_shards() {
-        let w = 4;
-        // Generous budget: nothing would spill on its own.
-        let mut t = TieredVisited::new(w, 1 << 20);
-        let pressure = Arc::new(AtomicBool::new(false));
-        t.set_pressure(Arc::clone(&pressure));
-        let per_shard = t.shard_rows();
-        for i in 0..2 * per_shard {
-            t.insert(&row(i as u32, w)).unwrap();
-        }
-        assert_eq!(t.spilled_shards(), 0);
-        pressure.store(true, Ordering::Relaxed);
-        // The next insert sees the flag and evicts every sealed shard
-        // (the still-filling tail stays resident by design).
-        t.insert(&row(2 * per_shard as u32, w)).unwrap();
-        assert_eq!(t.spilled_shards(), 2);
-        // Spilled rows still read back.
-        let mut out = vec![0u32; w];
-        t.read_row(0, &mut out).unwrap();
-        assert_eq!(out, row(0, w));
-    }
-
-    #[test]
-    fn store_pressure_spill_frees_the_resident_rows() {
-        let w = 4;
-        let mut t = TieredVisited::new(w, None);
-        let pressure = Arc::new(AtomicBool::new(false));
-        t.set_pressure(Arc::clone(&pressure));
-        let shard_words = t.shard_rows() * w;
-        let total = 8 * t.shard_rows() as u32;
-        for i in 0..total {
-            t.insert(&row(i, w)).unwrap();
-        }
-        let (bytes_before, capacity_before) = (t.approx_bytes(), t.rows.capacity());
-        assert!(capacity_before >= 8 * shard_words);
-        pressure.store(true, Ordering::Relaxed);
-        t.insert(&row(total, w)).unwrap();
-        assert_eq!(t.spilled_shards(), 8);
-        // The spilled rows left memory: only the one-row tail is held, in
-        // a vector shrunk to two shards.
-        assert_eq!(t.rows.len(), w);
-        assert!(t.rows.capacity() <= 2 * shard_words);
-        assert_eq!(
-            bytes_before - t.approx_bytes(),
-            (8 * shard_words - w) * 4 - STATE_OVERHEAD_BYTES
-        );
-        // Continued pressure spills each shard as it fills, with no
-        // further reallocation.
-        let capacity = t.rows.capacity();
-        for i in total + 1..total + 3 * t.shard_rows() as u32 {
-            t.insert(&row(i, w)).unwrap();
-        }
-        assert_eq!(t.spilled_shards(), 11);
-        assert_eq!(t.rows.capacity(), capacity);
-        let mut out = vec![0u32; w];
-        for i in (0..total + 3 * t.shard_rows() as u32).step_by(97) {
-            t.read_row(i as usize, &mut out).unwrap();
-            assert_eq!(out, row(i, w), "row {i}");
-            assert_eq!(t.lookup(&row(i, w)).unwrap(), Some(i as usize));
-        }
-    }
-
-    #[test]
     fn store_budgeted_spills_keep_the_row_vector_bounded() {
         let w = 4;
         // A budget of eight full-size shards.
@@ -1035,17 +948,18 @@ mod tests {
     fn store_reset_deletes_the_spill_file_and_reconfigures() {
         let w = 4;
         let mut s = TieredVisited::new(w, 0);
-        s.set_pressure(Arc::new(AtomicBool::new(true)));
         s.corrupt_next_spill_for_tests();
-        for i in 0..3 * s.shard_rows() {
+        // Budget 0 keeps one full shard resident; the row past the third
+        // shard spills it.
+        for i in 0..=3 * s.shard_rows() {
             s.insert(&row(i as u32, w)).unwrap();
         }
         assert_eq!(s.spilled_shards(), 3);
         let path = s.spill_path().unwrap().to_path_buf();
         assert!(path.exists());
         // A wider row and no budget: the reset store is a fresh
-        // `TieredVisited::new(w + 1, None)` — no spill file, no pressure
-        // flag, no pending corruption.
+        // `TieredVisited::new(w + 1, None)` — no spill file, no budget,
+        // no pending corruption.
         s.reset(w + 1, None);
         assert!(!path.exists(), "reset deletes the spill file");
         assert!(s.spill_path().is_none());

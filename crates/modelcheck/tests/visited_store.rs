@@ -4,7 +4,6 @@
 //! all-in-memory run — and a corrupted spill tier must fail loudly
 //! (`complete: false`), never silently drop or invent states.
 
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use fa_core::SnapshotProcess;
@@ -12,7 +11,7 @@ use fa_memory::Wiring;
 use fa_modelcheck::checks::{
     check_snapshot_task_coarse_with, check_snapshot_task_with, CheckConfig,
 };
-use fa_modelcheck::{ExploreReport, Explorer};
+use fa_modelcheck::Explorer;
 
 #[test]
 fn zero_budget_sweep_is_byte_identical_to_in_memory() {
@@ -111,39 +110,4 @@ fn corrupted_spill_tier_fails_loudly() {
         corrupted.states,
         clean.states
     );
-}
-
-#[test]
-fn memory_pressure_spills_without_a_budget() {
-    // The watchdog's pressure flag is honoured by every exploration, not
-    // only budgeted ones: with the flag raised and no budget, every full
-    // 4,096-row shard of this capped n=3 exploration spills, and the
-    // report differs in nothing but its spill count.
-    let n = 3;
-    let mk = || {
-        let procs: Vec<SnapshotProcess<u32>> = [1u32, 2, 3]
-            .iter()
-            .map(|&x| SnapshotProcess::new(x, n))
-            .collect();
-        let wirings: Vec<Arc<Wiring>> = vec![
-            Arc::new(Wiring::identity(n)),
-            Arc::new(Wiring::cyclic_shift(n, 1)),
-            Arc::new(Wiring::cyclic_shift(n, 2)),
-        ];
-        Explorer::new(procs, n, Default::default(), wirings)
-            .with_coarse_scans()
-            .with_max_states(10_000)
-    };
-    let plain = mk().run(|_| Ok(()));
-    assert_eq!(plain.states, 10_000);
-    assert_eq!(plain.spilled_shards, 0);
-    let pressed = mk()
-        .with_memory_pressure(Arc::new(AtomicBool::new(true)))
-        .run(|_| Ok(()));
-    assert_eq!(pressed.spilled_shards, 2, "both full shards spill");
-    let pressed = ExploreReport {
-        spilled_shards: 0,
-        ..pressed
-    };
-    assert_eq!(format!("{pressed:?}"), format!("{plain:?}"));
 }
