@@ -23,12 +23,12 @@
 //! * `--visited-budget SIZE` — spill cold visited shards to a checksummed
 //!   disk tier past the budget (human-readable sizes: `64MiB`, `2GB`);
 //!   reports are byte-identical to in-memory.
-//! * `--checkpoint-dir DIR` / `--checkpoint-every SIZE` / `--resume` —
-//!   crash-safe checkpointing: finished combo outcomes are journaled under
-//!   DIR (one subdirectory per sweep), fsynced every SIZE bytes (default
-//!   64KiB), and `--resume` replays recorded outcomes instead of
+//! * `--checkpoint-dir DIR` / `--resume` — crash-safe checkpointing:
+//!   finished combo outcomes are journaled under DIR (one subdirectory per
+//!   sweep), and `--resume` replays recorded outcomes instead of
 //!   re-exploring. A killed run resumed any number of times produces a
-//!   byte-identical report.
+//!   byte-identical report. The journal's fsync rule is fixed: after the
+//!   header, every 64 KiB, and at sweep end.
 //! * `--memory-limit SIZE` — RSS watchdog: at the limit, checkpoint and
 //!   abort gracefully (exit 2). It never changes what is spilled or
 //!   reported; `--visited-budget` is what bounds the visited set.

@@ -3,9 +3,8 @@
 //! bound is adaptive (depends on participation, not on N).
 //!
 //! Honors the shared sweep flags (`--jobs`, `--quotient`,
-//! `--visited-budget`, `--checkpoint-dir`/`--checkpoint-every`/`--resume`,
-//! `--memory-limit`); the retired `--strategy` exits 1 and points at
-//! `--jobs N`.
+//! `--visited-budget`, `--checkpoint-dir`/`--resume`, `--memory-limit`);
+//! the retired `--strategy` exits 1 and points at `--jobs N`.
 //! Exit codes: 0 clean, 2 the model check finished incomplete (budget or
 //! SIGINT/SIGTERM abort; resumable when checkpointed), 3 violation found.
 

@@ -5,9 +5,8 @@
 //! Usage: `cargo run --release -p fa-bench --bin sweep > results.json`
 //!
 //! Honors the shared sweep flags (`--jobs`, `--quotient`,
-//! `--visited-budget`, `--checkpoint-dir`/`--checkpoint-every`/`--resume`,
-//! `--memory-limit`); the retired `--strategy` exits 1 and points at
-//! `--jobs N`.
+//! `--visited-budget`, `--checkpoint-dir`/`--resume`, `--memory-limit`);
+//! the retired `--strategy` exits 1 and points at `--jobs N`.
 //! Exit codes: 0 clean, 2 the E3 model check finished incomplete (budget or
 //! SIGINT/SIGTERM abort; resumable when checkpointed), 3 violation found.
 

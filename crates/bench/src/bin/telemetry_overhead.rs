@@ -195,7 +195,6 @@ fn main() {
         "overhead_budget_pct": budget_pct,
         "per_combo_identical": identical,
         "telemetry_snapshots": summary.snapshots,
-        "telemetry_span_events": summary.span_events,
     });
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write(

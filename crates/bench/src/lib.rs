@@ -156,20 +156,13 @@ pub fn cli_visited_budget() -> Option<usize> {
 }
 
 /// The checkpoint configuration requested via `--checkpoint-dir DIR`
-/// (`None` when absent: no checkpointing). `--checkpoint-every SIZE` sets
-/// the journal fsync epoch (human-readable sizes, default 64KiB) and
-/// `--resume` resumes from an existing journal in the directory.
-///
-/// # Panics
-///
-/// Panics with a usage message if `--checkpoint-every` does not parse.
+/// (`None` when absent: no checkpointing). `--resume` resumes from an
+/// existing journal in the directory. The journal's fsync rule is fixed
+/// (see `fa_modelcheck::checkpoint`), so no flag sets it.
 #[must_use]
 pub fn cli_checkpoint() -> Option<CheckpointConfig> {
     let dir = cli_value("--checkpoint-dir")?;
     let mut cp = CheckpointConfig::new(dir);
-    if let Some(bytes) = cli_size("--checkpoint-every") {
-        cp = cp.with_sync_every(bytes);
-    }
     if cli_flag("--resume") {
         cp = cp.with_resume();
     }
@@ -189,19 +182,30 @@ pub fn cli_memory_limit() -> Option<u64> {
 }
 
 /// A model-check [`CheckConfig`] honoring the `--jobs`, `--quotient`,
-/// `--visited-budget`, `--checkpoint-dir`, `--checkpoint-every`,
-/// `--resume`, and `--memory-limit` flags.
+/// `--visited-budget`, `--checkpoint-dir`, `--resume`, and
+/// `--memory-limit` flags.
 ///
-/// Exits with status 1 if the retired `--strategy` flag is given, so an old
-/// script fails loudly instead of silently running a different sweep.
+/// Exits with status 1 if a retired flag (`--strategy`,
+/// `--checkpoint-every`) is given, so an old script fails loudly instead of
+/// silently running a different sweep.
 #[must_use]
 pub fn check_config_from_cli() -> CheckConfig {
-    if std::env::args().any(|a| a == "--strategy" || a.starts_with("--strategy=")) {
-        eprintln!(
-            "--strategy is gone: every combo runs on one thread; \
-             use --jobs N to set the sweep's thread count"
-        );
-        std::process::exit(1);
+    const RETIRED: [(&str, &str); 2] = [
+        (
+            "--strategy",
+            "every combo runs on one thread; use --jobs N to set the sweep's thread count",
+        ),
+        (
+            "--checkpoint-every",
+            "the journal's sync epoch is fixed at 64 KiB (plus the header and sweep end)",
+        ),
+    ];
+    for (flag, why) in RETIRED {
+        let eq = format!("{flag}=");
+        if std::env::args().any(|a| a == flag || a.starts_with(&eq)) {
+            eprintln!("{flag} is gone: {why}");
+            std::process::exit(1);
+        }
     }
     let mut config = match cli_jobs() {
         Some(j) => CheckConfig::default().with_jobs(j),

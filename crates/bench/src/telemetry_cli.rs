@@ -4,7 +4,8 @@
 //!
 //! * `--progress` — in-place progress line on stderr.
 //! * `--telemetry-jsonl PATH` — append [`fa_obs::TelemetrySnapshot`]
-//!   records (and closing [`fa_obs::SpanEvent`]s) to `PATH` as JSONL.
+//!   records to `PATH` as JSONL; the last one's `phases` field holds every
+//!   span's final totals.
 //! * `--telemetry-cadence-ms N` — sampling cadence (default 250).
 //!
 //! Telemetry is strictly out-of-band: when neither `--progress` nor

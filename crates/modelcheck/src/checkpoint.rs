@@ -39,9 +39,11 @@
 //!
 //! # Durability
 //!
-//! Frames are buffered by the OS; the journal calls `sync_data` whenever
-//! `sync_every_bytes` have been appended since the last sync (an *epoch*),
-//! after the header, and once more when the sweep finishes. A crash can
+//! Every frame is handed to the OS with one `write_all` on the file, so a
+//! killed process loses nothing it appended; only a machine crash can. The
+//! rule for that case is fixed: the journal calls `sync_data` after the
+//! header, whenever 64 KiB have been appended since the last sync (an
+//! *epoch*), and once more when the sweep finishes. A machine crash can
 //! therefore lose at most the final epoch of records — recovery truncates
 //! the torn tail and the affected combos are simply re-explored.
 //!
@@ -68,8 +70,8 @@ pub const JOURNAL_FILE: &str = "sweep.journal";
 /// spill shards while a checkpointed sweep runs.
 pub const SPILL_SUBDIR: &str = "spill";
 
-/// Default fsync epoch: sync the journal after this many appended bytes.
-pub const DEFAULT_SYNC_EVERY_BYTES: u64 = 64 * 1024;
+/// Fsync epoch: sync the journal after this many appended bytes.
+const SYNC_EVERY_BYTES: u64 = 64 * 1024;
 
 /// Environment variable consulted by [`crash_point`]: `site@N` aborts the
 /// process on the `N`-th hit of `site` (`site` alone means `site@1`).
@@ -81,8 +83,6 @@ pub const CRASH_ENV: &str = "FA_CRASH_AT";
 pub struct CheckpointConfig {
     /// Directory holding the journal and (while running) spill shards.
     pub dir: PathBuf,
-    /// Fsync epoch: sync the journal after this many appended bytes.
-    pub sync_every_bytes: u64,
     /// Resume from an existing journal in `dir` when one is present
     /// (otherwise a fresh journal is always started, clobbering any
     /// previous one).
@@ -90,21 +90,13 @@ pub struct CheckpointConfig {
 }
 
 impl CheckpointConfig {
-    /// Checkpoint into `dir` with the default sync epoch, no resume.
+    /// Checkpoint into `dir`, no resume.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CheckpointConfig {
             dir: dir.into(),
-            sync_every_bytes: DEFAULT_SYNC_EVERY_BYTES,
             resume: false,
         }
-    }
-
-    /// Sets the fsync epoch in bytes (clamped to at least 1).
-    #[must_use]
-    pub fn with_sync_every(mut self, bytes: u64) -> Self {
-        self.sync_every_bytes = bytes.max(1);
-        self
     }
 
     /// Resume from an existing journal when one is present.
@@ -469,7 +461,6 @@ fn build_recovery(
 #[derive(Debug)]
 pub struct SweepJournal {
     file: File,
-    sync_every: u64,
     bytes_since_sync: u64,
     bytes_written: u64,
     syncs: u64,
@@ -494,11 +485,7 @@ impl SweepJournal {
     /// # Errors
     ///
     /// Fails if the directory or journal cannot be created or written.
-    pub fn create(
-        dir: &Path,
-        header: &JournalHeader,
-        sync_every: u64,
-    ) -> Result<Self, JournalError> {
+    pub fn create(dir: &Path, header: &JournalHeader) -> Result<Self, JournalError> {
         fs::create_dir_all(dir)?;
         let file = OpenOptions::new()
             .read(true)
@@ -508,7 +495,6 @@ impl SweepJournal {
             .open(Self::journal_path(dir))?;
         let mut journal = SweepJournal {
             file,
-            sync_every: sync_every.max(1),
             bytes_since_sync: 0,
             bytes_written: 0,
             syncs: 0,
@@ -526,7 +512,7 @@ impl SweepJournal {
     ///
     /// Fails if the journal is missing, unreadable, or lacks an intact
     /// header record.
-    pub fn open_resume(dir: &Path, sync_every: u64) -> Result<(Self, Recovery), JournalError> {
+    pub fn open_resume(dir: &Path) -> Result<(Self, Recovery), JournalError> {
         let path = Self::journal_path(dir);
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut bytes = Vec::new();
@@ -542,7 +528,6 @@ impl SweepJournal {
         let recovery = build_recovery(records, truncated, stale)?;
         let journal = SweepJournal {
             file,
-            sync_every: sync_every.max(1),
             bytes_since_sync: 0,
             bytes_written: valid_len,
             syncs: 0,
@@ -571,7 +556,7 @@ impl SweepJournal {
         self.file.write_all(&frame)?;
         self.bytes_written += frame.len() as u64;
         self.bytes_since_sync += frame.len() as u64;
-        if self.bytes_since_sync >= self.sync_every {
+        if self.bytes_since_sync >= SYNC_EVERY_BYTES {
             self.sync()?;
         }
         Ok(())
@@ -941,7 +926,7 @@ mod tests {
     fn checkpoint_journal_create_append_resume_round_trip() {
         let dir = temp_dir("roundtrip");
         let header = sample_header();
-        let mut journal = SweepJournal::create(&dir, &header, 1024).expect("create");
+        let mut journal = SweepJournal::create(&dir, &header).expect("create");
         for i in 0..6u64 {
             journal
                 .append(&JournalRecord::ComboDone {
@@ -953,7 +938,7 @@ mod tests {
         journal.sync().expect("sync");
         drop(journal);
 
-        let (_resumed, recovery) = SweepJournal::open_resume(&dir, 1024).expect("resume");
+        let (_resumed, recovery) = SweepJournal::open_resume(&dir).expect("resume");
         assert_eq!(recovery.header, header);
         assert_eq!(recovery.completed.len(), 6);
         for i in 0..6usize {
@@ -966,7 +951,7 @@ mod tests {
     #[test]
     fn checkpoint_resume_truncates_torn_tail_and_reports_it() {
         let dir = temp_dir("torn");
-        let mut journal = SweepJournal::create(&dir, &sample_header(), 1024).expect("create");
+        let mut journal = SweepJournal::create(&dir, &sample_header()).expect("create");
         journal
             .append(&JournalRecord::ComboDone {
                 combo: 0,
@@ -989,7 +974,7 @@ mod tests {
         file.write_all(&frame[..frame.len() / 2]).expect("tear");
         drop(file);
 
-        let (mut resumed, recovery) = SweepJournal::open_resume(&dir, 1024).expect("resume");
+        let (mut resumed, recovery) = SweepJournal::open_resume(&dir).expect("resume");
         assert_eq!(recovery.truncated_bytes, (frame.len() / 2) as u64);
         assert_eq!(recovery.completed.len(), 1);
         assert_eq!(fs::metadata(&path).expect("meta").len(), intact_len);
@@ -998,9 +983,29 @@ mod tests {
         resumed.append(&done1).expect("append after truncate");
         resumed.sync().expect("sync");
         drop(resumed);
-        let (_again, recovery2) = SweepJournal::open_resume(&dir, 1024).expect("resume again");
+        let (_again, recovery2) = SweepJournal::open_resume(&dir).expect("resume again");
         assert_eq!(recovery2.completed[&1], sample_outcome(1));
         assert_eq!(recovery2.truncated_bytes, 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoint_journal_syncs_at_header_and_every_64_kib() {
+        let dir = temp_dir("epoch");
+        let mut journal = SweepJournal::create(&dir, &sample_header()).expect("create");
+        assert_eq!(journal.syncs(), 1, "create syncs the header once");
+        let rec = JournalRecord::ComboDone {
+            combo: 1,
+            outcome: sample_outcome(1),
+        };
+        let frame = encode_frame(&rec).len() as u64;
+        let under = (SYNC_EVERY_BYTES - 1) / frame;
+        for _ in 0..under {
+            journal.append(&rec).expect("append");
+        }
+        assert_eq!(journal.syncs(), 1, "frames under 64 KiB add no sync");
+        journal.append(&rec).expect("append");
+        assert_eq!(journal.syncs(), 2, "the frame crossing 64 KiB syncs once");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1013,7 +1018,7 @@ mod tests {
             outcome: sample_outcome(0),
         };
         fs::write(&path, encode_frame(&done)).expect("write");
-        let err = SweepJournal::open_resume(&dir, 1024).expect_err("must fail");
+        let err = SweepJournal::open_resume(&dir).expect_err("must fail");
         assert!(matches!(err, JournalError::Corrupt(_)), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
@@ -1025,8 +1030,8 @@ mod tests {
         fs::create_dir_all(&spill).expect("spill dir");
         fs::write(spill.join("fa-mc-visited-1-1.spill"), b"junk").expect("stale shard");
         fs::write(spill.join("keep.txt"), b"not a shard").expect("other file");
-        drop(SweepJournal::create(&dir, &sample_header(), 1024).expect("create"));
-        let (_journal, recovery) = SweepJournal::open_resume(&dir, 1024).expect("resume");
+        drop(SweepJournal::create(&dir, &sample_header()).expect("create"));
+        let (_journal, recovery) = SweepJournal::open_resume(&dir).expect("resume");
         assert_eq!(recovery.stale_spill_files, 1);
         assert!(!spill.join("fa-mc-visited-1-1.spill").exists());
         assert!(spill.join("keep.txt").exists());

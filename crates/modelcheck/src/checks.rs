@@ -348,9 +348,8 @@ where
                 )
             })?;
             let journal = if cp.resume && SweepJournal::exists(&cp.dir) {
-                let (journal, recovery) =
-                    SweepJournal::open_resume(&cp.dir, cp.sync_every_bytes)
-                        .map_err(|e| format!("cannot resume from {}: {e}", cp.dir.display()))?;
+                let (journal, recovery) = SweepJournal::open_resume(&cp.dir)
+                    .map_err(|e| format!("cannot resume from {}: {e}", cp.dir.display()))?;
                 if recovery.header != header {
                     return Err(format!(
                         "checkpoint mismatch in {}: journal was written by check {:?} \
@@ -367,7 +366,7 @@ where
                 recovered = recovery.completed;
                 journal
             } else {
-                SweepJournal::create(&cp.dir, &header, cp.sync_every_bytes).map_err(|e| {
+                SweepJournal::create(&cp.dir, &header).map_err(|e| {
                     format!(
                         "cannot create checkpoint journal in {}: {e}",
                         cp.dir.display()

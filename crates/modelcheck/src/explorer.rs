@@ -39,7 +39,7 @@ pub type PendingAction<P> = Option<Arc<Action<<P as Process>::Value, <P as Proce
 /// one register/process/output slot the step mutates. The breadth-first hot
 /// path does not store these at all (it stores id rows, see
 /// [`crate::arena`]); `McState` is the materialized form used by violations,
-/// replays, random walks, and the atomicity checker.
+/// replays, and the atomicity checker.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct McState<P: Process>
 where

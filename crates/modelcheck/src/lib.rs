@@ -36,8 +36,6 @@
 //! * [`wirings`] — enumeration of wiring combinations with the
 //!   register-relabeling symmetry reduction (fix processor 0 to the identity
 //!   wiring).
-//! * [`simulate`] — statistical model checking: random walks over the same
-//!   transition system, for scopes beyond exhaustive reach.
 //!
 //! ```
 //! use fa_modelcheck::checks::check_snapshot_task;
@@ -59,7 +57,6 @@ pub mod canon;
 pub mod checkpoint;
 pub mod checks;
 mod explorer;
-pub mod simulate;
 pub mod store;
 pub mod strategy;
 pub mod telemetry;

@@ -53,7 +53,7 @@ fn outcome(states: usize, violation: Option<&str>) -> ComboOutcome {
 /// the journal length *after* that record — the set of valid frame
 /// boundaries — plus the completed map the full journal encodes.
 fn build_fixture(dir: &Path) -> (Vec<u64>, HashMap<usize, ComboOutcome>) {
-    let mut journal = SweepJournal::create(dir, &header(), 64).expect("create journal");
+    let mut journal = SweepJournal::create(dir, &header()).expect("create journal");
     let mut boundaries = vec![journal.bytes_written()];
     let mut completed = HashMap::new();
     let records: Vec<JournalRecord> = (0..7usize)
@@ -87,7 +87,7 @@ fn truncation_at_every_offset_recovers_a_clean_prefix() {
         let dir = scratch("trunc", len);
         fs::create_dir_all(&dir).expect("mkdir");
         fs::write(dir.join(JOURNAL_FILE), &bytes[..len]).expect("write truncated copy");
-        match SweepJournal::open_resume(&dir, 64) {
+        match SweepJournal::open_resume(&dir) {
             Ok((_, recovery)) => check_prefix(&recovery, &boundaries, &truth, len as u64),
             Err(JournalError::Corrupt(_)) => {
                 // Only legal while the header itself is still incomplete:
@@ -116,7 +116,7 @@ fn corruption_at_every_offset_never_invents_a_verdict() {
         let dir = scratch("corrupt", offset * 2 + usize::from(flip == 0x80));
         fs::create_dir_all(&dir).expect("mkdir");
         fs::write(dir.join(JOURNAL_FILE), &copy).expect("write corrupted copy");
-        match SweepJournal::open_resume(&dir, 64) {
+        match SweepJournal::open_resume(&dir) {
             Ok((_, recovery)) => {
                 // The checksum pins every frame: a flipped byte can only
                 // *remove* records (scan stops at the damaged frame), never
@@ -186,7 +186,7 @@ fn recovery_is_monotone_in_journal_length() {
         let dir = scratch("monotone", len);
         fs::create_dir_all(&dir).expect("mkdir");
         fs::write(dir.join(JOURNAL_FILE), &bytes[..len]).expect("write prefix");
-        if let Ok((_, recovery)) = SweepJournal::open_resume(&dir, 64) {
+        if let Ok((_, recovery)) = SweepJournal::open_resume(&dir) {
             assert!(
                 recovery.completed.len() >= last,
                 "longer journal recovered fewer combos at len {len}"

@@ -337,19 +337,6 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Cumulative wall-clock total for one named span, emitted once per span
-/// when a telemetry stream closes (and available for direct streaming of
-/// individual intervals).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpanEvent {
-    /// Span name (e.g. `"mc.expand"`, `"fuzz.shrink"`).
-    pub name: String,
-    /// Nanoseconds covered by this event.
-    pub ns: u64,
-    /// Intervals folded into `ns` (1 for a single interval).
-    pub calls: u64,
-}
-
 #[allow(clippy::cast_precision_loss)]
 fn rate(count: usize, elapsed_ns: u64) -> f64 {
     if elapsed_ns == 0 {
@@ -378,7 +365,6 @@ pub enum ProbeEvent {
     Chaos(ChaosEvent),
     Backoff(BackoffEvent),
     Telemetry(TelemetrySnapshot),
-    Span(SpanEvent),
     Checkpoint(CheckpointEvent),
 }
 
@@ -505,12 +491,7 @@ pub(crate) mod tests {
                 max_backoff_ns: 500,
             }),
             ProbeEvent::Backoff(_) => ProbeEvent::Telemetry(sample_snapshot()),
-            ProbeEvent::Telemetry(_) => ProbeEvent::Span(SpanEvent {
-                name: "fuzz.execute".to_string(),
-                ns: 4_242,
-                calls: 7,
-            }),
-            ProbeEvent::Span(_) => ProbeEvent::Checkpoint(CheckpointEvent {
+            ProbeEvent::Telemetry(_) => ProbeEvent::Checkpoint(CheckpointEvent {
                 action: CheckpointAction::Recovered,
                 combo: None,
                 combos_recorded: 13,

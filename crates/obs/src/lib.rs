@@ -43,8 +43,8 @@ pub mod telemetry;
 
 pub use events::{
     BackoffEvent, ChaosEvent, ChaosKind, CheckpointAction, CheckpointEvent, FuzzEvent, OpKind,
-    OutputEvent, PhaseStat, ProbeEvent, QuantileStat, ReadEvent, ResetEvent, SpanEvent, StepEvent,
-    SweepEvent, TelemetrySnapshot, TimingEvent, WriteEvent,
+    OutputEvent, PhaseStat, ProbeEvent, QuantileStat, ReadEvent, ResetEvent, StepEvent, SweepEvent,
+    TelemetrySnapshot, TimingEvent, WriteEvent,
 };
 pub use jsonl::{parse_jsonl, JsonlSink};
 pub use metrics::{Histogram, ProcMetrics, RunMetrics};

@@ -23,7 +23,7 @@
 //! deterministic reports, which stay byte-identical with telemetry on or
 //! off.
 
-use crate::events::{PhaseStat, QuantileStat, SpanEvent, TelemetrySnapshot};
+use crate::events::{PhaseStat, QuantileStat, TelemetrySnapshot};
 use crate::metrics::Histogram;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -367,20 +367,6 @@ impl MetricRegistry {
             rss_bytes: read_rss_bytes(),
         }
     }
-
-    /// Cumulative [`SpanEvent`] totals for every registered span, in name
-    /// order — emitted once when a telemetry stream closes.
-    #[must_use]
-    pub fn span_events(&self) -> Vec<SpanEvent> {
-        let map = self.spans.lock().expect("span registry poisoned");
-        map.iter()
-            .map(|(name, span)| SpanEvent {
-                name: name.clone(),
-                ns: span.total_ns(),
-                calls: span.calls(),
-            })
-            .collect()
-    }
 }
 
 /// Resident set size in bytes from `/proc/self/statm` (second field ×
@@ -500,19 +486,5 @@ mod tests {
         assert_eq!(read_rss_from("x y z"), 0);
         // The real thing reports something nonzero on Linux.
         assert!(read_rss_bytes() > 0 || !cfg!(target_os = "linux"));
-    }
-
-    #[test]
-    fn span_events_list_cumulative_totals_in_name_order() {
-        let reg = MetricRegistry::new();
-        reg.span("b.second").record_ns(20);
-        reg.span("a.first").record_ns(10);
-        reg.span("a.first").record_ns(5);
-        let evs = reg.span_events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].name, "a.first");
-        assert_eq!(evs[0].ns, 15);
-        assert_eq!(evs[0].calls, 2);
-        assert_eq!(evs[1].name, "b.second");
     }
 }

@@ -28,7 +28,7 @@ pub struct TelemetryConfig {
     /// Sampling interval. The emitter also writes one final snapshot at
     /// stop, so even sub-cadence runs produce a record.
     pub cadence: Duration,
-    /// Append snapshots (and closing span totals) as JSONL here.
+    /// Append snapshots as JSONL here.
     pub jsonl_path: Option<PathBuf>,
     /// Render an in-place `\r` progress line on stderr at each sample.
     pub progress: bool,
@@ -50,10 +50,9 @@ impl Default for TelemetryConfig {
 /// What a stopped emitter saw and wrote.
 #[derive(Debug)]
 pub struct TelemetrySummary {
-    /// Snapshots emitted, including the final at-stop sample.
+    /// Snapshots emitted, including the final at-stop sample. Its
+    /// `phases` field holds every span's cumulative totals.
     pub snapshots: u64,
-    /// Closing [`crate::SpanEvent`] records appended after the snapshots.
-    pub span_events: usize,
     /// Where the JSONL stream went, if anywhere.
     pub jsonl_path: Option<PathBuf>,
     /// First I/O error the JSONL stream or the stderr progress line hit, if
@@ -65,12 +64,12 @@ pub struct TelemetrySummary {
 /// Background sampling thread over a shared [`MetricRegistry`].
 ///
 /// Start one next to a campaign workload, run the workload, then call
-/// [`TelemetryEmitter::stop`]; the emitter takes a final snapshot and
-/// appends cumulative span totals before closing the stream.
+/// [`TelemetryEmitter::stop`]; the emitter takes a final snapshot before
+/// closing the stream.
 #[derive(Debug)]
 pub struct TelemetryEmitter {
     stop: Arc<AtomicBool>,
-    handle: thread::JoinHandle<(u64, usize, Option<String>)>,
+    handle: thread::JoinHandle<(u64, Option<String>)>,
     jsonl_path: Option<PathBuf>,
 }
 
@@ -97,21 +96,19 @@ impl TelemetryEmitter {
         })
     }
 
-    /// Signals the emitter, waits for its final snapshot + span totals, and
-    /// returns what it wrote.
+    /// Signals the emitter, waits for its final snapshot, and returns what
+    /// it wrote.
     #[must_use]
     pub fn stop(self) -> TelemetrySummary {
         self.stop.store(true, Ordering::SeqCst);
         match self.handle.join() {
-            Ok((snapshots, span_events, io_error)) => TelemetrySummary {
+            Ok((snapshots, io_error)) => TelemetrySummary {
                 snapshots,
-                span_events,
                 jsonl_path: self.jsonl_path,
                 io_error,
             },
             Err(_) => TelemetrySummary {
                 snapshots: 0,
-                span_events: 0,
                 jsonl_path: self.jsonl_path,
                 io_error: Some("telemetry emitter thread panicked".to_string()),
             },
@@ -194,7 +191,7 @@ fn emitter_loop(
     config: &TelemetryConfig,
     mut sink: Option<JsonlSink<BufWriter<File>>>,
     stop: &AtomicBool,
-) -> (u64, usize, Option<String>) {
+) -> (u64, Option<String>) {
     let mut seq = 0u64;
     let mut prev: Option<TelemetrySnapshot> = None;
     let started = Instant::now();
@@ -230,13 +227,8 @@ fn emitter_loop(
         }
     }
 
-    let span_events = registry.span_events();
-    let spans = span_events.len();
     let mut io_error = None;
-    if let Some(mut sink) = sink {
-        for ev in span_events {
-            sink.on_event(&ProbeEvent::Span(ev));
-        }
+    if let Some(sink) = sink {
         if let Err(e) = sink.finish() {
             io_error = Some(e.to_string());
         }
@@ -254,7 +246,7 @@ fn emitter_loop(
         ));
         io_error = io_error.or(p.into_error());
     }
-    (seq, spans, io_error)
+    (seq, io_error)
 }
 
 /// Renders one in-place progress line from a snapshot: elapsed, then the
@@ -360,7 +352,6 @@ mod tests {
         let summary = emitter.stop();
         assert!(summary.io_error.is_none(), "{:?}", summary.io_error);
         assert!(summary.snapshots >= 3, "snapshots = {}", summary.snapshots);
-        assert_eq!(summary.span_events, 1);
 
         let text = std::fs::read_to_string(&path).unwrap();
         let events = parse_jsonl(&text).unwrap();
@@ -378,10 +369,13 @@ mod tests {
             assert!(w[1].elapsed_ns > w[0].elapsed_ns);
             assert!(w[1].counter("mc.states_total") >= w[0].counter("mc.states_total"));
         }
-        // Final snapshot saw the finished workload.
-        assert_eq!(snaps.last().unwrap().counter("mc.states_total"), 1000);
-        // Closing span totals follow the snapshots.
-        assert!(matches!(events.last(), Some(ProbeEvent::Span(s)) if s.name == "mc.expand"));
+        // Final snapshot saw the finished workload, spans included.
+        let last = snaps.last().unwrap();
+        assert_eq!(last.counter("mc.states_total"), 1000);
+        assert_eq!(last.phases["mc.expand"].calls, 20);
+        assert_eq!(last.phases["mc.expand"].ns, 20_000);
+        // The stream ends with that snapshot.
+        assert!(matches!(events.last(), Some(ProbeEvent::Telemetry(s)) if s.seq == last.seq));
 
         std::fs::remove_file(&path).ok();
     }
