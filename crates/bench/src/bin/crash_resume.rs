@@ -19,13 +19,16 @@
 //! uninterrupted n=4 baseline alone spreads 3.4–5.1 s over 18 runs on a
 //! 2-vCPU host, far wider than a 5% gate can resolve.
 //!
-//! * `--smoke` — CI shape: n=3 coarse sweep, 3 kills per arm, overhead
-//!   reported but not gated (shared-runner wall clocks are noisy).
+//! * `--smoke` — CI shape: n=3 coarse sweep, overhead reported but not
+//!   gated (shared-runner wall clocks are noisy).
 //! * full (default) — symmetric n=4 coarse sweep, ≥10 kills per arm (≥20
 //!   total), overhead gate enforced, document to `results/crash_resume.json`
 //!   plus per-recovery `CheckpointEvent`s to
 //!   `results/crash_resume_events.jsonl`.
 //! * `--kills N` — total kill budget across both arms (default 20, smoke 6).
+//!   Each arm lands at least one timed SIGKILL plus one crash at each of
+//!   its `FA_CRASH_AT` sites, whatever the budget: 4 kills on the plain
+//!   arm, 5 on the spill arm.
 //! * `--seed S` — kill-schedule seed (default 0xE25).
 //! * `--scratch DIR` — where checkpoint dirs and report files live (default
 //!   under the system temp dir; kept on failure so CI can upload it).
@@ -47,20 +50,29 @@ use fa_obs::{CheckpointAction, CheckpointEvent, JsonlSink, Probe, ProbeEvent};
 use rand::Rng;
 use serde_json::json;
 
-/// One sweep arm: a tag for file names plus the extra child flags.
+/// One sweep arm: a tag for file names, the extra child flags and the
+/// `FA_CRASH_AT` sites its sweep passes.
 struct Arm {
     name: &'static str,
     extra: &'static [&'static str],
+    sites: &'static [&'static str],
 }
 
 const ARMS: &[Arm] = &[
     Arm {
         name: "plain",
         extra: &[],
+        sites: &["journal.done", "explorer.poll", "journal.sync"],
     },
     Arm {
         name: "spill",
         extra: &["--quotient", "--visited-budget", "4KiB"],
+        sites: &[
+            "journal.done",
+            "explorer.poll",
+            "store.spill",
+            "journal.sync",
+        ],
     },
 ];
 
@@ -216,20 +228,21 @@ fn parent_main() {
 
         // Kill/resume chains: crash the child until the arm's kill budget is
         // spent, resuming each chain until it finishes, then diff.
+        let arm_kills = per_arm.max(arm.sites.len() + 1);
         let mut kills = 0usize;
+        let mut fired = vec![0usize; arm.sites.len()];
         let mut chains = 0usize;
-        let mut kill_seq = 0usize;
         let mut recoveries = 0usize;
         let mut truncated_total = 0u64;
         let mut pass = 0usize;
-        while kills < per_arm && pass < per_arm * 3 + 5 {
+        while kills < arm_kills && pass < arm_kills * 3 + 5 {
             pass += 1;
             let dir = scratch.join(format!("{}_pass{}", arm.name, pass));
             let report = scratch.join(format!("{}_pass{}.report", arm.name, pass));
             let mut resume = false;
             loop {
-                let plan = if kills < per_arm {
-                    next_plan(&mut r, kill_seq, base_best, !arm.extra.is_empty())
+                let plan = if kills < arm_kills {
+                    next_plan(&mut r, kills, base_best, arm.sites)
                 } else {
                     Plan::Run
                 };
@@ -273,8 +286,11 @@ fn parent_main() {
                         // Killed — by our SIGKILL or its own FA_CRASH_AT
                         // abort. Inspect what the journal preserved, then
                         // resume the chain.
+                        if let Plan::CrashAt(spec) = &plan {
+                            let site = arm.sites.iter().position(|s| spec.starts_with(s));
+                            fired[site.expect("plans name the arm's sites")] += 1;
+                        }
                         kills += 1;
-                        kill_seq += 1;
                         resume = true;
                         if dir.join(JOURNAL_FILE).exists() {
                             match inspect_journal(&dir) {
@@ -303,14 +319,30 @@ fn parent_main() {
             }
         }
         println!(
-            "kills={kills} chains={chains} recoveries={recoveries} truncated_bytes={truncated_total}\n"
+            "kills={kills} chains={chains} recoveries={recoveries} truncated_bytes={truncated_total}"
         );
-        if kills < per_arm {
+        let fired_list: Vec<String> = arm
+            .sites
+            .iter()
+            .zip(&fired)
+            .map(|(site, n)| format!("{site}={n}"))
+            .collect();
+        println!("crash sites fired: {}\n", fired_list.join(" "));
+        let fired_doc: Vec<_> = arm
+            .sites
+            .iter()
+            .zip(&fired)
+            .map(|(site, n)| json!({"site": site, "fired": n}))
+            .collect();
+        if kills < arm_kills {
             failures.push(format!(
-                "{}: only landed {kills}/{per_arm} kills in {pass} passes \
+                "{}: only landed {kills}/{arm_kills} kills in {pass} passes \
                  (sweep too fast for the kill schedule?)",
                 arm.name
             ));
+        }
+        for (site, _) in arm.sites.iter().zip(&fired).filter(|(_, &n)| n == 0) {
+            failures.push(format!("{}: crash site {site} never fired", arm.name));
         }
         // The overhead gate applies to the plain arm only: the spill arm's
         // wall clock is dominated by shard I/O, whose run-to-run spread
@@ -329,6 +361,7 @@ fn parent_main() {
             "checkpointed_secs": ckpt_best.as_secs_f64(),
             "overhead_pct": overhead_pct,
             "kills": kills,
+            "crash_sites_fired": fired_doc,
             "chains_completed": chains,
             "recoveries_inspected": recoveries,
             "truncated_bytes_total": truncated_total,
@@ -405,38 +438,29 @@ fn child_args(
     args
 }
 
-/// Picks how to kill the `k`-th child: even turns get a seeded SIGKILL
-/// delay scaled to the baseline wall clock, odd turns cycle through the
-/// deterministic `FA_CRASH_AT` sites (spill arms also crash as a shard
-/// spills).
-fn next_plan(r: &mut impl Rng, k: usize, baseline: Duration, spill: bool) -> Plan {
-    if k % 2 == 0 {
+/// Picks how to kill an arm's `k`-th child, cycling through one seeded
+/// SIGKILL delay scaled to the baseline wall clock and then each of the
+/// arm's deterministic `FA_CRASH_AT` sites in turn, so every
+/// `sites.len() + 1` kills fire every site once. A plan whose kill does not
+/// land (the child finishes first) is tried again on the next child.
+fn next_plan(r: &mut impl Rng, k: usize, baseline: Duration, sites: &[&str]) -> Plan {
+    let turn = k % (sites.len() + 1);
+    if turn == 0 {
         let ms = baseline.as_millis().clamp(50, 600_000) as u64;
         let lo = (ms / 20).max(2);
         let hi = (ms * 3 / 5).max(lo + 1);
-        Plan::Timed(Duration::from_millis(r.gen_range(lo..hi)))
-    } else {
-        let sites: &[&str] = if spill {
-            &[
-                "journal.done",
-                "explorer.poll",
-                "store.spill",
-                "journal.sync",
-            ]
-        } else {
-            &["journal.done", "explorer.poll", "journal.sync"]
-        };
-        let site = sites[(k / 2) % sites.len()];
-        let hit = match site {
-            // Every fresh journal syncs at its header and at sweep end
-            // (plus once per 64 KiB appended), so hits 1 and 2 always
-            // exist; a resumed child has at least the final one.
-            "journal.sync" => 1 + r.gen_range(0..2u32),
-            "store.spill" => 1 + r.gen_range(0..5u32),
-            _ => 1 + r.gen_range(0..60u32),
-        };
-        Plan::CrashAt(format!("{site}@{hit}"))
+        return Plan::Timed(Duration::from_millis(r.gen_range(lo..hi)));
     }
+    let site = sites[turn - 1];
+    let hit = match site {
+        // Every fresh journal syncs at its header and at sweep end
+        // (plus once per 64 KiB appended), so hits 1 and 2 always
+        // exist; a resumed child has at least the final one.
+        "journal.sync" => 1 + r.gen_range(0..2u32),
+        "store.spill" => 1 + r.gen_range(0..5u32),
+        _ => 1 + r.gen_range(0..60u32),
+    };
+    Plan::CrashAt(format!("{site}@{hit}"))
 }
 
 /// Spawns one child, applies the kill plan, and collects its fate. Stdout

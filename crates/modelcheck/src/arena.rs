@@ -413,8 +413,14 @@ where
     P::Output: Clone + Eq + Hash + std::fmt::Debug,
 {
     pub(crate) fn new(tables: &'a ArenaTables<P>, row: &'a [u32]) -> Self {
-        debug_assert_eq!(row.len(), tables.row_words());
+        debug_assert!((tables.row_words()..=tables.row_words() + 1).contains(&row.len()));
         StateView { tables, row }
+    }
+
+    /// The history word after the slot ids (see `Explorer::with_history`);
+    /// panics if the exploration keeps none.
+    pub(crate) fn history(&self) -> u32 {
+        self.row[self.tables.row_words()]
     }
 
     /// Number of registers.

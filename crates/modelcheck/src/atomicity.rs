@@ -1,4 +1,4 @@
-//! The non-atomicity witness (E5): an execution of the snapshot algorithm in
+//! The non-atomicity check (E5): an execution of the snapshot algorithm in
 //! which some processor outputs a set of inputs that the memory *never*
 //! contained.
 //!
@@ -15,9 +15,7 @@
 //!    cannot produce a witness: the PlusCal labels make the whole scan
 //!    atomic (Figure 3's caption), and a processor terminates only after a
 //!    scan that reads its view `I` in *every* register — at that atomic
-//!    instant the union is exactly `I`. (Even under our finer per-read
-//!    semantics, exhaustive search below finds no momentary witness at
-//!    small scope.)
+//!    instant the union is exactly `I`.
 //! 2. **Announcement**: the set of inputs that have *ever been written to*
 //!    the memory equals `I` at some point. This is the linearization
 //!    reading of an atomic memory snapshot for one-shot inputs: a snapshot
@@ -25,130 +23,331 @@
 //!    the memory by `t`. A witness output is one that matches *no* prefix
 //!    of the announcement chain — e.g. a processor returns `{1,2}` although
 //!    input 3 entered the memory before input 2 (and was erased by a
-//!    covering write before anyone read it). This is the reading under
-//!    which the paper's claim reproduces, and witnesses are real and easy
-//!    to find.
+//!    covering write before anyone read it).
 //!
-//! [`find_non_atomic_snapshot`] implements the announcement reading;
-//! [`find_momentary_witness`] the momentary one (kept for the negative
-//! result). Both use the same path-independence trick: fix a candidate
-//! output `W`, prune states where the tracked quantity equals `W`, and do
-//! plain BFS reachability to "someone output `W`". For the announcement
-//! reading the pruning is even *final*: any output is a subset of the
-//! inputs announced by then, so a witness's announced set strictly contains
-//! `W` forever after — the finite schedule is a complete certificate.
+//! ## One exact sweep per reading
 //!
-use std::borrow::Borrow;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+//! [`check_atomicity`] sweeps every wiring combination through the crate's
+//! one engine with a *history column* (DESIGN §12): each row carries a
+//! bitmask over the subsets of the (distinct) inputs, the *seen set* of
+//! every value the reading's tracked set took on the path to that state.
+//! The invariant flags an output `W` whose subset is not in the seen set.
+//! Both verdicts are exact, so a finite schedule is a complete witness:
+//!
+//! * announcement — any output is a subset of the inputs announced by
+//!   then, and the announced set only grows, so once it has passed over
+//!   `W` it strictly contains `W` forever after;
+//! * momentary — crashing every other processor at the violating state
+//!   freezes the memory, so the execution ending there never shows `W`.
+//!
+//! The momentary seen set keeps only subsets that contain some process's
+//! view, the only ones a present or future output can be; without that, one
+//! n=3 label combo passes 60 M states, with it the whole sweep completes.
+//! The seen set has `2^n` bits in one `u32`, so `n ≤ 5`. The lowest
+//! violating combo is re-run alone to turn the engine's counterexample into
+//! a [`NonAtomicWitness`], which [`verify_witness`] replays over
+//! [`McState`] independently of the engine; [`construct_witness`] builds
+//! the canonical announcement witness without any search.
 
-use fa_core::{SmallView, SnapRegister, SnapshotProcess, View};
-use fa_memory::{ProcId, Wiring};
+use std::sync::Arc;
 
-use crate::explorer::McState;
-use crate::wirings::combinations_mod_relabeling;
+use fa_core::{SnapRegister, SnapshotProcess, View};
+use fa_memory::{Action, ProcId, Wiring};
+
+use crate::arena::StateView;
+use crate::checks::{harness_scope, run_sweep, CheckConfig, TaskCheckReport};
+use crate::explorer::{step_block, ExploreReport, Explorer, HistoryFn, McState, Violation};
+use crate::wirings::ComboTable;
+
+type Snap = SnapshotProcess<u32>;
+
+/// Which "the memory contains exactly I" reading to check (module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reading {
+    /// The union of the registers' current views.
+    Momentary,
+    /// The set of inputs ever written to memory.
+    Announcement,
+}
 
 /// A witness execution for non-atomicity.
 #[derive(Clone, Debug)]
 pub struct NonAtomicWitness {
     /// The wirings of the witness system.
     pub wirings: Vec<Wiring>,
-    /// The schedule of the witness execution.
+    /// The schedule of the witness execution: single steps, or PlusCal
+    /// label blocks (see [`step_block`]) when `coarse`.
     pub schedule: Vec<ProcId>,
+    /// Whether `schedule` is at label granularity.
+    pub coarse: bool,
     /// The processor whose output is non-atomic.
     pub proc: ProcId,
-    /// The offending output: the memory union never equals it, before or
-    /// (by the flood extension) after the output.
+    /// The offending output: the reading's tracked set never equals it
+    /// along the schedule (nor, by the module docs, afterwards).
     pub output: View<u32>,
-    /// The distinct memory-union sets that occurred along the execution.
+    /// The distinct values the reading's tracked set took along the
+    /// schedule, in order of first occurrence.
     pub memory_sets_seen: Vec<View<u32>>,
 }
 
-/// The set of inputs present in memory at `state`: the union of all register
-/// views.
-fn memory_inputs(state: &McState<SnapshotProcess<u32>>) -> View<u32> {
-    // Packed fast path: when every register view is on the 64-bit
-    // representation, the whole union is one batch OR over the raw masks.
-    let smalls: Option<Vec<SmallView>> =
-        state.memory.iter().map(|reg| reg.view.as_small()).collect();
-    if let Some(smalls) = smalls {
-        return View::from_small(SmallView::union_of(&smalls));
-    }
-    let mut out = View::new();
-    for reg in &state.memory {
-        out.union_with(&reg.view);
-    }
-    out
-}
-
-/// All nonempty *strict* subsets of `inputs`, as candidate outputs, smaller
-/// candidates first.
+/// Checks the non-atomicity claim under `reading` for the snapshot
+/// algorithm with the given inputs: every wiring combination (mod
+/// relabeling), every interleaving — at label granularity when `coarse` —
+/// at most `max_states_per_combo` states per combination. Returns the
+/// sweep's report (its `violation` names the lowest violating combo and a
+/// BFS-shortest schedule) and, when it found one, the structured witness.
 ///
-/// The full input set is excluded because it can never be a witness output:
-/// to output it, a processor must read its full view in some register, at
-/// which point that register's view equals the full set, so the memory
-/// union (bounded above by the full set) equals it too.
-fn candidate_outputs(inputs: &[u32]) -> Vec<View<u32>> {
-    let mut distinct: Vec<u32> = inputs.to_vec();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let n = distinct.len();
-    let mut cands: Vec<View<u32>> = (1..(1usize << n) - 1)
-        .map(|mask| {
-            (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| distinct[i])
-                .collect()
-        })
-        .collect();
-    cands.sort_by_key(View::len);
-    cands
-}
-
-/// Searches for a non-atomicity witness for the snapshot algorithm with the
-/// given inputs, over all wiring combinations (mod relabeling) and all
-/// candidate output sets, visiting at most `max_states` distinct states per
-/// `(candidate, wiring)` search.
+/// # Errors
 ///
-/// Sound and, within the state cap, complete: if no witness is reported with
-/// an uncapped search, none exists for these inputs.
-#[must_use]
-pub fn find_non_atomic_snapshot(inputs: &[u32], max_states: usize) -> Option<NonAtomicWitness> {
-    let n = inputs.len();
-    assert!(n >= 2, "the model requires at least two processors");
-    for combo in combinations_mod_relabeling(n, n) {
-        if let Some(w) = find_non_atomic_snapshot_in(inputs, &combo, max_states) {
-            return Some(w);
-        }
-    }
-    None
-}
-
-/// How many total steps processors whose inputs lie *outside* the candidate
-/// output may take during a witness search. Announcement witnesses only need
-/// a couple of covering writes from outsiders; momentary witnesses need the
-/// outsider to keep "hopping" its value around the registers, so they get a
-/// larger budget. (Budgets guide the search; they do not affect soundness
-/// of found witnesses, only completeness of "none found".)
-const OUTSIDE_BUDGET_ANNOUNCED: usize = 8;
-const OUTSIDE_BUDGET_MOMENTARY: usize = 40;
-
-/// Like [`find_non_atomic_snapshot`] but for one explicit wiring combination
-/// (owned or `Arc`-shared wirings).
-#[must_use]
-pub fn find_non_atomic_snapshot_in<W: Borrow<Wiring>>(
+/// Only the sweep's crash-safety layer fails (see [`CheckConfig`]).
+///
+/// # Panics
+///
+/// Panics unless there are 2 to 5 distinct inputs.
+pub fn check_atomicity(
     inputs: &[u32],
-    wirings: &[W],
+    reading: Reading,
+    coarse: bool,
+    max_states_per_combo: usize,
+    config: &CheckConfig,
+) -> Result<(TaskCheckReport, Option<NonAtomicWitness>), String> {
+    check_inputs(inputs, 5);
+    let n = inputs.len();
+    let check = match (reading, coarse) {
+        (Reading::Momentary, false) => "atomicity_momentary",
+        (Reading::Momentary, true) => "atomicity_momentary_coarse",
+        (Reading::Announcement, false) => "atomicity_announcement",
+        (Reading::Announcement, true) => "atomicity_announcement_coarse",
+    };
+    let report = run_sweep(
+        check,
+        n,
+        config,
+        harness_scope(inputs, &[max_states_per_combo as u64]),
+        |combo| combo_explorer(inputs, reading, coarse, combo, max_states_per_combo),
+        unseen_output,
+        "",
+    )?
+    .report;
+    let witness = report.violation.as_ref().map(|_| {
+        let combo = ComboTable::new(n, n).combo(report.combos - 1);
+        let wirings: Vec<Wiring> = combo.iter().map(|w| (**w).clone()).collect();
+        let violation = explore_combo(inputs, reading, coarse, &wirings, max_states_per_combo)
+            .violation
+            .expect("the lowest violating combo violates again when run alone");
+        witness_from(inputs, reading, coarse, wirings, &violation)
+    });
+    Ok((report, witness))
+}
+
+/// One combination's exploration exactly as [`check_atomicity`] runs it.
+///
+/// # Panics
+///
+/// Panics unless there are 2 to 5 distinct inputs and one wiring each.
+#[must_use]
+pub fn explore_combo(
+    inputs: &[u32],
+    reading: Reading,
+    coarse: bool,
+    wirings: &[Wiring],
     max_states: usize,
-) -> Option<NonAtomicWitness> {
-    for w in candidate_outputs(inputs) {
-        if let Some(found) =
-            search_candidate(inputs, wirings, &w, max_states, Reading::Announcement)
-        {
-            return Some(found);
+) -> ExploreReport<Snap> {
+    check_inputs(inputs, 5);
+    let wirings = wirings.iter().cloned().map(Arc::new).collect();
+    combo_explorer(inputs, reading, coarse, wirings, max_states).run(unseen_output)
+}
+
+/// Asserts 2 to `max` distinct inputs (5 for a sweep: `2^5` bits fill a `u32`).
+fn check_inputs(inputs: &[u32], max: usize) {
+    let mut d = inputs.to_vec();
+    d.sort_unstable();
+    d.dedup();
+    assert!(
+        (2..=max).contains(&d.len()) && d.len() == inputs.len(),
+        "the check needs 2 to {max} distinct inputs"
+    );
+}
+
+/// The explorer of one combination, with the reading's seen set as its
+/// history column. The root's seen set holds the empty set: empty
+/// registers, nothing announced.
+fn combo_explorer(
+    inputs: &[u32],
+    reading: Reading,
+    coarse: bool,
+    wirings: Vec<Arc<Wiring>>,
+    max_states: usize,
+) -> Explorer<Snap> {
+    let n = inputs.len();
+    let procs = inputs.iter().map(|&x| SnapshotProcess::new(x, n)).collect();
+    let record: HistoryFn<Snap> = match reading {
+        Reading::Momentary => record_momentary,
+        Reading::Announcement => record_announced,
+    };
+    let explorer = Explorer::new(procs, n, SnapRegister::default(), wirings)
+        .with_max_states(max_states)
+        .with_history(1, record);
+    if coarse {
+        explorer.with_coarse_scans()
+    } else {
+        explorer
+    }
+}
+
+/// Momentary reading: the child's seen set gains its register union and
+/// keeps only subsets that contain some process's view, as every present
+/// or future output does (views only grow; an output is a final view).
+fn record_momentary(
+    seen: u32,
+    _: &StateView<'_, Snap>,
+    _: ProcId,
+    child: &StateView<'_, Snap>,
+) -> u32 {
+    let inputs = inputs_of(child);
+    let within = (0..child.num_procs()).fold(0, |acc, i| {
+        let view = subset(child.proc(i).view(), &inputs);
+        acc | (0..32)
+            .filter(|k| k & view == view)
+            .fold(0, |a, k| a | 1 << k)
+    });
+    (seen | 1 << register_union(child, &inputs)) & within
+}
+
+/// Announcement reading: the child's seen set gains its announced set. A
+/// write adds its view to the announced set and leaves it in the written
+/// register, and registers only ever hold announced inputs, so the child's
+/// announced set is the parent's joined with the register union. The
+/// parent's seen set is a chain of announced sets, so its largest set is
+/// its numerically largest subset: the highest bit.
+fn record_announced(
+    seen: u32,
+    _: &StateView<'_, Snap>,
+    _: ProcId,
+    child: &StateView<'_, Snap>,
+) -> u32 {
+    let union = register_union(child, &inputs_of(child));
+    seen | 1 << ((31 - seen.leading_zeros()) | union)
+}
+
+/// The subset of `inputs` that `state`'s registers hold.
+fn register_union(state: &StateView<'_, Snap>, inputs: &View<u32>) -> u32 {
+    (0..state.num_registers()).fold(0, |acc, i| acc | subset(&state.memory(i).view, inputs))
+}
+
+/// The inputs: the union of the processes' views, since each holds its own
+/// input and only inputs.
+fn inputs_of(state: &StateView<'_, Snap>) -> View<u32> {
+    (0..state.num_procs()).fold(View::new(), |mut acc, i| {
+        acc.union_with(state.proc(i).view());
+        acc
+    })
+}
+
+/// The subset of `inputs` that `view` holds, as a mask over their ranks;
+/// its bit in a seen set is `1 << mask`.
+fn subset(view: &View<u32>, inputs: &View<u32>) -> u32 {
+    view.iter()
+        .map(|v| 1 << (inputs.rank_of(&v).expect("views hold only inputs") - 1))
+        .sum()
+}
+
+/// The invariant: every output is a set the seen set holds.
+fn unseen_output(state: &StateView<'_, Snap>) -> Result<(), String> {
+    let (seen, inputs) = (state.history(), inputs_of(state));
+    for i in 0..state.num_procs() {
+        if let Some(w) = state.outputs(i).first() {
+            if seen & 1 << subset(w, &inputs) == 0 {
+                return Err(format!(
+                    "p{i} outputs {w}, a set the memory never contained"
+                ));
+            }
         }
     }
-    None
+    Ok(())
+}
+
+/// The structured witness for an engine counterexample: the violating
+/// schedule replayed over [`McState`].
+fn witness_from(
+    inputs: &[u32],
+    reading: Reading,
+    coarse: bool,
+    wirings: Vec<Wiring>,
+    violation: &Violation<Snap>,
+) -> NonAtomicWitness {
+    let (state, memory_sets_seen) = replay(inputs, reading, &wirings, coarse, &violation.schedule)
+        .expect("counterexample schedules replay");
+    let outputs = state.first_outputs();
+    // The engine flags the lowest process whose output its seen set lacks;
+    // should the history disagree, `verify_witness` rejects the first output.
+    let proc = (0..outputs.len())
+        .find(|&i| {
+            outputs[i]
+                .as_ref()
+                .is_some_and(|w| !memory_sets_seen.contains(w))
+        })
+        .or_else(|| outputs.iter().position(Option::is_some))
+        .expect("only an output violates");
+    NonAtomicWitness {
+        wirings,
+        schedule: violation.schedule.clone(),
+        coarse,
+        proc: ProcId(proc),
+        output: outputs[proc].clone().expect("found above"),
+        memory_sets_seen,
+    }
+}
+
+/// The set of inputs present in memory at `state`: the union of all
+/// register views.
+fn memory_inputs(state: &McState<Snap>) -> View<u32> {
+    state.memory.iter().fold(View::new(), |mut acc, reg| {
+        acc.union_with(&reg.view);
+        acc
+    })
+}
+
+fn initial_state(inputs: &[u32]) -> McState<Snap> {
+    let n = inputs.len();
+    let procs = inputs.iter().map(|&x| SnapshotProcess::new(x, n)).collect();
+    McState::initial(procs, n, SnapRegister::default())
+}
+
+/// Replays `schedule` (label blocks when `coarse`) from the initial state:
+/// the final state and the distinct values the reading's tracked set took,
+/// in order of first occurrence. `None` if the schedule steps a halted or
+/// unknown process. A block is one write, one output or reads only, so
+/// tracking per block sees every value tracking per step would.
+fn replay(
+    inputs: &[u32],
+    reading: Reading,
+    wirings: &[Wiring],
+    coarse: bool,
+    schedule: &[ProcId],
+) -> Option<(McState<Snap>, Vec<View<u32>>)> {
+    let mut state = initial_state(inputs);
+    let mut announced = View::new();
+    let mut sets = vec![View::new()];
+    for &p in schedule {
+        let action = state.pending.get(p.0)?.clone()?;
+        if let Action::Write { value, .. } = &*action {
+            announced.union_with(&value.view);
+        }
+        state = if coarse {
+            step_block(&state, p, wirings)
+        } else {
+            state.step(p, wirings)?
+        };
+        let tracked = match reading {
+            Reading::Momentary => memory_inputs(&state),
+            Reading::Announcement => announced.clone(),
+        };
+        if !sets.contains(&tracked) {
+            sets.push(tracked);
+        }
+    }
+    Some((state, sets))
 }
 
 /// Directly constructs (and verifies) the canonical announcement-reading
@@ -168,318 +367,65 @@ pub fn find_non_atomic_snapshot_in<W: Borrow<Wiring>>(
 /// construction unexpectedly fails verification (a bug).
 #[must_use]
 pub fn construct_witness(inputs: &[u32]) -> NonAtomicWitness {
+    check_inputs(inputs, usize::MAX);
     let n = inputs.len();
-    assert!(n >= 2, "the model requires at least two processors");
-    {
-        let mut d: Vec<u32> = inputs.to_vec();
-        d.sort_unstable();
-        d.dedup();
-        assert_eq!(d.len(), n, "the construction needs distinct inputs");
-    }
     let wirings = vec![Wiring::identity(n); n];
-    let mut state = McState::initial(
-        inputs
-            .iter()
-            .map(|&x| SnapshotProcess::new(x, n))
-            .collect::<Vec<_>>(),
-        n,
-        SnapRegister::default(),
-    );
-    let mut schedule = Vec::new();
-    let mut sets: Vec<View<u32>> = vec![View::new()];
-    let mut announced = View::new();
-    let record_step = |state: &mut McState<SnapshotProcess<u32>>,
-                       p: ProcId,
-                       schedule: &mut Vec<ProcId>,
-                       announced: &mut View<u32>,
-                       sets: &mut Vec<View<u32>>| {
-        if let Some(fa_memory::Action::Write { value, .. }) = state.pending[p.0].as_deref() {
-            announced.union_with(&value.view);
-        }
-        *state = state
-            .step(p, &wirings)
-            .expect("construction steps are valid");
-        schedule.push(p);
-        if !sets.contains(announced) {
-            sets.push(announced.clone());
-        }
-    };
-
-    // Step 1: p1 (input outside the output {inputs[0]}) announces its input
-    // by performing its first write, into ground-truth register 0.
-    record_step(
-        &mut state,
-        ProcId(1),
-        &mut schedule,
-        &mut announced,
-        &mut sets,
-    );
-    // Step 2..: p0 runs solo. Its first write covers register 0, erasing
-    // p1's value before anyone read it; p0 then fills the remaining
-    // registers with {inputs[0]}, climbs to level n, and outputs.
-    let p0 = ProcId(0);
-    for _ in 0..100_000 {
-        if state.first_outputs()[0].is_some() {
-            break;
-        }
-        record_step(&mut state, p0, &mut schedule, &mut announced, &mut sets);
+    // p1 announces its input by writing ground-truth register 0; p0's first
+    // write covers it unread, and p0 then runs solo to its output.
+    let mut schedule = vec![ProcId(1)];
+    let mut state = initial_state(inputs)
+        .step(ProcId(1), &wirings)
+        .expect("p1 starts poised");
+    while state.first_outputs()[0].is_none() {
+        state = state
+            .step(ProcId(0), &wirings)
+            .expect("p0 runs until it outputs");
+        schedule.push(ProcId(0));
     }
-    let output = state.first_outputs()[0]
-        .clone()
-        .expect("solo snapshot terminates");
+    let (_, memory_sets_seen) = replay(inputs, Reading::Announcement, &wirings, false, &schedule)
+        .expect("the schedule was just run");
     let witness = NonAtomicWitness {
         wirings,
         schedule,
-        proc: p0,
-        output,
-        memory_sets_seen: sets,
+        coarse: false,
+        proc: ProcId(0),
+        output: state.first_outputs()[0]
+            .clone()
+            .expect("solo snapshot terminates"),
+        memory_sets_seen,
     };
     assert!(
-        verify_witness(inputs, &witness),
+        verify_witness(inputs, Reading::Announcement, &witness),
         "constructed witness must verify (bug if not)"
     );
     witness
 }
 
-/// Searches for a witness under the *momentary* reading (current memory
-/// union). Kept for the negative result: no momentary witness exists at
-/// small scope — see the module docs.
+/// Replays a witness and re-verifies it under `reading`, independently of
+/// the engine: the schedule is valid, the witness processor outputs the
+/// witness output, and the reading's tracked set never equals that output
+/// along the way (nor afterwards — see the module docs).
 #[must_use]
-pub fn find_momentary_witness(inputs: &[u32], max_states: usize) -> Option<NonAtomicWitness> {
-    let n = inputs.len();
-    assert!(n >= 2, "the model requires at least two processors");
-    for combo in combinations_mod_relabeling(n, n) {
-        if let Some(found) = find_momentary_witness_in(inputs, &combo, max_states) {
-            return Some(found);
-        }
-    }
-    None
-}
-
-/// [`find_momentary_witness`] for one explicit wiring combination.
-#[must_use]
-pub fn find_momentary_witness_in<W: Borrow<Wiring>>(
-    inputs: &[u32],
-    wirings: &[W],
-    max_states: usize,
-) -> Option<NonAtomicWitness> {
-    for w in candidate_outputs(inputs) {
-        if let Some(found) = search_candidate(inputs, wirings, &w, max_states, Reading::Momentary) {
-            return Some(found);
-        }
-    }
-    None
-}
-
-/// Which "the memory contains exactly I" reading to search under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Reading {
-    /// The union of current register views.
-    Momentary,
-    /// The set of inputs ever written to memory.
-    Announcement,
-}
-
-/// BFS for an execution in which the tracked memory quantity (per
-/// `reading`) never equals `target`, reaching a state where some processor
-/// has output `target`.
-fn search_candidate<W: Borrow<Wiring>>(
-    inputs: &[u32],
-    wirings: &[W],
-    target: &View<u32>,
-    max_states: usize,
-    reading: Reading,
-) -> Option<NonAtomicWitness> {
-    let n = inputs.len();
-    let procs: Vec<SnapshotProcess<u32>> =
-        inputs.iter().map(|&x| SnapshotProcess::new(x, n)).collect();
-    let initial = McState::initial(procs, n, SnapRegister::default());
-    if memory_inputs(&initial) == *target {
-        return None; // the empty set can only equal an empty target
-    }
-    let outside: Vec<bool> = inputs.iter().map(|x| !target.contains(x)).collect();
-    let outside_budget = match reading {
-        Reading::Announcement => OUTSIDE_BUDGET_ANNOUNCED,
-        Reading::Momentary => OUTSIDE_BUDGET_MOMENTARY,
-    };
-
-    // Node: (state, announced set, steps taken by outside processors).
-    type Node = (McState<SnapshotProcess<u32>>, View<u32>, usize);
-    let tracked = |state: &McState<SnapshotProcess<u32>>, announced: &View<u32>| match reading {
-        Reading::Momentary => memory_inputs(state),
-        Reading::Announcement => announced.clone(),
-    };
-
-    // Arena with parent links; dedup via hash + exact comparison. The node
-    // carries the announced set (monotone; only relevant for the
-    // announcement reading, empty otherwise to keep dedup tight).
-    let initial_announced = View::new();
-    let mut arena: Vec<(Node, Option<(usize, ProcId)>)> =
-        vec![((initial, initial_announced, 0), None)];
-    let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-    let node_hash = |node: &Node| -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        node.hash(&mut h);
-        h.finish()
-    };
-    index.entry(node_hash(&arena[0].0)).or_default().push(0);
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    queue.push_back(0);
-
-    while let Some(cur) = queue.pop_front() {
-        let (state, announced, outside_steps) = arena[cur].0.clone();
-        for p in state.live() {
-            // Budget the interference of processors outside the candidate.
-            let next_outside = outside_steps + usize::from(outside[p.0]);
-            if next_outside > outside_budget {
-                continue;
-            }
-            // Track announcements: a write adds its view to the announced set.
-            let mut next_announced = announced.clone();
-            if reading == Reading::Announcement {
-                if let Some(fa_memory::Action::Write { value, .. }) = state.pending[p.0].as_deref()
-                {
-                    next_announced.union_with(&value.view);
-                }
-            }
-            let next = state.step(p, wirings).expect("live process steps");
-            // Prune states where the tracked quantity equals the candidate.
-            if tracked(&next, &next_announced) == *target {
-                continue;
-            }
-            // Success: someone output exactly the candidate. (Checked
-            // before the viability prune — the success state itself has no
-            // viable future and must not be discarded.)
-            let success_proc = next
-                .first_outputs()
-                .iter()
-                .position(|o| o.as_ref() == Some(target));
-            // Prune states from which the candidate can no longer be output:
-            // views only grow, so a processor can still output `target` only
-            // if it has not output yet and its view is within `target`.
-            // The momentary search is stricter (a guided heuristic): *every*
-            // inside processor must keep its view within the candidate —
-            // witnesses of the hopping-value shape have that form, and the
-            // restriction keeps the space tractable.
-            let viable = match reading {
-                Reading::Announcement => (0..n)
-                    .any(|i| next.outputs[i].is_empty() && next.procs[i].view().is_subset(target)),
-                Reading::Momentary => {
-                    (0..n).any(|i| {
-                        next.outputs[i].is_empty() && next.procs[i].view().is_subset(target)
-                    }) && (0..n).all(|i| {
-                        outside[i]
-                            || !next.outputs[i].is_empty()
-                            || next.procs[i].view().is_subset(target)
-                    })
-                }
-            };
-            if success_proc.is_none() && !viable {
-                continue;
-            }
-            let node = (next, next_announced, next_outside);
-            let h = node_hash(&node);
-            let slot = index.entry(h).or_default();
-            if slot.iter().any(|&i| arena[i].0 == node) {
-                continue;
-            }
-            if arena.len() >= max_states {
-                return None;
-            }
-            let id = arena.len();
-            slot.push(id);
-            arena.push((node, Some((cur, p))));
-
-            if let Some(i) = success_proc {
-                let mut schedule = Vec::new();
-                let mut cursor = id;
-                while let Some((parent, q)) = arena[cursor].1 {
-                    schedule.push(q);
-                    cursor = parent;
-                }
-                schedule.reverse();
-                // Collect the distinct tracked sets along the witness path.
-                let mut sets: Vec<View<u32>> = Vec::new();
-                let mut replay = McState::initial(
-                    inputs.iter().map(|&x| SnapshotProcess::new(x, n)).collect(),
-                    n,
-                    SnapRegister::default(),
-                );
-                let mut replay_announced = View::new();
-                let record = |v: View<u32>, sets: &mut Vec<View<u32>>| {
-                    if !sets.contains(&v) {
-                        sets.push(v);
-                    }
-                };
-                record(tracked(&replay, &replay_announced), &mut sets);
-                for &q in &schedule {
-                    if let Some(fa_memory::Action::Write { value, .. }) =
-                        replay.pending[q.0].as_deref()
-                    {
-                        replay_announced.union_with(&value.view);
-                    }
-                    replay = replay.step(q, wirings).expect("schedule is valid");
-                    record(tracked(&replay, &replay_announced), &mut sets);
-                }
-                return Some(NonAtomicWitness {
-                    wirings: wirings.iter().map(|w| w.borrow().clone()).collect(),
-                    schedule,
-                    proc: ProcId(i),
-                    output: target.clone(),
-                    memory_sets_seen: sets,
-                });
-            }
-            queue.push_back(id);
-        }
-    }
-    None
-}
-
-/// Replays a witness and re-verifies it under the announcement reading: the
-/// output really is produced and the set of inputs ever written to memory
-/// never equals it along the schedule (and cannot afterwards — see the
-/// module docs).
-#[must_use]
-pub fn verify_witness(inputs: &[u32], witness: &NonAtomicWitness) -> bool {
-    let n = inputs.len();
-    let procs: Vec<SnapshotProcess<u32>> =
-        inputs.iter().map(|&x| SnapshotProcess::new(x, n)).collect();
-    let mut state = McState::initial(procs, n, SnapRegister::default());
-    let mut announced = View::new();
-    if announced == witness.output {
+pub fn verify_witness(inputs: &[u32], reading: Reading, witness: &NonAtomicWitness) -> bool {
+    let Some((state, sets)) = replay(
+        inputs,
+        reading,
+        &witness.wirings,
+        witness.coarse,
+        &witness.schedule,
+    ) else {
         return false;
-    }
-    for &p in &witness.schedule {
-        if let Some(fa_memory::Action::Write { value, .. }) = state.pending[p.0].as_deref() {
-            announced.union_with(&value.view);
-        }
-        match state.step(p, &witness.wirings) {
-            Some(next) => state = next,
-            None => return false,
-        }
-        if announced == witness.output {
-            return false;
-        }
-    }
-    state.first_outputs()[witness.proc.0]
-        .as_ref()
-        .is_some_and(|o| *o == witness.output)
+    };
+    !sets.contains(&witness.output)
+        && state
+            .first_outputs()
+            .get(witness.proc.0)
+            .is_some_and(|o| o.as_ref() == Some(&witness.output))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn candidate_outputs_enumerates_subsets() {
-        let cands = candidate_outputs(&[1, 2, 2, 3]);
-        assert_eq!(cands.len(), 6); // 2^3 - 2: nonempty strict subsets
-        assert!(cands.contains(&View::singleton(1)));
-        // The full set is provably never a witness output.
-        assert!(!cands.contains(&[1, 2, 3].into_iter().collect()));
-        // Smaller candidates first (cheaper searches).
-        assert!(cands.windows(2).all(|w| w[0].len() <= w[1].len()));
-    }
 
     #[test]
     fn three_processors_are_not_atomic() {
@@ -488,7 +434,10 @@ mod tests {
         // construction, independently re-verified by replay.
         let inputs = [1u32, 2, 3];
         let witness = construct_witness(&inputs);
-        assert!(verify_witness(&inputs, &witness), "witness must replay");
+        assert!(
+            verify_witness(&inputs, Reading::Announcement, &witness),
+            "witness must replay"
+        );
         assert!(!witness.memory_sets_seen.contains(&witness.output));
         assert!(witness.output.contains(&inputs[witness.proc.0]));
         // The announced chain went {} → {2} → {1,2} → …: never {1}.
@@ -503,25 +452,74 @@ mod tests {
         for n in 2..=6usize {
             let inputs: Vec<u32> = (1..=n as u32).collect();
             let witness = construct_witness(&inputs);
-            assert!(verify_witness(&inputs, &witness), "n={n}");
+            assert!(
+                verify_witness(&inputs, Reading::Announcement, &witness),
+                "n={n}"
+            );
         }
     }
 
     #[test]
-    fn bounded_search_agrees_with_construction_at_n2() {
-        // The BFS search (announcement reading) independently finds a
-        // witness for two processors within a modest budget.
+    fn announcement_sweep_finds_a_witness_that_replays_at_n2() {
+        // The exact sweep independently finds what the construction builds.
         let inputs = [1u32, 2];
-        let witness = find_non_atomic_snapshot(&inputs, 400_000).expect("searchable at n=2");
-        assert!(verify_witness(&inputs, &witness));
+        for coarse in [false, true] {
+            let (report, witness) = check_atomicity(
+                &inputs,
+                Reading::Announcement,
+                coarse,
+                1_000_000,
+                &CheckConfig::default(),
+            )
+            .unwrap();
+            assert!(report.violation.is_some(), "coarse={coarse}");
+            let witness = witness.expect("a violation comes with a witness");
+            assert_eq!(witness.coarse, coarse);
+            assert!(
+                verify_witness(&inputs, Reading::Announcement, &witness),
+                "coarse={coarse}"
+            );
+        }
     }
 
     #[test]
-    fn momentary_reading_admits_no_small_witness() {
-        // The negative result that motivates the announcement reading: no
-        // momentary witness within this bounded scope (and none can exist
-        // under the paper's own atomic-scan spec — module docs).
-        assert!(find_momentary_witness(&[1u32, 2], 200_000).is_none());
+    fn momentary_reading_has_no_witness_at_n2() {
+        // Exact at both granularities: every combo runs to completion and
+        // no output is ever a union the memory never held.
+        for coarse in [false, true] {
+            let (report, witness) = check_atomicity(
+                &[1u32, 2],
+                Reading::Momentary,
+                coarse,
+                1_000_000,
+                &CheckConfig::default(),
+            )
+            .unwrap();
+            assert!(report.complete, "coarse={coarse}");
+            assert_eq!(report.combos, report.total_combos);
+            assert!(report.violation.is_none() && witness.is_none());
+        }
+    }
+
+    #[test]
+    fn a_history_that_never_records_is_caught_by_verify_witness() {
+        // Mutant: the seen set stays {∅}, so the first output in BFS order
+        // is flagged although the tracked set did pass through it.
+        let inputs = [1u32, 2];
+        let combo = ComboTable::new(2, 2).combo(0);
+        for reading in [Reading::Announcement, Reading::Momentary] {
+            let violation = combo_explorer(&inputs, reading, false, combo.clone(), 1_000_000)
+                .with_history(1, |seen, _, _, _| seen)
+                .run(unseen_output)
+                .violation
+                .expect("every output is flagged");
+            let wirings = combo.iter().map(|w| (**w).clone()).collect();
+            let witness = witness_from(&inputs, reading, false, wirings, &violation);
+            assert!(
+                !verify_witness(&inputs, reading, &witness),
+                "{reading:?}: {witness:?}"
+            );
+        }
     }
 
     #[test]
@@ -529,6 +527,10 @@ mod tests {
         let inputs = [1u32, 2, 3];
         let mut witness = construct_witness(&inputs);
         witness.output = View::singleton(99);
-        assert!(!verify_witness(&inputs, &witness));
+        assert!(!verify_witness(&inputs, Reading::Announcement, &witness));
+        let mut witness = construct_witness(&inputs);
+        witness.schedule.push(ProcId(0)); // p0 has halted by now
+        witness.schedule.push(ProcId(0));
+        assert!(!verify_witness(&inputs, Reading::Announcement, &witness));
     }
 }

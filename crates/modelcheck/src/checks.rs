@@ -264,7 +264,7 @@ pub struct CheckOutcome {
 /// Errors are reserved for the crash-safety layer: an unreadable or
 /// mismatched journal, or a journal write failure mid-sweep. Without a
 /// [`CheckConfig::checkpoint`] this never returns `Err`.
-fn run_sweep<P, MkE, F>(
+pub(crate) fn run_sweep<P, MkE, F>(
     check: &'static str,
     n: usize,
     config: &CheckConfig,
@@ -582,7 +582,7 @@ where
 
 /// Checkpoint scope for a harness: fingerprints the raw inputs plus every
 /// cap/knob that shapes its sweep (see [`checkpoint::scope_of`]).
-fn harness_scope(inputs: &[u32], caps: &[u64]) -> u64 {
+pub(crate) fn harness_scope(inputs: &[u32], caps: &[u64]) -> u64 {
     let inputs: Vec<u64> = inputs.iter().map(|&x| u64::from(x)).collect();
     checkpoint::scope_of(&inputs, caps)
 }

@@ -240,7 +240,14 @@ where
     visited_budget: Option<usize>,
     corrupt_spill: bool,
     spill_dir: Option<std::path::PathBuf>,
+    history: Option<(u32, HistoryFn<P>)>,
 }
+
+/// A history column's update (DESIGN §12): the child's history word from
+/// the parent's word, the parent, the stepping process and the child. Like
+/// a TLA+ history variable it records something about the path, so dedup
+/// and the BFS tree see it, but no step reads it.
+pub(crate) type HistoryFn<P> = fn(u32, &StateView<'_, P>, ProcId, &StateView<'_, P>) -> u32;
 
 /// What one thread keeps between the explorations it runs, so a combo-pool
 /// worker pays for its tables and buffers once rather than per combo
@@ -372,6 +379,7 @@ where
             visited_budget: None,
             corrupt_spill: false,
             spill_dir: None,
+            history: None,
         }
     }
 
@@ -468,6 +476,16 @@ where
         self
     }
 
+    /// Appends a history column to every row: the root's word is
+    /// `initial`, each child's is `step`'s (see [`HistoryFn`]), and
+    /// invariants read it through `StateView::history`. Only for
+    /// explorations with a trivial quotient group: the canonicalizer
+    /// permutes `m + 3n` words.
+    pub(crate) fn with_history(mut self, initial: u32, step: HistoryFn<P>) -> Self {
+        self.history = Some((initial, step));
+        self
+    }
+
     /// Initial-state symmetry classes: `classes[i] == classes[j]` iff
     /// processors `i` and `j` start value-equal (same process state, same
     /// poised action) — the processor-permutation constraint of the sound
@@ -547,8 +565,9 @@ where
         S: Fn() -> bool,
     {
         let (m, n) = self.dims();
-        let w = m + 3 * n;
+        let width = m + 3 * n + usize::from(self.history.is_some());
         let canon = self.canonicalizer();
+        debug_assert!(canon.is_none() || self.history.is_none());
         let mut fresh = None;
         let tables = if canon.is_none() && self.id_cap == HALTED {
             if !scratch.tables.as_ref().is_some_and(|t| t.dims() == (m, n)) {
@@ -560,7 +579,7 @@ where
         };
         scratch.tree.clear();
         let store = &mut scratch.visited;
-        store.reset(w, self.visited_budget);
+        store.reset(width, self.visited_budget);
         if let Some(dir) = &self.spill_dir {
             store.set_spill_dir(dir.clone());
         }
@@ -576,7 +595,7 @@ where
             &mut scratch.tree,
         );
         // No spill file outlives the exploration that wrote it.
-        store.reset(w, None);
+        store.reset(width, None);
         report
     }
 
@@ -671,6 +690,7 @@ where
     {
         let (m, n) = self.dims();
         let w = m + 3 * n;
+        let width = w + usize::from(self.history.is_some());
         let mut terminal = 0usize;
         let mut complete = true;
         // Σ orbit sizes of visited canonical states — the full-space total
@@ -703,7 +723,13 @@ where
                     let (_, orbit) = c.canonicalize(&k0, &mut out);
                     (out, orbit)
                 }
-                None => (k0.into_vec(), 1),
+                None => (
+                    k0.iter()
+                        .copied()
+                        .chain(self.history.map(|h| h.0))
+                        .collect(),
+                    1,
+                ),
             };
             estimate += root_orbit;
             if store.insert(&root_row).is_err() {
@@ -725,9 +751,9 @@ where
                 break 'run (false, None);
             }
 
-            let mut cur_row = vec![0u32; w];
-            let mut row = vec![0u32; w];
-            let mut canon_buf = vec![0u32; w];
+            let mut cur_row = vec![0u32; width];
+            let mut row = vec![0u32; width];
+            let mut canon_buf = vec![0u32; width];
             let mut level_start = 0usize;
             while level_start < store.len() {
                 let level_end = store.len();
@@ -777,6 +803,14 @@ where
                             // hitting the state cap — the report stays
                             // honest and the sweep worker never panics.
                             break 'run (false, None);
+                        }
+                        if let Some((_, step)) = self.history {
+                            row[w] = step(
+                                cur_row[w],
+                                &StateView::new(tables, &cur_row),
+                                p,
+                                &StateView::new(tables, &row),
+                            );
                         }
                         let (gidx, orbit) = match canon {
                             Some(c) => {

@@ -31,8 +31,9 @@
 //!   truncates torn tails and replays recorded outcomes verbatim, a memory
 //!   watchdog that stops a sweep at an RSS limit, and env-driven crash
 //!   injection.
-//! * [`atomicity`] — the witness search for E5: an execution in which a
-//!   returned snapshot never equalled the set of inputs present in memory.
+//! * [`atomicity`] — E5: whether a returned snapshot can be a set of inputs
+//!   the memory never held, one sweep per reading on the [`Explorer`]'s
+//!   history column, with witnesses replayed independently of the engine.
 //! * [`wirings`] — enumeration of wiring combinations with the
 //!   register-relabeling symmetry reduction (fix processor 0 to the identity
 //!   wiring).

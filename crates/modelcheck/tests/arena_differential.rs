@@ -10,12 +10,14 @@ mod support;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fa_core::{ConsensusProcess, RenamingProcess, SnapRegister, SnapshotProcess, ViewValue};
-use fa_memory::{ProcId, Wiring};
+use fa_core::{ConsensusProcess, RenamingProcess, SnapRegister, SnapshotProcess, View, ViewValue};
+use fa_memory::{Action, ProcId, Wiring};
+use fa_modelcheck::atomicity::{explore_combo, Reading};
 use fa_modelcheck::checks::{
     check_consensus_safety_with, check_snapshot_task_coarse_with, check_snapshot_task_with,
     CheckConfig,
 };
+use fa_modelcheck::wirings::combinations_mod_relabeling;
 use fa_modelcheck::{
     ArenaTables, ExploreReport, Explorer, McState, StateView, StrategyKind, TieredVisited,
     VisitedStore,
@@ -296,6 +298,107 @@ fn arena_matches_reference_on_the_consensus_system() {
         );
         assert!(report.violation.is_some(), "coarse = {coarse}: must trip");
     }
+}
+
+/// The mask over input positions of the inputs `view` holds.
+fn subset_mask(view: &View<u32>, inputs: &[u32]) -> u32 {
+    (0..inputs.len())
+        .filter(|&i| view.contains(&inputs[i]))
+        .map(|i| 1 << i)
+        .sum()
+}
+
+/// The E5 seen set recomputed over `McState`s: bit `1 << k` for each
+/// subset `k` the reading's tracked set took. The announced set is the
+/// union of every subset seen, grown by the stepping process's pending
+/// write. The momentary one is the child's register union, and only
+/// subsets that contain some process's view are kept.
+fn reference_seen(
+    reading: Reading,
+    inputs: &'static [u32],
+) -> impl Fn(u32, &McState<SnapshotProcess<u32>>, ProcId, &McState<SnapshotProcess<u32>>) -> u32 {
+    move |seen, parent, p, child| match reading {
+        Reading::Momentary => {
+            let union = child
+                .memory
+                .iter()
+                .map(|r| subset_mask(&r.view, inputs))
+                .fold(0, |a, b| a | b);
+            let views: Vec<u32> = child
+                .procs
+                .iter()
+                .map(|q| subset_mask(q.view(), inputs))
+                .collect();
+            let within = (0..32u32)
+                .filter(|&k| views.iter().any(|&v| v & !k == 0))
+                .fold(0, |a, k| a | 1 << k);
+            (seen | 1 << union) & within
+        }
+        Reading::Announcement => {
+            let announced = (0..32).filter(|k| seen & 1 << k != 0).fold(0, |a, k| a | k);
+            let written = match parent.pending[p.0].as_deref() {
+                Some(Action::Write { value, .. }) => subset_mask(&value.view, inputs),
+                _ => 0,
+            };
+            seen | 1 << (announced | written)
+        }
+    }
+}
+
+/// The E5 invariant over `McState`s: every output is a subset seen.
+fn reference_unseen(
+    s: &McState<SnapshotProcess<u32>>,
+    seen: u32,
+    inputs: &[u32],
+) -> Result<(), String> {
+    for (i, out) in s.first_outputs().iter().enumerate() {
+        if let Some(w) = out {
+            if seen & 1 << subset_mask(w, inputs) == 0 {
+                return Err(format!(
+                    "p{i} outputs {w}, a set the memory never contained"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn history_column_matches_reference_on_the_atomicity_check() {
+    // The engine's history column against the reference's search over
+    // (state, history) pairs: every n=2 combo, both readings, both
+    // granularities (announcement violates, momentary completes), and the
+    // first n=3 label combo under a cap.
+    const N2: &[u32] = &[1, 2];
+    const N3: &[u32] = &[1, 2, 3];
+    let mut violations = 0;
+    for reading in [Reading::Announcement, Reading::Momentary] {
+        for coarse in [false, true] {
+            let n3_combo0 = combinations_mod_relabeling(3, 3).next().unwrap();
+            let systems = combinations_mod_relabeling(2, 2)
+                .map(|combo| (N2, combo, 1_000_000))
+                .chain([(N3, n3_combo0, 20_000)]);
+            for (inputs, combo, cap) in systems {
+                let wirings: Vec<Wiring> = combo.iter().map(|w| (**w).clone()).collect();
+                let initial =
+                    McState::initial(snapshot_procs(inputs), inputs.len(), Default::default());
+                let reference = support::explore_with_history(
+                    initial,
+                    &wirings,
+                    bounds(coarse, cap),
+                    (1, reference_seen(reading, inputs)),
+                    |s, seen| reference_unseen(s, seen, inputs),
+                );
+                let engine = explore_combo(inputs, reading, coarse, &wirings, cap);
+                assert_matches_reference(&engine, &reference);
+                if inputs.len() == 2 && reading == Reading::Momentary {
+                    assert!(engine.complete, "{wirings:?} coarse={coarse}");
+                }
+                violations += usize::from(engine.violation.is_some());
+            }
+        }
+    }
+    assert!(violations > 0, "the announcement reading must violate");
 }
 
 #[test]
