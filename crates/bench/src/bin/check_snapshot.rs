@@ -38,8 +38,6 @@
 //! stop: the current records are journaled, a final checkpoint is synced,
 //! and the run exits 2.
 
-use std::fs;
-use std::io::Write as _;
 use std::sync::atomic::Ordering;
 
 use fa_bench::{
@@ -52,7 +50,6 @@ use fa_modelcheck::checks::{
     TaskCheckReport,
 };
 use fa_modelcheck::CheckConfig;
-use fa_obs::{JsonlSink, Probe, ProbeEvent, SweepEvent};
 
 /// Several distinct sweeps run in one invocation; each gets its own journal
 /// under a per-sweep subdirectory so `--resume` always meets a journal whose
@@ -141,7 +138,6 @@ fn main() {
     let mut exit = 0i32;
 
     println!("== E3: model-checking the snapshot task (Figure 3) ==\n");
-    let mut telemetry: Vec<SweepEvent> = Vec::new();
     let mut rows = Vec::new();
 
     for inputs in [vec![1u32, 2], vec![5, 5]] {
@@ -157,7 +153,6 @@ fn main() {
             report.violation.clone().unwrap_or_else(|| "none".into()),
         ]);
         exit = exit.max(report_exit_code(report));
-        telemetry.push(outcome.telemetry);
     }
 
     print_table(
@@ -176,7 +171,6 @@ fn main() {
     println!("inputs {:?}: {}", inputs, report_line(&outcome.report));
     println!("{}", sweep_summary(&outcome.telemetry));
     exit = exit.max(report_exit_code(&outcome.report));
-    telemetry.push(outcome.telemetry);
 
     // 3 processors at per-read granularity: bounded; no violation in the
     // explored prefix.
@@ -186,7 +180,6 @@ fn main() {
     println!("inputs {:?}: {}", inputs, report_line(&outcome.report));
     println!("{}", sweep_summary(&outcome.telemetry));
     exit = exit.max(report_exit_code(&outcome.report));
-    telemetry.push(outcome.telemetry);
 
     if cli_flag("--n4") {
         // E18: the 4-processor coarse-scan sweep, opened up by the parallel
@@ -200,7 +193,6 @@ fn main() {
         println!("inputs {:?}: {}", inputs, report_line(&outcome.report));
         println!("{}", sweep_summary(&outcome.telemetry));
         exit = exit.max(report_exit_code(&outcome.report));
-        telemetry.push(outcome.telemetry);
     }
 
     println!("\n== wait-freedom certificate (solo termination from every reachable state) ==\n");
@@ -216,21 +208,8 @@ fn main() {
         exit = exit.max(EXIT_VIOLATION);
     }
 
-    // Persist the sweep telemetry through the probe layer.
-    let mut sink = JsonlSink::new(Vec::new());
-    for ev in &telemetry {
-        sink.on_event(&ProbeEvent::Sweep(ev.clone()));
-    }
-    fs::create_dir_all("results").expect("create results dir");
-    let mut f =
-        fs::File::create("results/check_snapshot_telemetry.jsonl").expect("create telemetry file");
-    f.write_all(&sink.into_inner()).expect("write telemetry");
-    println!(
-        "\nwrote results/check_snapshot_telemetry.jsonl ({} sweeps)",
-        telemetry.len()
-    );
     session.finish();
-    // 0 clean / 2 incomplete / 3 violation — after the telemetry stream is
-    // flushed, since process::exit runs no destructors.
+    // 0 clean / 2 incomplete / 3 violation — after the telemetry session
+    // is flushed, since process::exit runs no destructors.
     std::process::exit(exit);
 }

@@ -23,11 +23,14 @@
 //! * **overhead** — the live arm's states/sec must be within
 //!   `MAX_OVERHEAD_PCT` of the plain arm's.
 //!
-//! Artifacts: `results/telemetry_overhead.json` (full document) and the
-//! `e22_*` keys merged into `BENCH_value_plane.json` (repo root).
+//! Artifact: `results/telemetry_overhead.json`, or `--out PATH`. A
+//! `--smoke` run writes `fa_telemetry_overhead_smoke.json` under the
+//! system temporary directory instead, so it never overwrites the
+//! committed full-run numbers.
 //!
 //! Usage: `cargo run --release -p fa-bench --bin telemetry_overhead
-//! [-- --smoke]` (`--smoke` shrinks the sweep for CI; shapes unchanged).
+//! [-- --smoke] [--out PATH]` (`--smoke` shrinks the sweep for CI; the
+//! artifact's shape is unchanged).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,7 +40,7 @@ use fa_core::SnapshotProcess;
 use fa_modelcheck::wirings::ComboTable;
 use fa_modelcheck::{Explorer, SweepTelemetry};
 use fa_obs::{MetricRegistry, TelemetryConfig, TelemetryEmitter};
-use serde_json::{json, Map, Value};
+use serde_json::json;
 
 /// Acceptance threshold: the live telemetry plane may cost at most this
 /// fraction of plain-sweep throughput.
@@ -91,8 +94,16 @@ fn sweep(
 #[allow(clippy::too_many_lines)]
 fn main() {
     let smoke = cli_flag("--smoke");
-    let out_path = cli_value("--out").unwrap_or_else(|| "results/telemetry_overhead.json".into());
-    let root_path = cli_value("--root-out").unwrap_or_else(|| "BENCH_value_plane.json".into());
+    let out_path = cli_value("--out").unwrap_or_else(|| {
+        if smoke {
+            std::env::temp_dir()
+                .join("fa_telemetry_overhead_smoke.json")
+                .display()
+                .to_string()
+        } else {
+            "results/telemetry_overhead.json".into()
+        }
+    });
     // Smoke takes the best of 5 interleaved reps over a meaningful combo
     // count: the arena engine (E23) finishes 96 combos in ~0.5s, where host
     // noise (±10%+) drowns the sub-1% probe cost and flips the gate; more
@@ -196,34 +207,15 @@ fn main() {
         "per_combo_identical": identical,
         "telemetry_snapshots": summary.snapshots,
     });
-    std::fs::create_dir_all("results").expect("create results dir");
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("create output dir");
+    }
     std::fs::write(
         &out_path,
         serde_json::to_string_pretty(&doc).expect("serialize") + "\n",
     )
     .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("\nwrote {out_path}");
-
-    // Merge the headline numbers into the root perf-trajectory document.
-    let mut root: Map = std::fs::read_to_string(&root_path)
-        .ok()
-        .and_then(|s| serde_json::from_str::<Value>(&s).ok())
-        .and_then(|v| match v {
-            Value::Object(m) => Some(m),
-            _ => None,
-        })
-        .unwrap_or_default();
-    root.insert("e22_telemetry_overhead_pct".into(), json!(overhead_pct));
-    root.insert("e22_states_per_sec_plain".into(), json!(plain_rate));
-    root.insert("e22_states_per_sec_live".into(), json!(live_rate));
-    root.insert("e22_snapshots".into(), json!(summary.snapshots));
-    root.insert("e22_determinism_ok".into(), json!(identical));
-    std::fs::write(
-        &root_path,
-        serde_json::to_string_pretty(&Value::Object(root)).expect("serialize") + "\n",
-    )
-    .unwrap_or_else(|e| panic!("cannot write {root_path}: {e}"));
-    println!("merged e22_* keys into {root_path}");
 
     let enough_snapshots = summary.snapshots >= 10;
     if !enough_snapshots {

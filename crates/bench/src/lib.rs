@@ -29,7 +29,8 @@ use rand_chacha::ChaCha8Rng;
 /// default `None` implementations, so `View<Opaque>` always uses the
 /// `BTreeSet` fallback representation. This is exactly the pre-interning
 /// value plane, kept around as the baseline ("old representation") that the
-/// value-plane benches and the `bench_report` binary measure against.
+/// criterion `value_plane` bench times against the bitmask path, and that
+/// this crate's tests require to explore the same state spaces.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Opaque(pub u32);
 
@@ -38,6 +39,67 @@ impl fa_core::ViewValue for Opaque {}
 impl std::fmt::Display for Opaque {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.0)
+    }
+}
+
+#[cfg(test)]
+mod opaque_tests {
+    use super::Opaque;
+    use fa_core::{SnapshotProcess, ViewValue};
+    use fa_memory::{Executor, SharedMemory, Wiring};
+    use fa_modelcheck::wirings::ComboTable;
+    use fa_modelcheck::Explorer;
+    use std::fmt::Debug;
+    use std::hash::Hash;
+
+    /// Per-combo state counts of the first `combos` combos of the n = 4
+    /// coarse sweep, capped at 2,000 states each, with inputs `0..4`
+    /// wrapped by `value`.
+    fn sweep_states<V>(combos: usize, value: impl Fn(u32) -> V) -> Vec<usize>
+    where
+        V: ViewValue + Eq + Hash + Debug + Default,
+    {
+        let n = 4;
+        let table = ComboTable::new(n, n);
+        (0..combos)
+            .map(|i| {
+                let procs: Vec<_> = (0..n as u32)
+                    .map(|x| SnapshotProcess::new(value(x), n))
+                    .collect();
+                Explorer::new(procs, n, Default::default(), table.combo(i))
+                    .with_coarse_scans()
+                    .with_max_states(2_000)
+                    .run(|_| Ok(()))
+                    .states
+            })
+            .collect()
+    }
+
+    /// Total steps of one round-robin snapshot run on cyclic-shift wirings.
+    fn round_robin_steps<V>(n: usize, value: impl Fn(u32) -> V) -> usize
+    where
+        V: ViewValue + Eq + Hash + Debug + Default,
+    {
+        let procs: Vec<_> = (0..n as u32)
+            .map(|x| SnapshotProcess::new(value(x), n))
+            .collect();
+        let wirings: Vec<Wiring> = (0..n).map(|s| Wiring::cyclic_shift(n, s)).collect();
+        let memory = SharedMemory::new(n, Default::default(), wirings).expect("memory");
+        let mut exec = Executor::new(procs, memory).expect("executor");
+        exec.run_round_robin(1_000_000).expect("terminates");
+        exec.total_steps()
+    }
+
+    #[test]
+    fn bitmask_and_fallback_views_explore_equal_spaces() {
+        // 96 combos, 192,000 states per representation: about 3 s in a
+        // debug build on 2 vCPUs.
+        let dense = sweep_states(96, |x| x);
+        assert_eq!(dense, sweep_states(96, Opaque));
+        for n in [4, 6] {
+            let steps = round_robin_steps(n, |x| x);
+            assert_eq!(steps, round_robin_steps(n, Opaque), "n={n}");
+        }
     }
 }
 

@@ -208,161 +208,6 @@ fn backoff_chaos_cell(seed: u64) -> BackoffCell {
     }
 }
 
-/// One perf-trajectory row sourced from a committed `results/` artifact.
-struct Trend {
-    experiment: &'static str,
-    source: &'static str,
-    metric: &'static str,
-    /// Rendered value, `None` when the artifact is absent or its shape is
-    /// not the expected one (the trend table degrades, never panics).
-    value: Option<String>,
-}
-
-fn read_json_file(path: &str) -> Option<Value> {
-    serde_json::from_str(&fs::read_to_string(path).ok()?).ok()
-}
-
-/// States/sec of the heaviest sweep in a `SweepEvent` array (by
-/// `combos_total`), `None` when the array is empty or malformed.
-fn heaviest_sweep_rate(sweeps: &[Value]) -> Option<String> {
-    let best = sweeps
-        .iter()
-        .max_by_key(|s| s.get("combos_total").and_then(Value::as_u64).unwrap_or(0))?;
-    let states = best.get("states").and_then(Value::as_u64)?;
-    let elapsed = best.get("elapsed_ns").and_then(Value::as_u64)?;
-    #[allow(clippy::cast_precision_loss)]
-    Some(format!(
-        "{:.0} states/s ({} states)",
-        states as f64 / (elapsed as f64 / 1e9).max(1e-9),
-        states
-    ))
-}
-
-/// Reads every committed perf artifact (E17–E24) defensively and returns
-/// the cross-experiment trend rows for the report's `trends` section.
-#[allow(clippy::cast_precision_loss)]
-fn trend_rows() -> Vec<Trend> {
-    let mut rows = Vec::new();
-
-    // E17: this report's own previous committed run.
-    rows.push(Trend {
-        experiment: "E17",
-        source: "results/obs_report.json",
-        metric: "heaviest sweep",
-        value: read_json_file("results/obs_report.json")
-            .and_then(|v| v.get("sweeps").and_then(Value::as_array).cloned())
-            .and_then(|s| heaviest_sweep_rate(&s)),
-    });
-
-    // E18: the 4-processor sweep telemetry stream (externally tagged
-    // `{"Sweep": {...}}` lines).
-    rows.push(Trend {
-        experiment: "E18",
-        source: "results/check_snapshot_telemetry.jsonl",
-        metric: "heaviest sweep",
-        value: fs::read_to_string("results/check_snapshot_telemetry.jsonl")
-            .ok()
-            .map(|text| {
-                text.lines()
-                    .filter_map(|l| serde_json::from_str::<Value>(l).ok())
-                    .filter_map(|v| v.get("Sweep").cloned())
-                    .collect::<Vec<_>>()
-            })
-            .and_then(|s| heaviest_sweep_rate(&s)),
-    });
-
-    // E19: fuzz campaign throughput.
-    rows.push(Trend {
-        experiment: "E19",
-        source: "results/fuzz_report.json",
-        metric: "fuzz throughput",
-        value: read_json_file("results/fuzz_report.json").and_then(|v| {
-            let steps = v.get("total_steps").and_then(Value::as_u64)?;
-            let cases = v.get("cases").and_then(Value::as_u64)?;
-            let elapsed = v.get("elapsed_ns").and_then(Value::as_u64)?;
-            Some(format!(
-                "{:.0} steps/s ({cases} cases)",
-                steps as f64 / (elapsed as f64 / 1e9).max(1e-9)
-            ))
-        }),
-    });
-
-    // E20: chaos campaign scenario verdicts.
-    rows.push(Trend {
-        experiment: "E20",
-        source: "results/chaos_report.json",
-        metric: "scenarios passed",
-        value: read_json_file("results/chaos_report.json")
-            .and_then(|v| v.get("scenarios").and_then(Value::as_array).cloned())
-            .map(|scenarios| {
-                let passed = scenarios
-                    .iter()
-                    .filter(|s| s.get("checks_passed").and_then(Value::as_bool) == Some(true))
-                    .count();
-                format!("{passed}/{}", scenarios.len())
-            }),
-    });
-
-    // E21: value-plane sweep throughput and speedup.
-    rows.push(Trend {
-        experiment: "E21",
-        source: "results/bench_report.json",
-        metric: "value-plane sweep",
-        value: read_json_file("results/bench_report.json").and_then(|v| {
-            let sweep = v.get("sweep")?;
-            let rate = sweep
-                .get("bitmask_states_per_sec")
-                .and_then(Value::as_f64)?;
-            let speedup = sweep.get("speedup").and_then(Value::as_f64)?;
-            Some(format!("{rate:.0} states/s ({speedup:.2}x vs fallback)"))
-        }),
-    });
-
-    // E22: live-telemetry overhead (root perf-trajectory document).
-    rows.push(Trend {
-        experiment: "E22",
-        source: "BENCH_value_plane.json",
-        metric: "telemetry overhead",
-        value: read_json_file("BENCH_value_plane.json").and_then(|v| {
-            let pct = v
-                .get("e22_telemetry_overhead_pct")
-                .and_then(Value::as_f64)?;
-            let rate = v.get("e22_states_per_sec_live").and_then(Value::as_f64)?;
-            Some(format!("{pct:.2}% at {rate:.0} states/s live"))
-        }),
-    });
-
-    // E24: symmetry-quotient compression of the fully-symmetric sweep.
-    rows.push(Trend {
-        experiment: "E24",
-        source: "results/bench_report.json",
-        metric: "quotient orbit factor",
-        value: read_json_file("results/bench_report.json").and_then(|v| {
-            let quot = v.get("quotient")?;
-            let factor = quot.get("orbit_factor").and_then(Value::as_f64)?;
-            let canonical = quot.get("canonical_states").and_then(Value::as_u64)?;
-            let combos = quot.get("combos_explored").and_then(Value::as_u64)?;
-            Some(format!(
-                "{factor:.2}x ({canonical} canonical states, {combos} combo classes)"
-            ))
-        }),
-    });
-
-    rows
-}
-
-fn trend_json(t: &Trend) -> Value {
-    let mut obj = Map::new();
-    obj.insert("experiment".into(), Value::String(t.experiment.into()));
-    obj.insert("source".into(), Value::String(t.source.into()));
-    obj.insert("metric".into(), Value::String(t.metric.into()));
-    obj.insert(
-        "value".into(),
-        t.value.clone().map_or(Value::Null, Value::String),
-    );
-    Value::Object(obj)
-}
-
 fn backoff_cell_json(c: &BackoffCell) -> Value {
     let mut obj = Map::new();
     obj.insert("seed".into(), c.seed.to_value());
@@ -406,12 +251,9 @@ pub fn run_report(jobs: Option<usize>) {
     // full campaign).
     let backoff_cells: Vec<BackoffCell> = (0..3).map(backoff_chaos_cell).collect();
 
-    // Cross-experiment perf trajectory from the committed artifacts.
-    let trends = trend_rows();
-
     // JSON artifact.
     let mut root = Map::new();
-    root.insert("schema_version".into(), 4u64.to_value());
+    root.insert("schema_version".into(), 3u64.to_value());
     root.insert("experiment".into(), Value::String("obs_report".into()));
     root.insert(
         "config".into(),
@@ -432,10 +274,6 @@ pub fn run_report(jobs: Option<usize>) {
     root.insert(
         "consensus_backoff".into(),
         Value::Array(backoff_cells.iter().map(backoff_cell_json).collect()),
-    );
-    root.insert(
-        "trends".into(),
-        Value::Array(trends.iter().map(trend_json).collect()),
     );
     let json = serde_json::to_string_pretty(&Value::Object(root)).expect("serialize report");
     fs::create_dir_all("results").expect("create results dir");
@@ -557,21 +395,6 @@ pub fn run_report(jobs: Option<usize>) {
         &backoff_rows,
     );
 
-    // Perf-trajectory trends from the committed artifacts (E17–E24).
-    println!("\n== perf trajectory across committed artifacts ==\n");
-    let trend_table: Vec<Vec<String>> = trends
-        .iter()
-        .map(|t| {
-            vec![
-                t.experiment.to_string(),
-                t.metric.to_string(),
-                t.value.clone().unwrap_or_else(|| "unavailable".into()),
-                t.source.to_string(),
-            ]
-        })
-        .collect();
-    print_table(&["experiment", "metric", "value", "source"], &trend_table);
-
     println!(
         "\nwrote results/obs_report.json ({} cells, {} sweeps, {} backoff runs) and results/obs_sweeps.jsonl",
         cells.len(),
@@ -580,37 +403,4 @@ pub fn run_report(jobs: Option<usize>) {
     );
     println!("peak covering = max processors simultaneously poised to write (Section 2);");
     println!("resets = snapshot levels falling to 0 after covered writes surfaced.");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn heaviest_sweep_rate_picks_the_largest_sweep() {
-        let sweeps: Vec<Value> = [
-            serde_json::json!({"combos_total": 2, "states": 100, "elapsed_ns": 1_000_000_000u64}),
-            serde_json::json!({"combos_total": 36, "states": 9_000, "elapsed_ns": 2_000_000_000u64}),
-        ]
-        .to_vec();
-        let rendered = heaviest_sweep_rate(&sweeps).expect("well-formed sweeps");
-        assert!(rendered.contains("4500 states/s"), "{rendered}");
-        assert!(rendered.contains("9000 states"), "{rendered}");
-        assert!(heaviest_sweep_rate(&[]).is_none());
-        assert!(heaviest_sweep_rate(&[Value::Null]).is_none());
-    }
-
-    #[test]
-    fn trend_rows_degrade_gracefully_without_artifacts() {
-        // Unit tests run from the crate directory, where no results/
-        // artifacts exist: every row must render (value = None), not panic.
-        let rows = trend_rows();
-        assert_eq!(rows.len(), 7, "one row per experiment E17..E24");
-        for t in &rows {
-            assert!(!t.experiment.is_empty());
-            assert!(!t.source.is_empty());
-        }
-        let json: Vec<Value> = rows.iter().map(trend_json).collect();
-        assert_eq!(json.len(), 7);
-    }
 }

@@ -1424,6 +1424,27 @@ mod tests {
             ..spilled
         };
         assert_eq!(format!("{spilled:?}"), format!("{in_memory:?}"));
+
+        // n = 5: five equal processors on identity wirings, coarse scans,
+        // a 2,000-state prefix. A 64 KiB budget spills it too, and the
+        // capped report matches the in-memory one.
+        let mk5 = || {
+            let procs: Vec<SnapshotProcess<u32>> =
+                (0..5).map(|_| SnapshotProcess::new(7, 5)).collect();
+            Explorer::new(procs, 5, Default::default(), vec![Wiring::identity(5); 5])
+                .with_coarse_scans()
+                .with_max_states(2_000)
+                .with_quotient()
+        };
+        let in_memory = mk5().run(|_| Ok(()));
+        let spilled = mk5().with_visited_budget(64 * 1024).run(|_| Ok(()));
+        assert!(!spilled.complete);
+        assert!(spilled.spilled_shards > 0, "budget of 64 KiB must spill");
+        let spilled = ExploreReport {
+            spilled_shards: 0,
+            ..spilled
+        };
+        assert_eq!(format!("{spilled:?}"), format!("{in_memory:?}"));
     }
 
     #[test]

@@ -103,6 +103,20 @@ fn equal_inputs_coarse_sweep_beats_the_two_x_bar() {
     );
     let factor = stats.orbit_factor();
     assert!(factor > 2.0, "orbit factor {factor:.2} ≤ 2");
+
+    // The ledger at 2,000 states per combo, pinned exactly: the 36 combos
+    // fold to 10 classes, whose 20,000 canonical states stand for 115,648
+    // full ones (5.7824×).
+    let q = check_snapshot_task_coarse_with(&[7, 7, 7], 2_000, &quotiented()).unwrap();
+    let stats = q.report.quotient.as_ref().unwrap();
+    assert_eq!(
+        (
+            stats.combos_explored,
+            stats.canonical_states,
+            stats.full_states_estimate
+        ),
+        (10, 20_000, 115_648)
+    );
 }
 
 #[test]
