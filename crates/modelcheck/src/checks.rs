@@ -30,12 +30,11 @@ use fa_memory::{Process, Wiring};
 use fa_obs::{MetricRegistry, SweepEvent};
 use fa_tasks::{check_group_solution, AdaptiveRenaming, GroupAssignment, GroupId, Snapshot};
 
-use crate::arena::StateView;
 use crate::canon;
 use crate::checkpoint::{
     self, CheckpointConfig, JournalHeader, JournalRecord, MemoryWatchdog, SweepJournal,
 };
-use crate::explorer::{Explorer, Scratch};
+use crate::explorer::{Explorer, Invariant, OutputsOnly, Scratch};
 use crate::strategy::{run_pool, ComboOutcome, StrategyKind};
 use crate::telemetry::SweepTelemetry;
 use crate::wirings::ComboTable;
@@ -261,6 +260,10 @@ pub struct CheckOutcome {
 /// it pins a checkpoint journal to one exact sweep so `--resume` under a
 /// different configuration fails loudly instead of splicing reports.
 ///
+/// `invariant` is a `Fn(&StateView)` closure or, when it reads only the
+/// first outputs and the all-halted bit, an [`OutputsOnly`] predicate,
+/// whose verdicts each worker memoizes beside its tables.
+///
 /// Errors are reserved for the crash-safety layer: an unreadable or
 /// mismatched journal, or a journal write failure mid-sweep. Without a
 /// [`CheckConfig::checkpoint`] this never returns `Err`.
@@ -278,7 +281,7 @@ where
     P::Value: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
     P::Output: Clone + Eq + Hash + std::fmt::Debug + Send + Sync,
     MkE: Fn(Vec<Arc<Wiring>>) -> Explorer<P> + Sync,
-    F: Fn(&StateView<'_, P>) -> Result<(), String> + Sync,
+    F: Invariant<P> + Sync,
 {
     let table = ComboTable::new(n, n);
     let total = table.len();
@@ -687,6 +690,7 @@ fn snapshot_sweep(
     let n = inputs.len();
     assert!(n >= 2, "the model requires at least two processors");
     let groups = group_assignment(inputs);
+    let all_inputs: View<u32> = inputs.iter().copied().collect();
     let cap = max_states_per_combo as u64;
     let (check, caps) = match level {
         None if coarse => ("snapshot_task_coarse", vec![cap]),
@@ -713,22 +717,33 @@ fn snapshot_sweep(
                 explorer
             }
         },
-        |state| snapshot_invariant(state, inputs, &groups, level.is_none()),
+        OutputsOnly(|outputs: &[Option<View<u32>>], halted: bool| {
+            snapshot_invariant(
+                outputs,
+                halted,
+                inputs,
+                &all_inputs,
+                &groups,
+                level.is_none(),
+            )
+        }),
         &prefix,
     )
 }
 
-/// The invariants listed on [`check_snapshot_task`]. `comparable: false`
-/// drops only the pairwise clause, for ablations at a lowered level: they
-/// may break it while the task itself is still group-solved.
+/// The invariants listed on [`check_snapshot_task`], on each process's
+/// first output and whether all halted; `all_inputs` is the view of
+/// `inputs`. `comparable: false` drops only the pairwise clause, for
+/// ablations at a lowered level: they may break it while the task itself
+/// is still group-solved.
 fn snapshot_invariant(
-    state: &StateView<'_, SnapshotProcess<u32>>,
+    outputs: &[Option<View<u32>>],
+    all_halted: bool,
     inputs: &[u32],
+    all_inputs: &View<u32>,
     groups: &GroupAssignment,
     comparable: bool,
 ) -> Result<(), String> {
-    let outputs = state.first_outputs();
-    let all_inputs: View<u32> = inputs.iter().copied().collect();
     // Fast path: when every present output is a packed 64-bit view, the
     // whole pairwise-comparability clause collapses to one batch chain check
     // over the raw masks (SIMD-friendly, no per-pair deep compares). The
@@ -747,7 +762,7 @@ fn snapshot_invariant(
         if !view.contains(&inputs[i]) {
             return Err(format!("output of p{i} misses its own input"));
         }
-        if !view.is_subset(&all_inputs) {
+        if !view.is_subset(all_inputs) {
             return Err(format!("output of p{i} contains non-input values"));
         }
         if pairs_hold {
@@ -761,7 +776,7 @@ fn snapshot_invariant(
             }
         }
     }
-    if state.all_halted() {
+    if all_halted {
         let opt_outputs: Vec<Option<std::collections::BTreeSet<GroupId>>> = outputs
             .iter()
             .map(|o| o.as_ref().map(|v| view_to_groups(v, inputs)))
@@ -817,8 +832,7 @@ pub fn check_renaming_with(
                 inputs.iter().map(|&x| RenamingProcess::new(x, n)).collect();
             Explorer::new(procs, n, Default::default(), combo).with_max_states(max_states_per_combo)
         },
-        |state| {
-            let outputs = state.first_outputs();
+        OutputsOnly(|outputs: &[Option<usize>], all_halted: bool| {
             // Partial check: names of different groups never collide.
             for i in 0..outputs.len() {
                 for j in (i + 1)..outputs.len() {
@@ -831,12 +845,12 @@ pub fn check_renaming_with(
                     }
                 }
             }
-            if state.all_halted() {
-                check_group_solution(&AdaptiveRenaming::quadratic(), &groups, &outputs)
+            if all_halted {
+                check_group_solution(&AdaptiveRenaming::quadratic(), &groups, outputs)
                     .map_err(|e| format!("terminal renaming violation: {e}"))?;
             }
             Ok(())
-        },
+        }),
         "",
     )
 }
@@ -899,8 +913,7 @@ pub fn check_consensus_safety_with(
                 .with_max_states(max_states_per_combo)
                 .with_max_depth(max_depth)
         },
-        |state| {
-            let outputs = state.first_outputs();
+        OutputsOnly(|outputs: &[Option<u32>], _all_halted: bool| {
             let decided: Vec<(usize, u32)> = outputs
                 .iter()
                 .enumerate()
@@ -920,7 +933,7 @@ pub fn check_consensus_safety_with(
                 }
             }
             Ok(())
-        },
+        }),
         "",
     )
 }
@@ -1021,6 +1034,7 @@ pub fn check_snapshot_task_at_level(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::StateView;
     use fa_memory::{Action, StepInput};
 
     #[test]
@@ -1149,7 +1163,7 @@ mod tests {
             // Violated iff p2's wiring maps local 0 to global 2 (value 3 is
             // only ever written by p2): perm indices 4 and 5 of S_3, i.e.
             // combo indices 24..36. Lowest violating index: 24.
-            |state| {
+            |state: &StateView<'_, WriteOnce>| {
                 if *state.memory(2) == 3 {
                     Err("register 2 holds 3".to_string())
                 } else {
@@ -1181,7 +1195,7 @@ mod tests {
                 ];
                 Explorer::new(procs, 3, 0u8, combo)
             },
-            |state| {
+            |state: &StateView<'_, WriteOnce>| {
                 let hits = (0..3).filter(|&r| *state.memory(r) == 1).count();
                 if hits >= 2 {
                     Err(format!("{hits} registers hold 1"))
@@ -1215,7 +1229,7 @@ mod tests {
                     ];
                     Explorer::new(procs, 3, 0u8, combo)
                 },
-                |_| Ok(()),
+                |_: &StateView<'_, WriteOnce>| Ok(()),
                 "",
             )
             .expect("uncheckpointed sweeps never error")
@@ -1323,6 +1337,7 @@ mod tests {
     ) -> (u64, u64) {
         let n = inputs.len();
         let groups = group_assignment(inputs);
+        let all_inputs: View<u32> = inputs.iter().copied().collect();
         let table = ComboTable::new(n, n);
         let tel = crate::ExplorerTelemetry::default();
         for i in combos {
@@ -1335,7 +1350,16 @@ mod tests {
             if quotient {
                 explorer = explorer.with_quotient();
             }
-            explorer.run(|state| snapshot_invariant(state, inputs, &groups, true));
+            explorer.run(|state| {
+                snapshot_invariant(
+                    &state.first_outputs(),
+                    state.all_halted(),
+                    inputs,
+                    &all_inputs,
+                    &groups,
+                    true,
+                )
+            });
         }
         (tel.step_memo_hits.get(), tel.step_memo_misses.get())
     }
@@ -1458,6 +1482,167 @@ mod tests {
         }
     }
 
+    /// Writes its input to local register 0, reads local register 1,
+    /// outputs what it read and halts: its output depends on the wiring.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct WriteReadOutput {
+        input: u8,
+        pc: u8,
+    }
+    impl Process for WriteReadOutput {
+        type Value = u8;
+        type Output = u8;
+        fn step(&mut self, i: StepInput<u8>) -> Action<u8, u8> {
+            self.pc += 1;
+            match (self.pc, i) {
+                (1, _) => Action::write(0, self.input),
+                (2, _) => Action::read(1),
+                (3, StepInput::ReadValue(v)) => Action::Output(*v),
+                _ => Action::Halt,
+            }
+        }
+    }
+
+    /// Runs an outputs-only `predicate` over the three-writer
+    /// [`WriteReadOutput`] sweep at `jobs = 1` and `2`, and checks each
+    /// report against fresh per-combo [`Explorer::run`]s of the same
+    /// predicate in `StateView` form: equal per-combo state counts, and the
+    /// sweep's violation string, schedule included, is the lowest violating
+    /// combo's. Returns the serial report.
+    fn outputs_sweep_matches_fresh_explorations(
+        predicate: fn(&[Option<u8>], bool) -> Result<(), String>,
+    ) -> TaskCheckReport {
+        let mk = |combo: Vec<Arc<Wiring>>| {
+            let procs = [1, 2, 3]
+                .map(|input| WriteReadOutput { input, pc: 0 })
+                .to_vec();
+            Explorer::new(procs, 3, 0u8, combo)
+        };
+        let view_form = |state: &StateView<'_, WriteReadOutput>| {
+            predicate(&state.first_outputs(), state.all_halted())
+        };
+        let table = ComboTable::new(3, 3);
+        let mut reports = Vec::new();
+        for jobs in [1, 2] {
+            let outcome = run_sweep(
+                "write_read_output",
+                3,
+                &CheckConfig::default().with_jobs(jobs),
+                0,
+                mk,
+                OutputsOnly(predicate),
+                "",
+            )
+            .expect("uncheckpointed sweeps never error");
+            let report = outcome.report;
+            assert!(
+                report.combos > 1,
+                "the first violating combo follows others"
+            );
+            let violator = report.combos - 1;
+            for (i, &states) in outcome.telemetry.per_combo_states.iter().enumerate() {
+                let fresh = mk(table.combo(i)).run(view_form);
+                assert_eq!(states, fresh.states, "jobs={jobs} combo {i}");
+                assert_eq!(fresh.violation.is_some(), i == violator, "combo {i}");
+                if let Some(v) = fresh.violation {
+                    let expected = format!(
+                        "wirings {:?}: {} (schedule {:?})",
+                        table
+                            .combo(i)
+                            .iter()
+                            .map(ToString::to_string)
+                            .collect::<Vec<_>>(),
+                        v.message,
+                        v.schedule
+                    );
+                    assert_eq!(report.violation.as_deref(), Some(expected.as_str()));
+                }
+            }
+            reports.push(report);
+        }
+        assert_eq!(reports[0], reports[1]);
+        reports.swap_remove(0)
+    }
+
+    #[test]
+    fn violating_outputs_only_sweep_matches_fresh_per_combo_explorations() {
+        // p0 reads global register 1, so it outputs 3 only on wirings that
+        // route p2's write there: the combos before the first such one
+        // warm each worker's tables and verdict memo.
+        outputs_sweep_matches_fresh_explorations(|outputs, _| {
+            if outputs[0] == Some(3) {
+                Err("p0 read p2's input".to_string())
+            } else {
+                Ok(())
+            }
+        });
+    }
+
+    #[test]
+    fn verdict_memo_keys_on_the_all_halted_bit() {
+        // Fails only once every process halted. The last process's halt
+        // step changes no output, so each violating terminal state's
+        // output ids were first judged, and passed, one step earlier in a
+        // non-terminal state: a memo keyed on the output ids alone would
+        // pass it too.
+        let report = outputs_sweep_matches_fresh_explorations(|outputs, all_halted| {
+            if all_halted && outputs[0] == Some(3) {
+                Err("p0 ended holding p2's input".to_string())
+            } else {
+                Ok(())
+            }
+        });
+        assert!(report.violation.is_some());
+    }
+
+    /// `(mc.invariant_evals, mc.states_total)` of a telemetry-attached
+    /// snapshot sweep.
+    fn invariant_evals_and_states(
+        inputs: &[u32],
+        cap: usize,
+        coarse: bool,
+        config: &CheckConfig,
+    ) -> (u64, u64) {
+        let registry = Arc::new(MetricRegistry::new());
+        let config = config.clone().with_telemetry(Arc::clone(&registry));
+        let outcome = if coarse {
+            check_snapshot_task_coarse_with(inputs, cap, &config)
+        } else {
+            check_snapshot_task_with(inputs, cap, &config)
+        }
+        .unwrap();
+        assert!(outcome.report.violation.is_none());
+        let snap = registry.sample(0, None);
+        let states = snap.counter("mc.states_total");
+        assert_eq!(states, outcome.report.total_states as u64);
+        (snap.counter("mc.invariant_evals"), states)
+    }
+
+    #[test]
+    fn invariant_evals_count_memo_misses_exactly() {
+        // n = 3, label granularity, 1,000 states per combo: no process
+        // outputs that early, so the first state judged is the only one.
+        assert_eq!(
+            invariant_evals_and_states(&[1, 2, 3], 1_000, true, &CheckConfig::serial()),
+            (1, 36_000)
+        );
+        // n = 2 to completion: one run per distinct (outputs, all-halted)
+        // key the worker meets.
+        assert_eq!(
+            invariant_evals_and_states(&[1, 2], 500_000, false, &CheckConfig::serial()),
+            (11, 7_133)
+        );
+        // Under a nontrivial quotient group every exploration gets fresh
+        // tables, so the invariant runs on every state.
+        let (evals, states) = invariant_evals_and_states(
+            &[5, 5],
+            500_000,
+            false,
+            &CheckConfig::serial().with_quotient(),
+        );
+        assert_eq!(evals, states);
+    }
+
     #[test]
     fn parallel_sweep_selects_lowest_violating_combo() {
         let serial = write_once_sweep(1);
@@ -1525,7 +1710,7 @@ mod tests {
                     ];
                     Explorer::new(procs, 3, 0u8, combo).with_id_cap(2)
                 },
-                |_| Ok(()),
+                |_: &StateView<'_, WriteOnce>| Ok(()),
                 "",
             )
             .expect("uncheckpointed sweeps never error");

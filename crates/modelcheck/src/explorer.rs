@@ -13,7 +13,9 @@
 //! (`--jobs`); DESIGN §15 records why there is no intra-combo crew.
 
 use std::borrow::Borrow;
-use std::hash::Hash;
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -22,7 +24,7 @@ use fa_memory::{Action, ProcId, Process, StepInput, Wiring};
 use crate::arena::{ArenaTables, StateView, HALTED};
 use crate::canon::{compose, invert, Canonicalizer};
 use crate::checkpoint::crash_point;
-use crate::store::{hash_row, TieredVisited, VisitedStore};
+use crate::store::{hash_row, StepBuildHasher, TieredVisited, VisitedStore};
 use crate::telemetry::ExplorerTelemetry;
 
 /// A process's poised-action slot: `None` once the process has halted.
@@ -249,6 +251,118 @@ where
 /// and the BFS tree see it, but no step reads it.
 pub(crate) type HistoryFn<P> = fn(u32, &StateView<'_, P>, ProcId, &StateView<'_, P>) -> u32;
 
+/// What an exploration checks on every state it admits: any
+/// `Fn(&StateView)` closure, which reads the whole state and runs on every
+/// state, or an [`OutputsOnly`] predicate, whose verdict `run_in` may
+/// memoize (DESIGN §12).
+pub(crate) trait Invariant<P: Process>
+where
+    P: Clone + Eq + Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug,
+{
+    /// Whether the verdict reads only each process's first output and the
+    /// all-halted bit, so equal outputs-section ids and bit give equal
+    /// verdicts.
+    const OUTPUTS_ONLY: bool;
+
+    /// The verdict on `state`: `Err(message)` reports a violation.
+    fn check(&self, state: &StateView<'_, P>) -> Result<(), String>;
+}
+
+impl<P, F> Invariant<P> for F
+where
+    P: Process + Clone + Eq + Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug,
+    F: Fn(&StateView<'_, P>) -> Result<(), String>,
+{
+    const OUTPUTS_ONLY: bool = false;
+
+    fn check(&self, state: &StateView<'_, P>) -> Result<(), String> {
+        self(state)
+    }
+}
+
+/// A sweep invariant that sees only the first outputs and whether every
+/// process halted, never a [`StateView`], so no other slot can reach a
+/// memoized verdict.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct OutputsOnly<F>(pub(crate) F);
+
+impl<P, F> Invariant<P> for OutputsOnly<F>
+where
+    P: Process + Clone + Eq + Hash + std::fmt::Debug,
+    P::Value: Clone + Eq + Hash + std::fmt::Debug,
+    P::Output: Clone + Eq + Hash + std::fmt::Debug,
+    F: Fn(&[Option<P::Output>], bool) -> Result<(), String>,
+{
+    const OUTPUTS_ONLY: bool = true;
+
+    fn check(&self, state: &StateView<'_, P>) -> Result<(), String> {
+        (self.0)(&state.first_outputs(), state.all_halted())
+    }
+}
+
+/// A verdict-memo key: a row's outputs-section ids, then its all-halted
+/// bit as one more word. Hashed two words per multiply, like a row.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct VerdictKey(Vec<u32>);
+
+impl Hash for VerdictKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(hash_row(&self.0));
+    }
+}
+
+/// [`OutputsOnly`] verdicts keyed on the outputs-section ids plus the
+/// all-halted bit. Valid only beside the tables that assigned its ids, and
+/// for the one invariant of the sweep its scratch serves.
+#[derive(Debug)]
+pub(crate) struct VerdictMemo {
+    verdicts: HashMap<VerdictKey, Result<(), String>, StepBuildHasher>,
+    /// The last key looked up, reused so a hit allocates nothing, and its
+    /// verdict: consecutive states mostly share a key.
+    last: (VerdictKey, Result<(), String>),
+}
+
+impl Default for VerdictMemo {
+    fn default() -> Self {
+        // The empty key matches no lookup, so its verdict is never read.
+        VerdictMemo {
+            verdicts: HashMap::default(),
+            last: (VerdictKey::default(), Ok(())),
+        }
+    }
+}
+
+impl VerdictMemo {
+    /// The verdict recorded for `outputs` and `halted`, or `judge`'s,
+    /// recorded.
+    fn verdict(
+        &mut self,
+        outputs: &[u32],
+        halted: bool,
+        judge: impl FnOnce() -> Result<(), String>,
+    ) -> Result<(), String> {
+        let (key, verdict) = &mut self.last;
+        if key.0.split_last() != Some((&u32::from(halted), outputs)) {
+            key.0.clear();
+            key.0.extend_from_slice(outputs);
+            key.0.push(u32::from(halted));
+            *verdict = match self.verdicts.get(key) {
+                Some(known) => known.clone(),
+                None => {
+                    let judged = judge();
+                    self.verdicts.insert(key.clone(), judged.clone());
+                    judged
+                }
+            };
+        }
+        verdict.clone()
+    }
+}
+
 /// What one thread keeps between the explorations it runs, so a combo-pool
 /// worker pays for its tables and buffers once rather than per combo
 /// (DESIGN §12). Reusing a scratch never changes a report.
@@ -262,6 +376,9 @@ where
     /// Slot tables and transition memo shared by the plain explorations
     /// this scratch serves; `None` until the first one.
     tables: Option<ArenaTables<P>>,
+    /// Verdicts of the sweep's [`OutputsOnly`] invariant on `tables`' ids;
+    /// emptied whenever `tables` is replaced.
+    verdicts: VerdictMemo,
     /// The visited store, reset for each exploration.
     visited: TieredVisited,
     /// The BFS tree, cleared between explorations.
@@ -277,6 +394,7 @@ where
     fn default() -> Self {
         Scratch {
             tables: None,
+            verdicts: VerdictMemo::default(),
             visited: TieredVisited::new(0, None),
             tree: BfsTree::default(),
         }
@@ -324,6 +442,7 @@ struct Flushed {
     states: usize,
     memo_hits: u64,
     memo_misses: u64,
+    invariant_evals: u64,
 }
 
 /// How many state expansions, counted in commit order, pass between polls
@@ -554,14 +673,19 @@ where
     /// scratch's visited store is reset to this exploration's row width,
     /// budget and spill directory, and its spill file is
     /// deleted when the exploration ends.
-    pub(crate) fn run_in<F, S>(
+    ///
+    /// An [`OutputsOnly`] invariant's verdicts are memoized in the scratch
+    /// beside its tables, and only when the tables serve the exploration;
+    /// under fresh tables it runs on every state. A scratch serves one
+    /// sweep, so one invariant.
+    pub(crate) fn run_in<I, S>(
         &self,
-        invariant: &F,
+        invariant: &I,
         stop: &S,
         scratch: &mut Scratch<P>,
     ) -> ExploreReport<P>
     where
-        F: Fn(&StateView<'_, P>) -> Result<(), String>,
+        I: Invariant<P>,
         S: Fn() -> bool,
     {
         let (m, n) = self.dims();
@@ -569,13 +693,15 @@ where
         let canon = self.canonicalizer();
         debug_assert!(canon.is_none() || self.history.is_none());
         let mut fresh = None;
-        let tables = if canon.is_none() && self.id_cap == HALTED {
+        let (tables, verdicts) = if canon.is_none() && self.id_cap == HALTED {
             if !scratch.tables.as_ref().is_some_and(|t| t.dims() == (m, n)) {
                 scratch.tables = Some(ArenaTables::new(m, n, HALTED));
+                scratch.verdicts = VerdictMemo::default();
             }
-            scratch.tables.as_mut().expect("just ensured")
+            let tables = scratch.tables.as_mut().expect("just ensured");
+            (tables, I::OUTPUTS_ONLY.then_some(&mut scratch.verdicts))
         } else {
-            fresh.insert(ArenaTables::new(m, n, self.id_cap))
+            (fresh.insert(ArenaTables::new(m, n, self.id_cap)), None)
         };
         scratch.tree.clear();
         let store = &mut scratch.visited;
@@ -592,6 +718,7 @@ where
             store,
             canon.as_ref(),
             tables,
+            verdicts,
             &mut scratch.tree,
         );
         // No spill file outlives the exploration that wrote it.
@@ -637,6 +764,7 @@ where
         store: &TieredVisited,
         depth: usize,
         tables: &ArenaTables<P>,
+        invariant_evals: u64,
     ) {
         let Some(tel) = &self.telemetry else {
             return;
@@ -646,10 +774,13 @@ where
         tel.states.add((visited - flushed.states) as u64);
         tel.step_memo_hits.add(hits - flushed.memo_hits);
         tel.step_memo_misses.add(misses - flushed.memo_misses);
+        tel.invariant_evals
+            .add(invariant_evals - flushed.invariant_evals);
         *flushed = Flushed {
             states: visited,
             memo_hits: hits,
             memo_misses: misses,
+            invariant_evals,
         };
         tel.frontier_depth.set(depth as u64);
         tel.visited_entries.set(visited as u64);
@@ -675,17 +806,21 @@ where
     ///
     /// `store` and `tree` arrive empty; `tables` may already hold other
     /// explorations' values, which only changes which ids rows carry.
-    fn explore<F, S>(
+    /// `verdicts`, when given, holds verdicts on `tables`' ids (see
+    /// [`Explorer::run_in`]).
+    #[allow(clippy::too_many_arguments)]
+    fn explore<I, S>(
         &self,
-        invariant: &F,
+        invariant: &I,
         stop: &S,
         store: &mut TieredVisited,
         canon: Option<&Canonicalizer>,
         tables: &mut ArenaTables<P>,
+        mut verdicts: Option<&mut VerdictMemo>,
         tree: &mut BfsTree,
     ) -> ExploreReport<P>
     where
-        F: Fn(&StateView<'_, P>) -> Result<(), String>,
+        I: Invariant<P>,
         S: Fn() -> bool,
     {
         let (m, n) = self.dims();
@@ -706,6 +841,24 @@ where
             states: 0,
             memo_hits,
             memo_misses,
+            invariant_evals: 0,
+        };
+        // Runs of the invariant itself, memo hits excluded.
+        let evals = Cell::new(0u64);
+        // The verdict on `row`: the memo's when it holds one, else the
+        // invariant's, recorded.
+        let judge = |tables: &ArenaTables<P>, row: &[u32], memo: Option<&mut VerdictMemo>| {
+            let run = || {
+                evals.set(evals.get() + 1);
+                invariant.check(&StateView::new(tables, row))
+            };
+            match memo {
+                Some(memo) => {
+                    let halted = row[m + n..m + 2 * n].iter().all(|&id| id == HALTED);
+                    memo.verdict(&row[m + 2 * n..w], halted, run)
+                }
+                None => run(),
+            }
         };
 
         let (complete, violation) = 'run: {
@@ -736,7 +889,7 @@ where
                 break 'run (false, None);
             }
             tree.push(None, 0);
-            if let Err(message) = invariant(&StateView::new(tables, &root_row)) {
+            if let Err(message) = judge(tables, &root_row, verdicts.as_deref_mut()) {
                 // A violating root is reported complete, with the root
                 // counted terminal if it already is.
                 terminal = usize::from(self.initial.all_halted());
@@ -778,7 +931,7 @@ where
                         since_poll += 1;
                         if since_poll >= STOP_POLL_INTERVAL {
                             since_poll = 0;
-                            self.flush_telemetry(&mut flushed, store, depth, tables);
+                            self.flush_telemetry(&mut flushed, store, depth, tables, evals.get());
                             crash_point("explorer.poll");
                             if stop() {
                                 break 'run (false, None);
@@ -844,7 +997,7 @@ where
                         };
                         estimate += orbit;
                         tree.push(Some((cur, p)), gidx);
-                        if let Err(message) = invariant(&StateView::new(tables, &row)) {
+                        if let Err(message) = judge(tables, &row, verdicts.as_deref_mut()) {
                             let v = self.assemble_violation(
                                 tables, canon, invariant, tree, id, &row, message,
                             );
@@ -858,7 +1011,7 @@ where
             (complete, None)
         };
 
-        self.flush_telemetry(&mut flushed, store, depth, tables);
+        self.flush_telemetry(&mut flushed, store, depth, tables, evals.get());
         ExploreReport {
             states: store.len(),
             terminal_states: terminal,
@@ -874,19 +1027,16 @@ where
     /// `canon` carries a nontrivial quotient group — untranslates the
     /// canonical run into a concrete schedule and state of the real system.
     #[allow(clippy::too_many_arguments)]
-    fn assemble_violation<F>(
+    fn assemble_violation<I: Invariant<P>>(
         &self,
         tables: &ArenaTables<P>,
         canon: Option<&Canonicalizer>,
-        invariant: &F,
+        invariant: &I,
         tree: &BfsTree,
         at: usize,
         vrow: &[u32],
         message: String,
-    ) -> Violation<P>
-    where
-        F: Fn(&StateView<'_, P>) -> Result<(), String>,
-    {
+    ) -> Violation<P> {
         let (m, n) = self.dims();
         let w = m + 3 * n;
         let edges = tree.path_to(at);
@@ -928,7 +1078,7 @@ where
         // The canonical row tripped the invariant; for a symmetric
         // invariant its real preimage trips it too — re-derive the
         // message there so it matches what a schedule replay observes.
-        let message = match invariant(&StateView::new(tables, &urow)) {
+        let message = match invariant.check(&StateView::new(tables, &urow)) {
             Err(real) => real,
             Ok(()) => message,
         };
@@ -1322,6 +1472,8 @@ mod tests {
         assert_eq!(tel.visited_entries.get(), plain.states as u64);
         assert!(tel.visited_bytes.get() > 0);
         assert!(tel.interner_entries.get() > 0);
+        // `run` memoizes no verdict: the invariant ran on every state.
+        assert_eq!(tel.invariant_evals.get(), plain.states as u64);
 
         // The exploration both discovers and repeats transitions.
         let (hits, misses) = (tel.step_memo_hits.get(), tel.step_memo_misses.get());

@@ -1,7 +1,7 @@
 //! Live-telemetry handle bundles for the model checker.
 //!
-//! Metric names are stable, dot-scoped identifiers (`mc.*`) shared with the
-//! bench binaries and the `obs_report` trend tables:
+//! Metric names are stable, dot-scoped identifiers (`mc.*`, `ckpt.*`)
+//! shared with the bench binaries' telemetry streams:
 //!
 //! | name                   | kind      | meaning                                    |
 //! |------------------------|-----------|--------------------------------------------|
@@ -12,6 +12,7 @@
 //! | `mc.frontier_depth`    | gauge     | BFS depth currently being expanded         |
 //! | `mc.step_memo_hits`    | counter   | arena steps patched from the transition memo |
 //! | `mc.step_memo_misses`  | counter   | arena steps that ran `Process::step`       |
+//! | `mc.invariant_evals`   | counter   | invariant runs (verdict-memo hits excluded) |
 //! | `mc.visited_entries`   | gauge     | arena size of the sampled combo            |
 //! | `mc.visited_bytes_est` | gauge     | estimated bytes of keys + arena + index    |
 //! | `mc.visited_spilled`   | gauge     | visited shards spilled to the disk tier    |
@@ -61,6 +62,10 @@ pub struct ExplorerTelemetry {
     /// `mc.step_memo_misses` — arena steps that ran `Process::step` and
     /// recorded their transition.
     pub step_memo_misses: Counter,
+    /// `mc.invariant_evals` — states on which the invariant itself ran;
+    /// the rest took a memoized verdict (published as deltas on the
+    /// telemetry flush boundary).
+    pub invariant_evals: Counter,
 }
 
 impl ExplorerTelemetry {
@@ -77,6 +82,7 @@ impl ExplorerTelemetry {
             dedup: registry.span("mc.dedup"),
             step_memo_hits: registry.counter("mc.step_memo_hits"),
             step_memo_misses: registry.counter("mc.step_memo_misses"),
+            invariant_evals: registry.counter("mc.invariant_evals"),
         }
     }
 }

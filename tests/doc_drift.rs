@@ -39,3 +39,30 @@ fn e22_summary_row_quotes_the_telemetry_overhead_artifact() {
         "E22 row does not quote {snapshots} snapshots: {row}"
     );
 }
+
+#[test]
+fn e3_summary_row_quotes_the_n3_sweep_totals() {
+    // The two n=3 sweep lines (label and per-read granularity) of the
+    // committed E3 report, e.g. `inputs [1, 2, 3]: combos=36/36
+    // states=14400000 complete=false violation=none`.
+    let report = read("results/check_snapshot.txt");
+    let totals: Vec<u64> = report
+        .lines()
+        .filter(|l| l.starts_with("inputs [1, 2, 3]: "))
+        .map(|l| {
+            let states = l
+                .split_whitespace()
+                .find_map(|w| w.strip_prefix("states="))
+                .unwrap_or_else(|| panic!("no states= in {l:?}"));
+            states.parse().expect("states= is a count")
+        })
+        .collect();
+    assert_eq!(totals.len(), 2, "want the two n=3 sweeps, got {totals:?}");
+    let millions = (totals.iter().sum::<u64>() as f64 / 1e6).round();
+    let quoted = format!("≈{millions} M states");
+    let row = summary_row(&read("EXPERIMENTS.md"), "E3");
+    assert!(
+        row.contains(&quoted),
+        "E3 row does not quote {quoted}: {row}"
+    );
+}
