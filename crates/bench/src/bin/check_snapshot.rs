@@ -41,8 +41,8 @@
 use std::sync::atomic::Ordering;
 
 use fa_bench::{
-    check_config_from_cli, cli_flag, print_table, report_exit_code, signals, sweep_summary,
-    TelemetrySession, EXIT_CLEAN, EXIT_INCOMPLETE, EXIT_VIOLATION,
+    cli_flag, print_table, report_exit_code, sweep_cli, sweep_summary, EXIT_CLEAN, EXIT_INCOMPLETE,
+    EXIT_VIOLATION,
 };
 use fa_memory::Wiring;
 use fa_modelcheck::checks::{
@@ -119,15 +119,7 @@ fn smoke(config: &CheckConfig) -> i32 {
 }
 
 fn main() {
-    let session = TelemetrySession::from_cli("check_snapshot");
-    let mut config = check_config_from_cli();
-    if let Some(registry) = session.registry() {
-        config = config.with_telemetry(registry);
-    }
-    // Graceful shutdown: SIGINT/SIGTERM raise this flag; the sweep stops at
-    // the next poll, journals nothing nondeterministic, and syncs a final
-    // checkpoint, so `--resume` picks up where it left off.
-    config = config.with_abort(signals::install_abort_handler());
+    let (session, config) = sweep_cli("check_snapshot");
     if cli_flag("--smoke") {
         let exit = smoke(&config);
         session.finish();

@@ -9,7 +9,7 @@
 //! design — the timestamp space is unbounded — so this is the expected code
 //! for a healthy run), 3 violation found.
 
-use fa_bench::{check_config_from_cli, print_table, report_exit_code, signals, sweep_summary};
+use fa_bench::{print_table, report_exit_code, sweep_cli, sweep_summary};
 use fa_core::runner::{run_consensus_random, WiringMode};
 use fa_core::{ConsensusProcess, SnapRegister};
 use fa_memory::{Executor, ProcId, SharedMemory, Wiring};
@@ -95,12 +95,7 @@ fn main() {
     // interleaving and wiring combination, bounded in depth because the
     // timestamp space is unbounded. Honors --jobs.
     println!("\n== exhaustive safety model check, bounded depth (n=2) ==\n");
-    let session = fa_bench::TelemetrySession::from_cli("consensus_of");
-    let mut config = check_config_from_cli();
-    if let Some(registry) = session.registry() {
-        config = config.with_telemetry(registry);
-    }
-    config = config.with_abort(signals::install_abort_handler());
+    let (session, config) = sweep_cli("consensus_of");
     let outcome = check_consensus_safety_with(&[1, 2], 600_000, 200, &config).expect("check runs");
     let report = &outcome.report;
     println!(

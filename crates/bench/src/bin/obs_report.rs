@@ -1,5 +1,5 @@
 //! Unified observability report (E17) — see [`fa_bench::obs_report`].
 
 fn main() {
-    fa_bench::obs_report::run_report(fa_bench::cli_jobs());
+    fa_bench::obs_report::run_report();
 }

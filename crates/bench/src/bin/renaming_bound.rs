@@ -10,9 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use fa_bench::{
-    check_config_from_cli, group_inputs, print_table, report_exit_code, signals, sweep_summary,
-};
+use fa_bench::{group_inputs, print_table, report_exit_code, sweep_cli, sweep_summary};
 use fa_core::runner::{run_renaming_random, WiringMode};
 use fa_modelcheck::checks::check_renaming_with;
 
@@ -73,12 +71,7 @@ fn main() {
     // renaming algorithm over every interleaving and wiring combination
     // (mod relabeling) at small scope, honoring --jobs.
     println!("\n== exhaustive model check over all wirings (n=2) ==\n");
-    let session = fa_bench::TelemetrySession::from_cli("renaming_bound");
-    let mut config = check_config_from_cli();
-    if let Some(registry) = session.registry() {
-        config = config.with_telemetry(registry);
-    }
-    config = config.with_abort(signals::install_abort_handler());
+    let (session, config) = sweep_cli("renaming_bound");
     let outcome = check_renaming_with(&[1, 2], 500_000, &config).expect("check runs");
     let report = &outcome.report;
     println!(

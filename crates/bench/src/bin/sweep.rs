@@ -10,9 +10,7 @@
 //! Exit codes: 0 clean, 2 the E3 model check finished incomplete (budget or
 //! SIGINT/SIGTERM abort; resumable when checkpointed), 3 violation found.
 
-use fa_bench::{
-    check_config_from_cli, group_inputs, report_exit_code, signals, snapshot_step_stats,
-};
+use fa_bench::{group_inputs, report_exit_code, snapshot_step_stats, sweep_cli};
 use fa_core::figure2::{expected_rows, run_figure2};
 use fa_core::lower_bound::covering_demo;
 use fa_core::pathology::generalized_report;
@@ -49,14 +47,7 @@ fn main() {
 
     // E3: parallel wiring-sweep model check of the snapshot task (honors
     // --jobs); the report fields are deterministic, the telemetry is not.
-    let session = fa_bench::TelemetrySession::from_cli("sweep");
-    let mut config = check_config_from_cli();
-    if let Some(registry) = session.registry() {
-        config = config.with_telemetry(registry);
-    }
-    // SIGINT/SIGTERM stop the sweep gracefully: the journal (if any) gets a
-    // final sync and the process exits 2 instead of dying mid-write.
-    config = config.with_abort(signals::install_abort_handler());
+    let (session, config) = sweep_cli("sweep");
     let e3 = check_snapshot_task_with(&[1, 2], 500_000, &config).expect("check runs");
     let t = &e3.telemetry;
     let mut e3_doc = json!({

@@ -1,13 +1,15 @@
 //! E22 — live-telemetry probe overhead.
 //!
-//! Runs the same E18-style coarse-scan model-check sweep (n = 4, bounded
-//! states per wiring combo) under two arms:
+//! Runs E18's sweep itself — `check_snapshot_task_coarse_with` over all
+//! 13,824 wiring combos of the coarse-scan n = 4 system, 2,000 states per
+//! combo, on one thread — under two arms:
 //!
 //! 1. **plain** — no telemetry attached (the `NoProbe` configuration);
-//! 2. **live** — a shared [`MetricRegistry`] attached to every explorer
-//!    (`mc.*` counters, gauges, and the sampled dedup span) *plus* a running
-//!    background [`TelemetryEmitter`] streaming snapshots to a JSONL file —
-//!    the full telemetry plane a long-running campaign would carry.
+//! 2. **live** — a shared [`MetricRegistry`] attached through
+//!    `CheckConfig::with_telemetry` (`mc.*` counters, gauges, spans and the
+//!    sampled dedup span) *plus* a running background [`TelemetryEmitter`]
+//!    streaming snapshots to a JSONL file — the full telemetry plane a
+//!    long-running campaign would carry.
 //!
 //! The arms are interleaved (plain, live, plain, live, ...) and each arm's
 //! throughput is the best of its repetitions: run-to-run scheduler and
@@ -29,16 +31,15 @@
 //! committed full-run numbers.
 //!
 //! Usage: `cargo run --release -p fa-bench --bin telemetry_overhead
-//! [-- --smoke] [--out PATH]` (`--smoke` shrinks the sweep for CI; the
-//! artifact's shape is unchanged).
+//! [-- --smoke] [--out PATH]` (`--smoke` caps each combo at 100 states, as
+//! the benchmark's e18-n4 workload does; the artifact's shape is
+//! unchanged).
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fa_bench::{cli_flag, cli_value};
-use fa_core::SnapshotProcess;
-use fa_modelcheck::wirings::ComboTable;
-use fa_modelcheck::{Explorer, SweepTelemetry};
+use fa_modelcheck::checks::{check_snapshot_task_coarse_with, CheckConfig};
 use fa_obs::{MetricRegistry, TelemetryConfig, TelemetryEmitter};
 use serde_json::json;
 
@@ -54,41 +55,19 @@ const MAX_OVERHEAD_PCT: f64 = 5.0;
 const SMOKE_MAX_OVERHEAD_PCT: f64 = 12.0;
 
 /// One sweep arm: per-combo state counts, elapsed seconds, states/sec.
-fn sweep(
-    combos: usize,
-    max_states: usize,
-    telemetry: Option<&SweepTelemetry>,
-) -> (Vec<usize>, f64, f64) {
-    let n = 4usize;
-    let table = ComboTable::new(n, n);
-    let count = combos.min(table.len());
-    if let Some(tel) = telemetry {
-        tel.combos_total.set(count as u64);
-        tel.jobs.set(1);
-    }
-    let mut per_combo = Vec::with_capacity(count);
-    let start = Instant::now();
-    for i in 0..count {
-        let procs: Vec<SnapshotProcess<u32>> =
-            (0..n as u32).map(|x| SnapshotProcess::new(x, n)).collect();
-        let mut explorer = Explorer::new(procs, n, Default::default(), table.combo(i))
-            .with_coarse_scans()
-            .with_max_states(max_states);
-        if let Some(tel) = telemetry {
-            explorer = explorer.with_telemetry(tel.explorer.clone());
-        }
-        let guard = telemetry.map(|tel| tel.expand.enter());
-        let report = explorer.run(|_| Ok(()));
-        drop(guard);
-        if let Some(tel) = telemetry {
-            tel.combos_done.inc();
-            tel.combo_states.record(report.states as u64);
-        }
-        per_combo.push(report.states);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let total: usize = per_combo.iter().sum();
-    (per_combo, elapsed, total as f64 / elapsed)
+fn sweep(max_states: usize, config: &CheckConfig) -> (Vec<usize>, f64, f64) {
+    let outcome =
+        check_snapshot_task_coarse_with(&[0, 1, 2, 3], max_states, config).expect("sweep runs");
+    assert!(
+        outcome.report.violation.is_none(),
+        "{:?}",
+        outcome.report.violation
+    );
+    let t = outcome.telemetry;
+    #[allow(clippy::cast_precision_loss)]
+    let elapsed = t.elapsed_ns as f64 / 1e9;
+    let rate = t.states_per_sec();
+    (t.per_combo_states, elapsed, rate)
 }
 
 #[allow(clippy::too_many_lines)]
@@ -104,24 +83,25 @@ fn main() {
             "results/telemetry_overhead.json".into()
         }
     });
-    // Smoke takes the best of 5 interleaved reps over a meaningful combo
-    // count: the arena engine (E23) finishes 96 combos in ~0.5s, where host
-    // noise (±10%+) drowns the sub-1% probe cost and flips the gate; more
-    // reps tighten the best-of max toward the machine's true rate.
-    let (combos, cap, reps) = if smoke {
-        (256usize, 2_000usize, 5usize)
+    // Smoke takes the best of 5 interleaved reps: its arms last about half
+    // a second, where host noise (±10%+) drowns the sub-1% probe cost and
+    // flips the gate; more reps tighten the best-of max toward the
+    // machine's true rate.
+    let (cap, reps) = if smoke {
+        (100usize, 5usize)
     } else {
-        (1_024, 2_000, 3)
+        (2_000, 3)
     };
 
-    // Live-arm plumbing: registry + handles + a background emitter streaming
+    // Live-arm plumbing: registry + a background emitter streaming
     // snapshots, exactly what `check_snapshot --n4 --telemetry-jsonl` runs.
     let registry = Arc::new(MetricRegistry::new());
-    let handles = SweepTelemetry::from_registry(&registry);
+    let plain = CheckConfig::serial();
+    let live = CheckConfig::serial().with_telemetry(Arc::clone(&registry));
     let snap_path = std::env::temp_dir().join("fa_telemetry_overhead_snapshots.jsonl");
     let _ = std::fs::remove_file(&snap_path);
     // Cadence chosen so even the smoke sweep produces >= 10 snapshots
-    // (5 reps x ~1s+ per live arm) without the emitter thread competing
+    // (5 reps x ~0.5 s per live arm, plus the plain arms) without the emitter thread competing
     // for CPU with the sweep on small runners — on one core a 20 ms
     // cadence alone reads as ~6-10% "overhead".
     let emitter = TelemetryEmitter::start(
@@ -141,16 +121,14 @@ fn main() {
     let (mut plain_s, mut plain_rate) = (f64::INFINITY, 0.0f64);
     let (mut live_s, mut live_rate) = (f64::INFINITY, 0.0f64);
     for rep in 1..=reps {
-        eprintln!(
-            "[telemetry_overhead] rep {rep}/{reps} plain sweep ({combos} combos, cap {cap})..."
-        );
-        let (pc, s, rate) = sweep(combos, cap, None);
+        eprintln!("[telemetry_overhead] rep {rep}/{reps} plain sweep (cap {cap})...");
+        let (pc, s, rate) = sweep(cap, &plain);
         per_combo_plain = pc;
         if rate > plain_rate {
             (plain_s, plain_rate) = (s, rate);
         }
         eprintln!("[telemetry_overhead] rep {rep}/{reps} live sweep (registry + emitter)...");
-        let (pc, s, rate) = sweep(combos, cap, Some(&handles));
+        let (pc, s, rate) = sweep(cap, &live);
         per_combo_live = pc;
         if rate > live_rate {
             (live_s, live_rate) = (s, rate);

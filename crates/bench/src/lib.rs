@@ -288,6 +288,24 @@ pub fn check_config_from_cli() -> CheckConfig {
     config
 }
 
+/// The setup every sweep binary shares: a [`TelemetrySession`] labelled
+/// `label` from the telemetry flags, and [`check_config_from_cli`]'s config
+/// with the session's registry attached (when live) and the
+/// SIGINT/SIGTERM abort flag. A signal stops the sweep at its next poll;
+/// a checkpointed sweep syncs a final journal record, so `--resume` picks
+/// up where it left off, and the binary exits 2 instead of dying
+/// mid-write.
+#[must_use]
+pub fn sweep_cli(label: &str) -> (TelemetrySession, CheckConfig) {
+    let session = TelemetrySession::from_cli(label);
+    let mut config = check_config_from_cli();
+    if let Some(registry) = session.registry() {
+        config = config.with_telemetry(registry);
+    }
+    let config = config.with_abort(signals::install_abort_handler());
+    (session, config)
+}
+
 /// Exit code for a clean run: complete, no violation.
 pub const EXIT_CLEAN: i32 = 0;
 /// Exit code for a run that finished without a violation but explored less

@@ -1,7 +1,7 @@
 //! Live-telemetry handle bundle for fuzz campaigns.
 //!
 //! Metric names are stable, dot-scoped identifiers (`fuzz.*`) shared with
-//! the bench binaries and the `obs_report` trend tables:
+//! the bench binaries' telemetry streams:
 //!
 //! | name              | kind      | meaning                                    |
 //! |-------------------|-----------|--------------------------------------------|

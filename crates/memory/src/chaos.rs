@@ -323,7 +323,7 @@ impl ChaosConfig {
 }
 
 /// Live-telemetry handles one chaos run records into (`chaos.*` names,
-/// shared with the bench binaries and `obs_report` trend tables):
+/// shared with the bench binaries' telemetry streams):
 ///
 /// | name                   | kind    | meaning                                |
 /// |------------------------|---------|----------------------------------------|

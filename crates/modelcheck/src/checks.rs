@@ -246,9 +246,8 @@ impl QuotientStats {
 pub struct CheckOutcome {
     /// The deterministic verdict.
     pub report: TaskCheckReport,
-    /// Throughput/shape telemetry, for the `fa-obs` probe layer
-    /// (`ProbeEvent::Sweep`). Carries wall-clock and the worker count, so it
-    /// is *not* comparable across `jobs` values — the report is.
+    /// Throughput/shape telemetry. Carries wall-clock and the worker count,
+    /// so it is *not* comparable across `jobs` values — the report is.
     pub telemetry: SweepEvent,
 }
 
@@ -1339,7 +1338,7 @@ mod tests {
         let groups = group_assignment(inputs);
         let all_inputs: View<u32> = inputs.iter().copied().collect();
         let table = ComboTable::new(n, n);
-        let tel = crate::ExplorerTelemetry::default();
+        let tel = crate::telemetry::ExplorerTelemetry::default();
         for i in combos {
             let procs: Vec<SnapshotProcess<u32>> =
                 inputs.iter().map(|&x| SnapshotProcess::new(x, n)).collect();

@@ -534,8 +534,9 @@ where
     /// assigned). A test hook: tiny caps force the id-space exhaustion
     /// path, which must abort the exploration gracefully with
     /// `complete: false` instead of panicking inside a sweep worker.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_id_cap(mut self, cap: u32) -> Self {
+    pub(crate) fn with_id_cap(mut self, cap: u32) -> Self {
         self.id_cap = cap;
         self
     }
@@ -545,7 +546,7 @@ where
     /// boundary and sampled dedup timings. Purely additive — attaching
     /// telemetry never changes the [`ExploreReport`].
     #[must_use]
-    pub fn with_telemetry(mut self, telemetry: ExplorerTelemetry) -> Self {
+    pub(crate) fn with_telemetry(mut self, telemetry: ExplorerTelemetry) -> Self {
         self.telemetry = Some(telemetry);
         self
     }

@@ -73,4 +73,3 @@ pub use checks::{CheckConfig, CheckOutcome, QuotientStats, TaskCheckReport};
 pub use explorer::{step_block, ExploreReport, Explorer, McState, Violation};
 pub use store::{InMemoryVisited, ShardedVisited, StoreError, TieredVisited, VisitedStore};
 pub use strategy::{ComboOutcome, StrategyKind};
-pub use telemetry::{ExplorerTelemetry, SweepTelemetry};

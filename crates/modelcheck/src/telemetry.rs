@@ -1,4 +1,8 @@
-//! Live-telemetry handle bundles for the model checker.
+//! The model checker's live telemetry: the metrics a sweep records into
+//! the registry given to
+//! [`CheckConfig::with_telemetry`](crate::checks::CheckConfig::with_telemetry),
+//! the one way to attach telemetry. The handle bundles behind them are
+//! crate-private.
 //!
 //! Metric names are stable, dot-scoped identifiers (`mc.*`, `ckpt.*`)
 //! shared with the bench binaries' telemetry streams:
@@ -38,7 +42,7 @@ use fa_obs::{Counter, Gauge, LiveHistogram, MetricRegistry, Span};
 /// exploring. Cloning shares the underlying atomics, so a parallel sweep
 /// hands every worker's explorer the same bundle.
 #[derive(Clone, Debug, Default)]
-pub struct ExplorerTelemetry {
+pub(crate) struct ExplorerTelemetry {
     /// `mc.states_total` — monotone across combos and workers.
     pub states: Counter,
     /// `mc.frontier_depth`.
@@ -71,7 +75,7 @@ pub struct ExplorerTelemetry {
 impl ExplorerTelemetry {
     /// Resolves the `mc.*` explorer handles from `registry`.
     #[must_use]
-    pub fn from_registry(registry: &MetricRegistry) -> Self {
+    pub(crate) fn from_registry(registry: &MetricRegistry) -> Self {
         ExplorerTelemetry {
             states: registry.counter("mc.states_total"),
             frontier_depth: registry.gauge("mc.frontier_depth"),
@@ -90,7 +94,7 @@ impl ExplorerTelemetry {
 /// Telemetry handles for a wiring sweep: the per-explorer bundle plus
 /// sweep-level progress and phase spans.
 #[derive(Clone, Debug, Default)]
-pub struct SweepTelemetry {
+pub(crate) struct SweepTelemetry {
     /// Handles threaded into each combo's explorer.
     pub explorer: ExplorerTelemetry,
     /// `mc.combos_done`.
@@ -115,7 +119,7 @@ pub struct SweepTelemetry {
 
 /// Telemetry handles for the crash-safety layer (see [`crate::checkpoint`]).
 #[derive(Clone, Debug, Default)]
-pub struct CheckpointTelemetry {
+pub(crate) struct CheckpointTelemetry {
     /// `ckpt.records` — journal records appended this run.
     pub records: Counter,
     /// `ckpt.journal_bytes` — journal size on disk, including any resumed
@@ -131,7 +135,7 @@ pub struct CheckpointTelemetry {
 impl CheckpointTelemetry {
     /// Resolves the `ckpt.*` handles from `registry`.
     #[must_use]
-    pub fn from_registry(registry: &MetricRegistry) -> Self {
+    pub(crate) fn from_registry(registry: &MetricRegistry) -> Self {
         CheckpointTelemetry {
             records: registry.counter("ckpt.records"),
             journal_bytes: registry.gauge("ckpt.journal_bytes"),
@@ -144,7 +148,7 @@ impl CheckpointTelemetry {
 impl SweepTelemetry {
     /// Resolves the `mc.*` sweep handles from `registry`.
     #[must_use]
-    pub fn from_registry(registry: &MetricRegistry) -> Self {
+    pub(crate) fn from_registry(registry: &MetricRegistry) -> Self {
         SweepTelemetry {
             explorer: ExplorerTelemetry::from_registry(registry),
             combos_done: registry.counter("mc.combos_done"),

@@ -360,7 +360,6 @@ pub enum ProbeEvent {
     Reset(ResetEvent),
     Step(StepEvent),
     Timing(TimingEvent),
-    Sweep(SweepEvent),
     Fuzz(FuzzEvent),
     Chaos(ChaosEvent),
     Backoff(BackoffEvent),
@@ -456,17 +455,7 @@ pub(crate) mod tests {
                 ns: 150,
                 lock_wait_ns: 20,
             }),
-            ProbeEvent::Timing(_) => ProbeEvent::Sweep(SweepEvent {
-                check: "snapshot_task".to_string(),
-                jobs: 2,
-                combos_attempted: 4,
-                combos_total: 8,
-                states: 100,
-                peak_combo_states: 40,
-                per_combo_states: vec![25; 4],
-                elapsed_ns: 1_000,
-            }),
-            ProbeEvent::Sweep(_) => ProbeEvent::Fuzz(FuzzEvent {
+            ProbeEvent::Timing(_) => ProbeEvent::Fuzz(FuzzEvent {
                 campaign: "smoke".to_string(),
                 algo: "snapshot".to_string(),
                 jobs: 1,

@@ -163,7 +163,6 @@ mod tests {
             r#"{"Reset":{"from_level":2,"proc_id":0,"time":5}}"#,
             r#"{"Step":{"poised":3,"time":6}}"#,
             r#"{"Timing":{"lock_wait_ns":20,"ns":150,"op":"Write","proc_id":0}}"#,
-            r#"{"Sweep":{"check":"snapshot_task","combos_attempted":4,"combos_total":8,"elapsed_ns":1000,"jobs":2,"peak_combo_states":40,"per_combo_states":[25,25,25,25],"states":100}}"#,
             r#"{"Fuzz":{"algo":"snapshot","campaign":"smoke","cases":10,"distinct_patterns":3,"elapsed_ns":2000,"jobs":1,"total_steps":500,"violations":0}}"#,
             r#"{"Chaos":{"at_op":9,"covered_global":1,"kind":"CrashPoised","proc_id":2,"stall_ns":0}}"#,
             r#"{"Backoff":{"attempts":3,"backoffs":2,"max_backoff_ns":500,"proc_id":0,"total_backoff_ns":900}}"#,

@@ -66,3 +66,20 @@ fn e3_summary_row_quotes_the_n3_sweep_totals() {
         "E3 row does not quote {quoted}: {row}"
     );
 }
+
+#[test]
+fn e17_summary_row_quotes_the_obs_report_cells() {
+    let artifact: serde_json::Value =
+        serde_json::from_str(&read("results/obs_report.json")).expect("valid JSON");
+    let cells = artifact["cells"].as_array().expect("cells");
+    let complete = cells
+        .iter()
+        .filter(|c| c["completed"].as_bool().expect("completed"))
+        .count();
+    let quoted = format!("{complete}/{} cells complete", cells.len());
+    let row = summary_row(&read("EXPERIMENTS.md"), "E17");
+    assert!(
+        row.contains(&quoted),
+        "E17 row does not quote {quoted}: {row}"
+    );
+}
