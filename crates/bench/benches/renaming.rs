@@ -2,8 +2,7 @@
 //! count (experiment E6's timing side).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fa_bench::group_inputs;
-use fa_core::runner::{run_renaming_random, WiringMode};
+use fa_core::runner::{random_group_inputs, run_renaming_random, WiringMode};
 
 fn bench_renaming(c: &mut Criterion) {
     let mut group = c.benchmark_group("renaming");
@@ -22,7 +21,7 @@ fn bench_renaming(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                let inputs = group_inputs(n, 2, seed);
+                let inputs = random_group_inputs(n, 2, seed);
                 run_renaming_random(&inputs, seed, &WiringMode::Random, 100_000_000)
                     .expect("terminates")
             });

@@ -20,6 +20,7 @@ fn stats(n: usize, wiring: WiringMode, runs: u64) -> StepStats {
 }
 
 fn main() {
+    fa_bench::reject_args("anonymity_cost");
     println!("== memory anonymity cost: identity vs random vs adversarial wirings ==\n");
     let runs = 40;
     let mut rows = Vec::new();

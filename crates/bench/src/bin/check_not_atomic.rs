@@ -25,6 +25,7 @@ const CAP: usize = 40_000_000;
 const MOMENTARY_N3_PER_READ_CAP: usize = 1_000_000;
 
 fn main() {
+    fa_bench::reject_args("check_not_atomic");
     println!("== E5: non-atomicity, one sweep per reading ==\n");
     let config = CheckConfig::default();
     let runs: [(Reading, &[u32], bool, usize); 8] = [

@@ -23,6 +23,7 @@ fn rate(n: usize, wirings: Vec<Wiring>, seed: u64) -> (usize, usize) {
 }
 
 fn main() {
+    fa_bench::reject_args("covering_rate");
     println!("== covering rate: lost writes / total writes (snapshot runs) ==\n");
     let runs = 25u64;
     let mut rows = Vec::new();

@@ -1,9 +1,11 @@
 //! E2 — The eventual pattern (Theorem 4.8): over many adversarial lasso
 //! schedules and random wirings, the stable views always form a DAG with a
-//! unique source.
+//! unique source. The generalized Figure 2 construction keeps its
+//! incomparable pair for every register count m ∈ 3..=8 (Section 4.1).
 
 use fa_bench::{print_table, rng};
 use fa_core::figure2::{core_schedule, core_wirings};
+use fa_core::pathology::generalized_report;
 use fa_core::stable_view::{analyze_lasso, analyze_random};
 use fa_memory::{LassoSchedule, ProcId, Wiring};
 use rand::Rng;
@@ -22,6 +24,7 @@ fn random_lasso(n: usize, r: &mut impl Rng) -> LassoSchedule {
 }
 
 fn main() {
+    fa_bench::reject_args("eventual_pattern");
     println!("== E2: stable views form a single-source DAG (Theorem 4.8) ==\n");
 
     // The canonical instance: Figure 2's lasso.
@@ -86,6 +89,32 @@ fn main() {
     );
     println!("\nTheorem 4.8 held in every trial: {all_ok}");
     assert!(all_ok);
+
+    // Section 4.1: "no additional number of registers would prevent this
+    // type of infinite execution".
+    println!("\n== generalized Figure 2: m registers ==\n");
+    let rows: Vec<Vec<String>> = (3..=8usize)
+        .map(|m| {
+            let report = generalized_report(m, 500).expect("generalized lasso stabilizes");
+            assert!(report.graph.has_unique_source(), "m={m}");
+            let views: Vec<String> = report
+                .graph
+                .vertices()
+                .iter()
+                .map(ToString::to_string)
+                .collect();
+            vec![
+                m.to_string(),
+                views.join(" "),
+                report.graph.has_unique_source().to_string(),
+                report.period.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        &["m", "stable views", "unique source", "period (cycles)"],
+        &rows,
+    );
 
     // Control: random fair schedules converge to a single full view.
     let control = analyze_random(

@@ -6,6 +6,7 @@ use fa_bench::print_table;
 use fa_core::figure2::{expected_rows, run_figure2, run_figure2_extended};
 
 fn main() {
+    fa_bench::reject_args("figure2");
     println!("== E1: Figure 2 — the pathological execution ==\n");
     let observed = run_figure2().expect("figure 2 construction runs");
     let expected = expected_rows();

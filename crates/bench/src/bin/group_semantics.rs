@@ -12,6 +12,7 @@ fn gset(ids: &[usize]) -> BTreeSet<GroupId> {
 }
 
 fn main() {
+    fa_bench::reject_args("group_semantics");
     println!("== E10: group solvability (Definition 3.4) ==\n");
     // The paper's example: groups A={p0}, B={p1,p2}, C={p3}; outputs
     // {A,B,C}, {A,B}, {B,C}, {A,B,C}.

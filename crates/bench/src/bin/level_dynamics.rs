@@ -7,6 +7,7 @@ use fa_core::metrics::snapshot_trajectories;
 use fa_core::runner::WiringMode;
 
 fn main() {
+    fa_bench::reject_args("level_dynamics");
     println!("== level dynamics of the snapshot algorithm ==\n");
     let mut rows = Vec::new();
     for n in [2usize, 4, 6, 8] {

@@ -6,6 +6,7 @@ use fa_bench::print_table;
 use fa_core::lower_bound::covering_demo;
 
 fn main() {
+    fa_bench::reject_args("lower_bound");
     println!("== E8: N−1 registers are insufficient (covering construction) ==\n");
     let mut rows = Vec::new();
     for n in 2..=8usize {

@@ -10,8 +10,8 @@
 
 use std::collections::BTreeSet;
 
-use fa_bench::{group_inputs, print_table, report_exit_code, sweep_cli, sweep_summary};
-use fa_core::runner::{run_renaming_random, WiringMode};
+use fa_bench::{print_table, report_exit_code, sweep_cli, sweep_summary};
+use fa_core::runner::{random_group_inputs, run_renaming_random, WiringMode};
 use fa_modelcheck::checks::check_renaming_with;
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
             let mut ok = true;
             let mut max_groups = 0usize;
             for t in 0..trials {
-                let inputs = group_inputs(n, g, (n as u64) << 24 | (g as u64) << 16 | t);
+                let inputs = random_group_inputs(n, g, (n as u64) << 24 | (g as u64) << 16 | t);
                 let names = run_renaming_random(&inputs, t, &WiringMode::Random, 50_000_000)
                     .expect("renaming terminates");
                 let groups: BTreeSet<u32> = inputs.iter().copied().collect();

@@ -4,6 +4,7 @@
 use fa_bench::{print_table, snapshot_step_stats};
 
 fn main() {
+    fa_bench::reject_args("wait_freedom");
     println!("== E4: snapshot steps to termination (random schedules/wirings) ==\n");
     let mut rows = Vec::new();
     for n in 2..=10usize {

@@ -21,7 +21,6 @@ use fa_memory::{Executor, MemoryError, ProcId, SharedMemory, Wiring};
 use fa_modelcheck::checks::{CheckConfig, TaskCheckReport};
 use fa_modelcheck::CheckpointConfig;
 use fa_obs::SweepEvent;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -128,6 +127,16 @@ pub fn cli_value(name: &str) -> Option<String> {
 #[must_use]
 pub fn cli_flag(name: &str) -> bool {
     std::env::args().skip(1).any(|a| a == name)
+}
+
+/// For a binary that parses no flags: exits 1 with a usage line when any
+/// argument is given, so a stale or mistyped flag fails loudly instead of
+/// running the default (and, for `obs_report`, rewriting its artifact).
+pub fn reject_args(bin: &str) {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: {bin} (takes no arguments)");
+        std::process::exit(1);
+    }
 }
 
 /// The sweep worker count requested via `--jobs N` (`None` when absent:
@@ -316,7 +325,7 @@ pub const EXIT_INCOMPLETE: i32 = 2;
 pub const EXIT_VIOLATION: i32 = 3;
 
 /// Maps a sweep report to the process exit code contract above, so CI and
-/// the soak/crash harnesses can tell "clean", "incomplete-by-budget", and
+/// the crash harness can tell "clean", "incomplete-by-budget", and
 /// "violation found" apart.
 #[must_use]
 pub fn report_exit_code(report: &TaskCheckReport) -> i32 {
@@ -520,19 +529,6 @@ pub fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
 }
 
-/// Random distinct-input vector of length `n`.
-#[must_use]
-pub fn distinct_inputs(n: usize) -> Vec<u32> {
-    (0..n as u32).collect()
-}
-
-/// Random group inputs: `n` processors spread over up to `g` groups.
-#[must_use]
-pub fn group_inputs(n: usize, g: usize, seed: u64) -> Vec<u32> {
-    let mut r = rng(seed);
-    (0..n).map(|_| r.gen_range(0..g) as u32).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,85 +714,5 @@ mod tests {
         assert!(s.contains("combos=25/36"));
         assert!(s.contains("states=1234"));
         assert!(s.contains("peak_combo_states=99"));
-    }
-}
-
-/// Renders a trace as an ASCII timeline: one lane per processor, one row per
-/// step, with a compact action summary in the acting processor's lane. Handy
-/// for inspecting counterexample schedules and demo executions.
-#[must_use]
-pub fn render_timeline<V: std::fmt::Debug, O: std::fmt::Debug>(
-    trace: &fa_memory::Trace<V, O>,
-    n: usize,
-) -> String {
-    use fa_memory::EventKind;
-    let lane_width = 16usize;
-    let mut out = String::new();
-    // Header.
-    out.push_str("time ");
-    for i in 0..n {
-        out.push_str(&format!("| {:<w$}", format!("p{i}"), w = lane_width));
-    }
-    out.push('\n');
-    for e in trace.events() {
-        out.push_str(&format!("{:>4} ", e.time));
-        for i in 0..n {
-            let cell = if e.proc.index() == i {
-                match &e.kind {
-                    EventKind::Read { global, value, .. } => {
-                        format!("R {global}={value:?}")
-                    }
-                    EventKind::Write { global, value, .. } => {
-                        format!("W {global}:={value:?}")
-                    }
-                    EventKind::Output(o) => format!("OUT {o:?}"),
-                    EventKind::Halt => "HALT".to_string(),
-                }
-            } else {
-                String::new()
-            };
-            let mut cell = cell;
-            cell.truncate(lane_width);
-            out.push_str(&format!("| {cell:<w$}", w = lane_width));
-        }
-        out.push('\n');
-    }
-    out
-}
-
-#[cfg(test)]
-mod timeline_tests {
-    use super::*;
-    use fa_memory::{Action, Process, StepInput};
-    use fa_memory::{Executor, SharedMemory, Wiring};
-
-    #[derive(Clone)]
-    struct Tiny(bool);
-    impl Process for Tiny {
-        type Value = u8;
-        type Output = u8;
-        fn step(&mut self, _i: StepInput<u8>) -> Action<u8, u8> {
-            if self.0 {
-                Action::Halt
-            } else {
-                self.0 = true;
-                Action::write(0, 9)
-            }
-        }
-    }
-
-    #[test]
-    fn timeline_contains_lanes_and_actions() {
-        let memory = SharedMemory::new(1, 0u8, vec![Wiring::identity(1); 2]).unwrap();
-        let mut exec = Executor::new(vec![Tiny(false), Tiny(false)], memory).unwrap();
-        exec.record_trace(true);
-        exec.run_round_robin(100).unwrap();
-        let s = render_timeline(exec.trace().unwrap(), 2);
-        assert!(s.contains("p0"));
-        assert!(s.contains("p1"));
-        assert!(s.contains("W r0:=9"));
-        assert!(s.contains("HALT"));
-        // One row per event plus the header.
-        assert_eq!(s.lines().count(), exec.trace().unwrap().len() + 1);
     }
 }

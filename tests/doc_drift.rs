@@ -19,6 +19,66 @@ fn summary_row(experiments: &str, id: &str) -> String {
     rows[0].to_string()
 }
 
+/// The sums of columns `names` over the first markdown table in `report`
+/// whose header has all of them.
+fn column_sums(report: &str, names: &[&str]) -> Vec<u64> {
+    let cells = |l: &str| -> Vec<String> {
+        l.trim()
+            .trim_matches('|')
+            .split('|')
+            .map(|c| c.trim().to_string())
+            .collect()
+    };
+    let mut lines = report.lines();
+    let header = lines
+        .by_ref()
+        .map(cells)
+        .find(|h| names.iter().all(|n| h.iter().any(|c| c == n)))
+        .unwrap_or_else(|| panic!("no table with columns {names:?}"));
+    let at: Vec<usize> = names
+        .iter()
+        .map(|n| header.iter().position(|c| c == n).expect("column"))
+        .collect();
+    let rows: Vec<Vec<String>> = lines
+        .skip(1) // the `| - | --- |` rule
+        .take_while(|l| l.starts_with('|'))
+        .map(cells)
+        .collect();
+    assert!(!rows.is_empty(), "table with columns {names:?} has no rows");
+    at.iter()
+        .map(|&i| {
+            rows.iter()
+                .map(|r| r[i].parse::<u64>().expect("a count"))
+                .sum()
+        })
+        .collect()
+}
+
+#[test]
+fn e2_summary_row_quotes_the_lasso_totals() {
+    let sums = column_sums(
+        &read("results/eventual_pattern.txt"),
+        &["lassos", "unique source"],
+    );
+    let quoted = format!(" {}/{} ", sums[1], sums[0]);
+    let row = summary_row(&read("EXPERIMENTS.md"), "E2");
+    assert!(
+        row.contains(&quoted),
+        "E2 row does not quote{quoted}lassos: {row}"
+    );
+}
+
+#[test]
+fn e4_summary_row_quotes_the_run_total() {
+    let runs = column_sums(&read("results/wait_freedom.txt"), &["runs"])[0];
+    let quoted = format!(" {runs}/{runs} runs ");
+    let row = summary_row(&read("EXPERIMENTS.md"), "E4");
+    assert!(
+        row.contains(&quoted),
+        "E4 row does not quote{quoted}: {row}"
+    );
+}
+
 #[test]
 fn e22_summary_row_quotes_the_telemetry_overhead_artifact() {
     let artifact: serde_json::Value =
